@@ -9,6 +9,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import kolmogorov
 
 
 @dataclass
@@ -89,25 +90,12 @@ def _ecdf_distance(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def _kolmogorov_sf(lam: float) -> float:
-    # Q(lam) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2), truncated at
-    # 100 terms or when a term drops below 1e-10
-    if lam <= 0:
-        return 1.0
-    total = 0.0
-    for j in range(1, 101):
-        term = 2.0 * (-1.0) ** (j - 1) * np.exp(-2.0 * j * j * lam * lam)
-        total += term
-        if abs(term) < 1e-10:
-            break
-    return float(min(max(total, 0.0), 1.0))
-
-
 def ks_two_sample(a, b):
     """Two-sample Kolmogorov-Smirnov test.
 
     Returns (D, p).  D is the sup distance between the two empirical
-    CDFs; p comes from the asymptotic Kolmogorov distribution at
+    CDFs; p is the survival function of the asymptotic Kolmogorov
+    distribution (`scipy.special.kolmogorov`) at
     sqrt(n_eff) * D with effective size n_eff = n_a*n_b/(n_a+n_b)
     (tracks a permutation test to a few permille already at n = 50).
     """
@@ -117,7 +105,7 @@ def ks_two_sample(a, b):
         raise ValueError("both samples must be nonempty")
     d = _ecdf_distance(a, b)
     n_eff = len(a) * len(b) / (len(a) + len(b))
-    return d, _kolmogorov_sf(np.sqrt(n_eff) * d)
+    return d, float(kolmogorov(np.sqrt(n_eff) * d))
 
 
 def sym_kld(hist_a, hist_b, epsilon: float) -> float:

@@ -13,13 +13,14 @@ dashes replaced by underscores); explicitly passed flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import analysis, classifiers, data as datamod, gpc, mimic as mimicmod
-from .kernels import KernelSpec, kernel_from_dict, kernel_to_dict
+from .kernels import kernel_from_dict, kernel_to_dict
 
 
 def _fmt(x: float) -> str:
@@ -170,14 +171,14 @@ def cmd_fit_gpc(args) -> int:
         y_val, _ = _binary_pm1(val.labels)
         scores = {}
         for value in grid:
-            spec = KernelSpec(**{**kernel_to_dict_kwargs(base), param: float(value)})
+            spec = dataclasses.replace(base, **{param: float(value)})
             model = gpc.ep_fit(sub_train.features, y_sub, spec)
             preds = np.array(
                 [1 if gpc.predict_proba(model, x) >= 0.5 else -1 for x in val.features]
             )
             scores[float(value)] = float(np.mean(preds == y_val))
         best = max(sorted(scores), key=lambda v: (scores[v], -v))
-        base = KernelSpec(**{**kernel_to_dict_kwargs(base), param: best})
+        base = dataclasses.replace(base, **{param: best})
         searched = {"parameter": param, "grid": grid, "accuracy": scores, "selected": best}
 
     model = gpc.ep_fit(train.features, y, base)
@@ -196,6 +197,8 @@ def cmd_fit_gpc(args) -> int:
         "label_map": {str(k): v for k, v in label_map.items()},
         "converged": model.converged,
         "ep_iterations": model.ep_iterations,
+        "ep_sweep_max_delta": model.sweep_max_delta,
+        "ep_sweep_skipped": model.sweep_skipped,
         "train_error": train_error,
         "train_auc": train_auc,
     }
@@ -209,15 +212,6 @@ def cmd_fit_gpc(args) -> int:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
-
-
-def kernel_to_dict_kwargs(spec: KernelSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "width": spec.width,
-        "rq_alpha": spec.rq_alpha,
-        "rq_length": spec.rq_length,
-    }
 
 
 def cmd_explain(args) -> int:

@@ -85,6 +85,10 @@ class GpcModel:
     ep_iterations: int
     converged: bool
     jitter: float = field(default=0.0)
+    # EP trace, one entry per sweep: largest site change and number of
+    # sites skipped for an improper cavity (empty for loaded models)
+    sweep_max_delta: list = field(default_factory=list)
+    sweep_skipped: list = field(default_factory=list)
 
 
 def _probit_moments(mu_cav, var_cav, y):
@@ -96,7 +100,7 @@ def _probit_moments(mu_cav, var_cav, y):
     ratio = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z))
     mu_hat = mu_cav + y * var_cav * ratio / denom
     var_hat = var_cav - var_cav**2 * ratio * (z + ratio) / (1.0 + var_cav)
-    return mu_hat, max(var_hat, 1e-14)
+    return mu_hat, np.maximum(var_hat, 1e-14)
 
 
 def _recompute_posterior(K, tau, nu):
@@ -107,7 +111,7 @@ def _recompute_posterior(K, tau, nu):
     L = cholesky(B, lower=True)
     V = solve_triangular(L, sroot[:, None] * K, lower=True)
     Sigma = K - V.T @ V
-    return Sigma, Sigma @ nu, L
+    return Sigma, Sigma @ nu
 
 
 def ep_fit(
@@ -120,11 +124,16 @@ def ep_fit(
 ) -> GpcModel:
     """Fit the EP approximation.
 
-    Site updates run as sequential sweeps in fixed index order with
-    damped steps (step factor 1 - damping).  Convergence means the
-    largest absolute change of any site natural parameter over a full
-    sweep fell below `tol`; running out of sweeps is reported by the
-    `converged` flag plus a warning, not an error.
+    Every sweep updates all sites at once (parallel EP): the cavities
+    come from the current posterior marginals, every site with a proper
+    cavity takes a damped step (step factor 1 - damping) toward the site
+    that matches its tilted moments, and the posterior is then recomputed
+    once in the stable form of GPML section 3.6.  Sites with an improper
+    cavity keep their values for that sweep.  Convergence means the
+    largest absolute change of any site natural parameter over a sweep
+    fell below `tol`; running out of sweeps is reported by the
+    `converged` flag plus a warning, not an error.  The model keeps the
+    per-sweep largest change and skipped-site count.
     """
     X = np.asarray(train_x, dtype=float)
     y = np.asarray(train_y, dtype=float)
@@ -147,32 +156,26 @@ def ep_fit(
     step = 1.0 - damping
     nu = np.zeros(n)  # site natural parameters: nu = mu_site / var_site
     tau = np.zeros(n)  # tau = 1 / var_site
-    Sigma = K.copy()
-    mu = np.zeros(n)
-
+    Sigma, mu = K, np.zeros(n)
+    sweep_max_delta, sweep_skipped = [], []
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
-        max_delta = 0.0
-        for i in range(n):
-            tau_cav = 1.0 / Sigma[i, i] - tau[i]
-            if tau_cav <= 1e-12:
-                continue  # cavity would be improper; leave this site as is
-            nu_cav = mu[i] / Sigma[i, i] - nu[i]
-            mu_hat, var_hat = _probit_moments(nu_cav / tau_cav, 1.0 / tau_cav, y[i])
-            # damped move toward the site that matches the tilted moments
-            tau_target = max(1.0 / var_hat - tau_cav, 0.0)
-            nu_target = mu_hat / var_hat - nu_cav
-            dtau = step * (tau_target - tau[i])
-            dnu = step * (nu_target - nu[i])
-            tau[i] += dtau
-            nu[i] += dnu
-            max_delta = max(max_delta, abs(dtau), abs(dnu))
-            # rank-1 downdate keeps Sigma in sync within the sweep
-            si = Sigma[:, i].copy()
-            Sigma -= (dtau / (1.0 + dtau * si[i])) * np.outer(si, si)
-            mu = Sigma @ nu
-        Sigma, mu, _ = _recompute_posterior(K, tau, nu)
+        post_var = np.diag(Sigma)
+        tau_cav = 1.0 / post_var - tau
+        nu_cav = mu / post_var - nu
+        ok = tau_cav > 1e-12  # an improper cavity leaves its site as is
+        tau_cav, nu_cav = tau_cav[ok], nu_cav[ok]
+        mu_hat, var_hat = _probit_moments(nu_cav / tau_cav, 1.0 / tau_cav, y[ok])
+        # damped move toward the sites that match the tilted moments
+        dtau = step * (np.maximum(1.0 / var_hat - tau_cav, 0.0) - tau[ok])
+        dnu = step * (mu_hat / var_hat - nu_cav - nu[ok])
+        tau[ok] += dtau
+        nu[ok] += dnu
+        max_delta = float(np.max(np.abs(np.concatenate([dtau, dnu])), initial=0.0))
+        sweep_max_delta.append(max_delta)
+        sweep_skipped.append(int(n - np.count_nonzero(ok)))
+        Sigma, mu = _recompute_posterior(K, tau, nu)
         if max_delta < tol:
             converged = True
             break
@@ -197,6 +200,8 @@ def ep_fit(
         ep_iterations=sweeps,
         converged=converged,
         jitter=jitter,
+        sweep_max_delta=sweep_max_delta,
+        sweep_skipped=sweep_skipped,
     )
 
 
@@ -274,8 +279,12 @@ def model_from_dict(obj: dict) -> GpcModel:
     """Rebuild a model; the factorization is recomputed and verified."""
     kernel = kernel_from_dict(obj["kernel"])
     X = np.asarray(obj["train_x"], dtype=float)
+    train_y = np.asarray(obj["train_y"], dtype=int)
     site_variance = np.asarray(obj["site_variance"], dtype=float)
     alpha = np.asarray(obj["alpha"], dtype=float)
+    for name, arr in (("train_y", train_y), ("alpha", alpha), ("site_variance", site_variance)):
+        if len(arr) != len(X):
+            raise ValueError(f"{name} has {len(arr)} entries but train_x has {len(X)} rows")
     if np.any(site_variance < 0):
         raise ValueError("site_variance entries must be nonnegative")
     K = kernel_gram(kernel, X)
@@ -293,7 +302,7 @@ def model_from_dict(obj: dict) -> GpcModel:
     return GpcModel(
         kernel=kernel,
         train_x=X,
-        train_y=np.asarray(obj["train_y"], dtype=int),
+        train_y=train_y,
         site_variance=site_variance,
         alpha=alpha,
         chol_factor=L,

@@ -55,6 +55,67 @@ def latent_variance_dense(model, x0):
     return kernel_eval(model.kernel, x0, x0) - k_star @ np.linalg.inv(B) @ k_star
 
 
+def ep_sequential_oracle(train_x, train_y, kernel, tol=1e-6, max_sweeps=100, damping=0.5):
+    """EP with the sequential schedule: one site at a time in index order,
+    a rank-1 update of Sigma after every site, and a fresh posterior from
+    the stable B-form after every sweep.  Same jitter, damping, improper-
+    cavity rule, tolerance and site-variance floor as `ep_fit`.
+
+    Returns (site_variance, alpha, sweeps, converged), where alpha solves
+    (K + jitter*I + diag(site_variance)) alpha = site means by dense solve.
+    """
+    from scipy.stats import norm
+
+    from localgrad.kernels import kernel_gram
+
+    X = np.asarray(train_x, dtype=float)
+    y = np.asarray(train_y, dtype=float)
+    n = len(X)
+    K = kernel_gram(kernel, X)
+    K = K + 1e-8 * np.trace(K) / n * np.eye(n)
+
+    def posterior(tau, nu):
+        sroot = np.sqrt(tau)
+        L = np.linalg.cholesky(np.eye(n) + np.outer(sroot, sroot) * K)
+        V = np.linalg.solve(L, sroot[:, None] * K)
+        Sigma = K - V.T @ V
+        return Sigma, Sigma @ nu
+
+    step = 1.0 - damping
+    tau = np.zeros(n)
+    nu = np.zeros(n)
+    Sigma, mu = K.copy(), np.zeros(n)
+    converged = False
+    for sweeps in range(1, max_sweeps + 1):
+        max_delta = 0.0
+        for i in range(n):
+            tau_cav = 1.0 / Sigma[i, i] - tau[i]
+            if tau_cav <= 1e-12:
+                continue
+            nu_cav = mu[i] / Sigma[i, i] - nu[i]
+            m, v = nu_cav / tau_cav, 1.0 / tau_cav
+            # moments of N(f; m, v) * Phi(y f)
+            z = y[i] * m / np.sqrt(1.0 + v)
+            ratio = np.exp(norm.logpdf(z) - norm.logcdf(z))
+            mu_hat = m + y[i] * v * ratio / np.sqrt(1.0 + v)
+            var_hat = max(v - v * v * ratio * (z + ratio) / (1.0 + v), 1e-14)
+            dtau = step * (max(1.0 / var_hat - tau_cav, 0.0) - tau[i])
+            dnu = step * (mu_hat / var_hat - nu_cav - nu[i])
+            tau[i] += dtau
+            nu[i] += dnu
+            max_delta = max(max_delta, abs(dtau), abs(dnu))
+            si = Sigma[:, i].copy()
+            Sigma -= (dtau / (1.0 + dtau * si[i])) * np.outer(si, si)
+            mu = Sigma @ nu
+        Sigma, mu = posterior(tau, nu)
+        if max_delta < tol:
+            converged = True
+            break
+    site_variance = 1.0 / np.maximum(tau, 1e-10)
+    alpha = np.linalg.solve(K + np.diag(site_variance), nu * site_variance)
+    return site_variance, alpha, sweeps, converged
+
+
 def parzen_joint_naive(ref_x, ref_labels, sigma, x, c):
     """Direct summation of the weighted class density."""
     total = 0.0

@@ -174,6 +174,19 @@ def test_ks_p_value_monotone_in_shift():
     assert all(0.0 <= p <= 1.0 for p in ps)
 
 
+def test_ks_p_value_large_interleaved_samples():
+    # D = 1e-5 at n_eff = 5e4, so lambda ~ 0.002, deep in the p = 1 regime
+    from scipy.stats import ks_2samp
+
+    a = np.arange(0.0, 2e5, 2.0)
+    b = a + 1.0
+    d, p = ks_two_sample(a, b)
+    ref = ks_2samp(a, b)
+    assert d == pytest.approx(ref.statistic, abs=1e-12)
+    assert p == pytest.approx(ref.pvalue, abs=1e-9)
+    assert p == pytest.approx(1.0, abs=1e-9)
+
+
 # --------------------------------------------------------------------- kld
 
 

@@ -55,6 +55,9 @@ def test_fit_gpc_outputs(fitted_model):
     assert metrics["kernel"]["kind"] == "rbf"
     assert metrics["train_error"] <= 0.05
     assert 0.0 <= metrics["train_auc"] <= 1.0
+    assert len(metrics["ep_sweep_max_delta"]) == metrics["ep_iterations"]
+    assert len(metrics["ep_sweep_skipped"]) == metrics["ep_iterations"]
+    assert metrics["ep_sweep_max_delta"][-1] < 1e-6
 
 
 def test_fit_gpc_deterministic_rerun(triangle_csv, tmp_path):
@@ -76,6 +79,9 @@ def test_fit_gpc_deterministic_rerun(triangle_csv, tmp_path):
         )
         assert rc == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+    metrics_a = tmp_path / "a-metrics.json"
+    assert metrics_a.read_bytes() == (tmp_path / "b-metrics.json").read_bytes()
+    assert "ep_sweep_max_delta" not in json.loads(out_a.read_text())
 
 
 def test_fit_gpc_auc_one_on_separated_data(tmp_path):

@@ -17,8 +17,8 @@ from localgrad.gpc import (
     predict_proba,
     save_gpc,
 )
-from localgrad.kernels import KernelSpec
-from oracles import erfc_oracle, fd_gradient, latent_variance_dense
+from localgrad.kernels import KernelSpec, kernel_to_dict
+from oracles import ep_sequential_oracle, erfc_oracle, fd_gradient, latent_variance_dense
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +277,60 @@ def test_ep_deterministic(triangle_gpc):
     np.testing.assert_array_equal(model.alpha, again.alpha)
     np.testing.assert_array_equal(model.site_variance, again.site_variance)
     assert model.ep_iterations == again.ep_iterations
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        KernelSpec("rbf", width=1.0),
+        KernelSpec("linear"),
+        KernelSpec("rational-quadratic", rq_alpha=2.0, rq_length=1.0),
+    ],
+    ids=["rbf", "linear", "rational-quadratic"],
+)
+def test_ep_matches_sequential_oracle(spec):
+    data = gen_triangle(40, seed=7)
+    model = ep_fit(data.features, data.labels, spec)
+    site_variance, alpha, _sweeps, converged = ep_sequential_oracle(
+        data.features, data.labels, spec
+    )
+    assert model.converged and converged
+    np.testing.assert_allclose(model.site_variance, site_variance, rtol=1e-4)
+    oracle_model = model_from_dict(
+        {
+            "kernel": kernel_to_dict(spec),
+            "train_x": data.features.tolist(),
+            "train_y": data.labels.tolist(),
+            "site_variance": site_variance.tolist(),
+            "alpha": alpha.tolist(),
+        }
+    )
+    rng = np.random.default_rng(11)
+    for x0 in rng.uniform(-1.5, 1.5, size=(50, 2)):
+        assert abs(predict_proba(model, x0) - predict_proba(oracle_model, x0)) < 1e-5
+
+
+def test_ep_sweep_trace(triangle_gpc):
+    _, model = triangle_gpc
+    assert len(model.sweep_max_delta) == model.ep_iterations
+    assert len(model.sweep_skipped) == model.ep_iterations
+    assert model.sweep_max_delta[-1] < 1e-6 <= model.sweep_max_delta[-2]
+    assert all(0 <= k <= len(model.train_x) for k in model.sweep_skipped)
+
+
+def test_ep_non_convergence_reported():
+    data = gen_triangle(20, seed=3)
+    with pytest.warns(UserWarning, match="did not converge"):
+        model = ep_fit(data.features, data.labels, KernelSpec("rbf", width=1.0), max_sweeps=1)
+    assert model.converged is False
+    assert model.ep_iterations == 1
+    assert len(model.sweep_max_delta) == 1
+
+
+@pytest.mark.parametrize("key", ["train_y", "alpha", "site_variance"])
+def test_model_from_dict_rejects_length_mismatch(triangle_gpc, key):
+    _, model = triangle_gpc
+    blob = model_to_dict(model)
+    blob[key] = blob[key][:-1]
+    with pytest.raises(ValueError, match=f"{key} has"):
+        model_from_dict(blob)
