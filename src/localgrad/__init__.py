@@ -20,7 +20,7 @@ from .analysis import (
     roc_auc,
     sym_kld,
 )
-from .classifiers import KnnClassifier, TableOracle, knn_fit_loo, knn_predict, table_oracle_load
+from .classifiers import KnnClassifier, TableOracle, knn_fit_loo, table_oracle_load
 from .data import (
     Dataset,
     gen_nonlinear,
@@ -90,7 +90,6 @@ __all__ = [
     "kernel_grad_x",
     "kernel_to_dict",
     "knn_fit_loo",
-    "knn_predict",
     "ks_two_sample",
     "load_csv",
     "load_gpc",

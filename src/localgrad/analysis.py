@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import kolmogorov
+from scipy.stats import rankdata
 
 
 @dataclass
@@ -164,23 +165,10 @@ def roc_auc(labels, scores) -> float:
     {-1,+1} or {0,1}, ties in scores get averaged ranks."""
     y = np.asarray(labels)
     pos = y == y.max()
-    s = np.asarray(scores, dtype=float)
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need both classes for AUC")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s))
-    ranks[order] = np.arange(1, len(s) + 1)
-    # average ranks over tied scores
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    ranks = rankdata(np.asarray(scores, dtype=float), method="average")
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

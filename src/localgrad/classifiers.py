@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 class KnnClassifier:
@@ -31,47 +32,35 @@ class KnnClassifier:
         self.k = int(k)
         self.loo_errors = None  # filled by knn_fit_loo
 
-    def _vote(self, neighbor_labels) -> int:
-        classes, counts = np.unique(neighbor_labels, return_counts=True)
-        tied = set(classes[counts == counts.max()])
-        for lab in neighbor_labels:  # nearest first
-            if lab in tied:
-                return int(lab)
-        raise AssertionError("unreachable")
-
     def predict(self, x) -> int:
         x = np.asarray(x, dtype=float)
-        dists = np.linalg.norm(self.train_x - x, axis=1)
-        order = np.argsort(dists, kind="stable")[: self.k]
-        return self._vote(self.train_y[order])
+        order = np.argsort(cdist(x[None], self.train_x, "sqeuclidean"), axis=1, kind="stable")
+        return int(_vote(self.train_y[order[:, : self.k]])[0])
 
     def predict_batch(self, X) -> np.ndarray:
         return np.array([self.predict(x) for x in np.atleast_2d(X)], dtype=int)
 
 
-def knn_predict(clf: KnnClassifier, x) -> int:
-    return clf.predict(x)
-
-
-def knn_loo_error_count(train_x, train_y, k: int) -> int:
-    """Leave-one-out misclassification count for a given k."""
-    X = np.asarray(train_x, dtype=float)
-    y = np.asarray(train_y, dtype=int)
-    n = len(X)
-    diff = X[:, None, :] - X[None, :, :]
-    dists = np.sqrt((diff**2).sum(axis=2))
-    errors = 0
-    helper = KnnClassifier(X, y, k=min(k, n))
-    for i in range(n):
-        order = np.argsort(dists[i], kind="stable")
-        order = order[order != i][:k]
-        if helper._vote(y[order]) != y[i]:
-            errors += 1
-    return errors
+def _vote(neighbor_labels: np.ndarray) -> np.ndarray:
+    """Majority label of each row (neighbors nearest first); vote ties go
+    to the tied label met first in the row."""
+    classes, idx = np.unique(neighbor_labels, return_inverse=True)
+    idx = idx.reshape(neighbor_labels.shape)
+    rows = np.arange(len(idx))[:, None]
+    counts = np.zeros((len(idx), len(classes)), dtype=int)
+    np.add.at(counts, (rows, idx), 1)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    return neighbor_labels[rows[:, 0], np.argmax(tied[rows, idx], axis=1)]
 
 
 def knn_fit_loo(train_x, train_y, k_candidates) -> KnnClassifier:
-    """Pick k by leave-one-out error; ties go to the smaller k."""
+    """Pick k by leave-one-out error; ties go to the smaller k.
+
+    One distance matrix without its diagonal and one stable neighbor
+    order serve every candidate: point i's neighbors are the other points
+    in exactly the order KnnClassifier.predict would rank them with i left
+    out of the training set.
+    """
     X = np.asarray(train_x, dtype=float)
     y = np.asarray(train_y, dtype=int)
     n = len(X)
@@ -82,7 +71,11 @@ def knn_fit_loo(train_x, train_y, k_candidates) -> KnnClassifier:
         raise ValueError("no k candidates")
     if cands[0] < 1 or cands[-1] > n - 1:
         raise ValueError(f"k candidates must lie in [1, {n - 1}]")
-    errors = {k: knn_loo_error_count(X, y, k) for k in cands}
+    others = cdist(X, X, "sqeuclidean")[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    order = np.argsort(others, axis=1, kind="stable")[:, : cands[-1]]
+    order += order >= np.arange(n)[:, None]  # back to indices of X
+    neighbor_labels = y[order]
+    errors = {k: int(np.sum(_vote(neighbor_labels[:, :k]) != y)) for k in cands}
     best = min(cands, key=lambda k: (errors[k], k))
     clf = KnnClassifier(X, y, best)
     clf.loo_errors = errors
@@ -96,7 +89,16 @@ class TableOracle:
     dataset (float-bit equality); lookups by row id are also available.
     """
 
-    def __init__(self, by_id: dict, by_coords: dict):
+    def __init__(self, dataset, by_id: dict):
+        """`by_id` maps the dataset's row ids to labels; rows with equal
+        coordinates must carry equal labels."""
+        by_coords = {}
+        for rid, point in zip(dataset.row_ids, dataset.features):
+            key = np.ascontiguousarray(point, dtype=float).tobytes()
+            prev = by_coords.get(key)
+            if prev is not None and by_id[prev] != by_id[int(rid)]:
+                raise ValueError(f"duplicate coordinates with conflicting labels (id {rid})")
+            by_coords.setdefault(key, int(rid))
         self._by_id = by_id
         self._by_coords = by_coords
 
@@ -139,14 +141,7 @@ def table_oracle_load(path, dataset, classes=None) -> TableOracle:
         by_id[rid] = lab
     if set(by_id) != set(int(r) for r in dataset.row_ids):
         raise ValueError(f"{path}: ids do not match the companion dataset's row ids")
-    by_coords = {}
-    for rid, point in zip(dataset.row_ids, dataset.features):
-        key = np.ascontiguousarray(point, dtype=float).tobytes()
-        prev = by_coords.get(key)
-        if prev is not None and by_id[prev] != by_id[int(rid)]:
-            raise ValueError(f"{path}: duplicate coordinates with conflicting labels (id {rid})")
-        by_coords.setdefault(key, int(rid))
-    return TableOracle(by_id, by_coords)
+    return TableOracle(dataset, by_id)
 
 
 def save_predictions(path, row_ids, labels) -> None:

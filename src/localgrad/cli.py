@@ -66,15 +66,12 @@ def _resolve_oracle(spec, dataset):
     ``knn:K`` fits k-NN with that k on the dataset's labels; ``knn:loo``
     (or ``knn``) picks k by leave-one-out from 1..10; anything else is a
     prediction-table CSV keyed to the dataset's rows.  Without an oracle
-    the dataset's own label column plays the role of g.
+    the dataset's own label column plays the role of g; like a table, it
+    labels only points that are rows of the dataset.
     """
     if spec is None:
         labels = {int(r): int(l) for r, l in zip(dataset.row_ids, dataset.labels)}
-        coords = {
-            np.ascontiguousarray(x, dtype=float).tobytes(): int(r)
-            for r, x in zip(dataset.row_ids, dataset.features)
-        }
-        return classifiers.TableOracle(labels, coords)
+        return classifiers.TableOracle(dataset, labels)
     text = str(spec)
     if text.startswith("knn"):
         _, _, arg = text.partition(":")
@@ -115,11 +112,8 @@ def _explanations(args, queries):
     mm, oracle, _sigma = _build_mimic(args, refs)
     threshold = getattr(args, "hessian_fallback", None)
     evs = []
-    for rid, x in zip(queries.row_ids, queries.features):
-        try:
-            g_label = oracle.predict(x)
-        except ValueError:
-            g_label = mimicmod.mimic_predict(mm, x)
+    for x in queries.features:
+        g_label = oracle.predict(x)
         if threshold is not None:
             evs.append(mimicmod.explain_with_fallback(mm, x, g_label, float(threshold)))
         else:

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 @dataclass
@@ -406,10 +407,9 @@ def inject_outliers(data: Dataset, count: int, seed: int):
         raise ValueError("count exceeds dataset size")
     rng = np.random.default_rng(seed)
     # depth = distance to the nearest point of the other class
-    diff = data.features[:, None, :] - data.features[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    other = data.labels[None, :] != data.labels[:, None]
-    depth = np.where(other, dist, np.inf).min(axis=1)
+    sq = cdist(data.features, data.features, "sqeuclidean")
+    sq[data.labels[:, None] == data.labels[None, :]] = np.inf
+    depth = np.sqrt(sq.min(axis=1))
     eligible = np.flatnonzero(depth >= np.median(depth))
     if count > len(eligible):
         eligible = np.arange(data.n)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 KINDS = ("rbf", "linear", "rational-quadratic")
 
@@ -85,16 +86,35 @@ def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _kernel_core(spec: KernelSpec, A: np.ndarray, B: np.ndarray, grad: bool = False):
+    """Kernel matrix K[i, j] = k(a_i, b_j), and with `grad` the matrix J
+    whose row j is the gradient of k(., b_j) at the single point A[0].
+
+    Each kind is a profile of one scalar per pair: the dot product for
+    linear, the squared distance (direct differences, so no cancellation
+    between nearby points) otherwise.  J is the profile's derivative times
+    the gradient of that scalar.  Returns (K, J), J None without `grad`.
+    """
+    if spec.kind == "linear":
+        # einsum sums every pair in the same order: the Gram matrix is exactly
+        # symmetric and each of its rows equals the single-point vector
+        K = np.einsum("ik,jk->ij", A, B)
+        return K, (B.copy() if grad else None)
+    sq = cdist(A, B, "sqeuclidean")
+    if spec.kind == "rbf":
+        K = np.exp(-spec.width * sq)
+        dK = -spec.width * K if grad else None
+    else:
+        base = 1.0 + sq / (2.0 * spec.rq_alpha * spec.rq_length**2)
+        K = base**-spec.rq_alpha
+        dK = -0.5 * base ** -(spec.rq_alpha + 1.0) / spec.rq_length**2 if grad else None
+    return K, ((2.0 * dK[0])[:, None] * (A[0] - B) if grad else None)
+
+
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """Evaluate k(x, y) for a single pair of points."""
     x, y = _check_pair(x, y)
-    if spec.kind == "linear":
-        return float(x @ y)
-    sq = float(np.sum((x - y) ** 2))
-    if spec.kind == "rbf":
-        return float(np.exp(-spec.width * sq))
-    base = 1.0 + sq / (2.0 * spec.rq_alpha * spec.rq_length**2)
-    return float(base**-spec.rq_alpha)
+    return float(_kernel_core(spec, x[None], y[None])[0][0, 0])
 
 
 def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
@@ -105,14 +125,7 @@ def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
     kernel_grad_x(x, y) = -kernel_grad_x(y, x).
     """
     x, y = _check_pair(x, y)
-    if spec.kind == "linear":
-        return y.copy()
-    diff = x - y
-    sq = float(diff @ diff)
-    if spec.kind == "rbf":
-        return -2.0 * spec.width * np.exp(-spec.width * sq) * diff
-    base = 1.0 + sq / (2.0 * spec.rq_alpha * spec.rq_length**2)
-    return -(base ** -(spec.rq_alpha + 1.0)) * diff / spec.rq_length**2
+    return _kernel_core(spec, x[None], y[None], grad=True)[1][0]
 
 
 def _as_matrix(X, name: str) -> np.ndarray:
@@ -122,54 +135,28 @@ def _as_matrix(X, name: str) -> np.ndarray:
     return X
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # ||a||^2 + ||b||^2 - 2 a.b, clamped against tiny negative round-off
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * A @ B.T
-    np.maximum(sq, 0.0, out=sq)
-    return sq
+def _check_cross(x0, points) -> tuple[np.ndarray, np.ndarray]:
+    x0 = _as_point(x0, "x0")
+    P = _as_matrix(points, "points")
+    if P.shape[1] != x0.size:
+        raise ValueError(f"dimension mismatch: x0 has {x0.size} components, points have {P.shape[1]}")
+    return x0, P
 
 
 def kernel_vector(spec: KernelSpec, x0, points) -> np.ndarray:
     """Vector of kernel values (k(x0, p_1), ..., k(x0, p_n))."""
-    x0 = _as_point(x0, "x0")
-    P = _as_matrix(points, "points")
-    if P.shape[1] != x0.size:
-        raise ValueError(f"dimension mismatch: x0 has {x0.size} components, points have {P.shape[1]}")
-    if spec.kind == "linear":
-        return P @ x0
-    sq = np.sum((P - x0) ** 2, axis=1)
-    if spec.kind == "rbf":
-        return np.exp(-spec.width * sq)
-    base = 1.0 + sq / (2.0 * spec.rq_alpha * spec.rq_length**2)
-    return base**-spec.rq_alpha
+    x0, P = _check_cross(x0, points)
+    return _kernel_core(spec, x0[None], P)[0][0]
 
 
 def kernel_gram(spec: KernelSpec, points) -> np.ndarray:
-    """Symmetric Gram matrix K_ij = k(p_i, p_j)."""
+    """Gram matrix K_ij = k(p_i, p_j); exactly symmetric, row i equal to
+    kernel_vector(spec, p_i, points)."""
     P = _as_matrix(points, "points")
-    if spec.kind == "linear":
-        K = P @ P.T
-    else:
-        sq = _sq_dists(P, P)
-        if spec.kind == "rbf":
-            K = np.exp(-spec.width * sq)
-        else:
-            base = 1.0 + sq / (2.0 * spec.rq_alpha * spec.rq_length**2)
-            K = base**-spec.rq_alpha
-    return 0.5 * (K + K.T)
+    return _kernel_core(spec, P, P)[0]
 
 
 def kernel_grad_matrix(spec: KernelSpec, x0, points) -> np.ndarray:
     """Stacked gradients; row i is the gradient of k(., p_i) at x0."""
-    x0 = _as_point(x0, "x0")
-    P = _as_matrix(points, "points")
-    if P.shape[1] != x0.size:
-        raise ValueError(f"dimension mismatch: x0 has {x0.size} components, points have {P.shape[1]}")
-    if spec.kind == "linear":
-        return P.copy()
-    diff = x0 - P
-    sq = np.sum(diff * diff, axis=1)
-    if spec.kind == "rbf":
-        return -2.0 * spec.width * np.exp(-spec.width * sq)[:, None] * diff
-    base = 1.0 + sq / (2.0 * spec.rq_alpha * spec.rq_length**2)
-    return -(base ** -(spec.rq_alpha + 1.0))[:, None] * diff / spec.rq_length**2
+    x0, P = _check_cross(x0, points)
+    return _kernel_core(spec, x0[None], P, grad=True)[1]

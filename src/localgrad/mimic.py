@@ -36,6 +36,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist
 
 from .gpc import ExplanationVector
 
@@ -76,8 +77,7 @@ def _log_weights(mimic: ParzenMimic, x) -> np.ndarray:
         raise ValueError(
             f"query must be a point of dimension {mimic.ref_x.shape[1]}, got shape {x.shape}"
         )
-    diff = x - mimic.ref_x
-    return -0.5 * np.sum(diff * diff, axis=1) / mimic.sigma**2
+    return -0.5 * cdist(x[None], mimic.ref_x, "sqeuclidean")[0] / mimic.sigma**2
 
 
 def is_far_field(mimic: ParzenMimic, x) -> bool:
@@ -165,23 +165,25 @@ def select_width(
     loo = probes.shape == ref_x.shape and np.array_equal(probes, ref_x) and np.array_equal(
         g_labels, ref_labels
     )
-    diff = probes[:, None, :] - ref_x[None, :, :]
-    sq = np.sum(diff * diff, axis=2)
+    sq = cdist(probes, ref_x, "sqeuclidean")
+    if loo:
+        np.fill_diagonal(sq, np.inf)  # each probe's own reference gets weight 0
     classes = np.unique(ref_labels)
     onehot = (ref_labels[:, None] == classes[None, :]).astype(float)
     counts = onehot.sum(axis=0)
     majority = classes[np.argmax(counts)]
 
     best_sigma, best_count = None, None
+    w = np.empty_like(sq)  # log-weights, then weights, of one candidate; reused
     for s in positive:
-        lw = -0.5 * sq / s**2
-        if loo:
-            np.fill_diagonal(lw, -np.inf)
-        top = lw.max(axis=1, keepdims=True)
-        w = np.where(np.isfinite(lw), np.exp(lw - top), 0.0)
-        class_sums = w @ onehot
-        pred = classes[np.argmax(class_sums, axis=1)]  # argmax ties: lower class id
-        far = top[:, 0] < _UNDERFLOW_LOG
+        np.multiply(sq, -0.5, out=w)
+        w /= s**2
+        top = w.max(axis=1)
+        far = top < _UNDERFLOW_LOG
+        top[far] = 0.0  # unshifted, far rows underflow to 0; the majority stands in below
+        w -= top[:, None]
+        np.exp(w, out=w)
+        pred = classes[np.argmax(w @ onehot, axis=1)]  # argmax ties: lower class id
         pred = np.where(far, majority, pred)
         count = int(np.sum(pred != g_labels))
         if best_count is None or count < best_count:
@@ -191,10 +193,7 @@ def select_width(
 
 def default_sigma_grid(points, count: int = 25, span=(1e-2, 1e2)) -> np.ndarray:
     """Log-spaced candidate widths scaled by the median pairwise distance."""
-    P = np.asarray(points, dtype=float)
-    diff = P[:, None, :] - P[None, :, :]
-    dists = np.sqrt(np.sum(diff * diff, axis=2))
-    med = float(np.median(dists[np.triu_indices(len(P), k=1)]))
+    med = float(np.median(np.sqrt(pdist(np.asarray(points, dtype=float), "sqeuclidean"))))
     if med <= 0:
         med = 1.0
     return med * np.logspace(np.log10(span[0]), np.log10(span[1]), count)

@@ -1,11 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from localgrad.classifiers import (
     KnnClassifier,
+    TableOracle,
     knn_fit_loo,
-    knn_loo_error_count,
-    knn_predict,
     save_predictions,
     table_oracle_load,
 )
@@ -67,29 +68,33 @@ def test_vote_tie_broken_by_nearest_tied_class():
     assert clf2.predict(np.zeros(2)) == 3  # mirrored: class 3 still nearest
 
 
-def test_knn_predict_wrapper_matches_method():
-    X, y = two_clusters(seed=5)
-    clf = KnnClassifier(X, y, k=3)
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        q = rng.normal(scale=4.0, size=2)
-        assert knn_predict(clf, q) == clf.predict(q)
-
-
 def test_loo_error_count_matches_bruteforce():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(24, 2))
     y = rng.integers(0, 2, size=24)
-    for k in (1, 3, 5):
-        assert knn_loo_error_count(X, y, k) == knn_loo_errors_bruteforce(X, y, k)
+    clf = knn_fit_loo(X, y, (1, 3, 5))
+    assert clf.loo_errors == {k: knn_loo_errors_bruteforce(X, y, k) for k in (1, 3, 5)}
+
+
+def test_loo_errors_match_bruteforce_with_exact_ties():
+    # integer grid with duplicated rows: many exactly equal distances, so the
+    # neighbor order rests on the lower-index rule and the vote-tie rule
+    rng = np.random.default_rng(21)
+    base = rng.integers(0, 4, size=(30, 2)).astype(float)
+    X = np.vstack([base, base[:10]])
+    y = rng.integers(0, 3, size=len(X))
+    ks = range(1, 7)
+    clf = knn_fit_loo(X, y, ks)
+    assert clf.loo_errors == {k: knn_loo_errors_bruteforce(X, y, k) for k in ks}
 
 
 def test_fit_loo_tie_prefers_smaller_k():
     X, y = two_clusters(n=20, seed=2)
     clf = knn_fit_loo(X, y, k_candidates=(1, 3))
     # both candidates have zero LOO error on well-separated clusters
-    assert knn_loo_error_count(X, y, 1) == 0
-    assert knn_loo_error_count(X, y, 3) == 0
+    assert knn_loo_errors_bruteforce(X, y, 1) == 0
+    assert knn_loo_errors_bruteforce(X, y, 3) == 0
+    assert clf.loo_errors == {1: 0, 3: 0}
     assert clf.k == 1
 
 
@@ -101,10 +106,24 @@ def test_fit_loo_selects_minimizer():
     y = np.array([0] * 25 + [1] * 25)
     candidates = (1, 3, 5, 7, 9)
     clf = knn_fit_loo(X, y, candidates)
-    errors = {k: knn_loo_error_count(X, y, k) for k in candidates}
+    errors = {k: knn_loo_errors_bruteforce(X, y, k) for k in candidates}
+    assert clf.loo_errors == errors
     best = min(errors.values())
-    assert errors[clf.k] == best
     assert clf.k == min(k for k, e in errors.items() if e == best)
+
+
+def test_fit_loo_memory_stays_quadratic():
+    # an m x m x d difference tensor alone would take 69 MB here
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(600, 24))
+    y = rng.integers(0, 2, size=600)
+    tracemalloc.start()
+    try:
+        knn_fit_loo(X, y, range(1, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 def test_fit_loo_validation():
@@ -136,6 +155,15 @@ def test_table_oracle_round_trip_with_knn(tmp_path):
     oracle = table_oracle_load(path, ds, classes=(0, 1))
     for i, x in enumerate(X):
         assert oracle.predict(x) == preds[i]
+
+
+def test_table_oracle_conflicting_duplicate_coordinates():
+    ds = Dataset(np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]]), np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="conflicting labels"):
+        TableOracle(ds, {0: 0, 1: 1, 2: 1})
+    # agreeing duplicates are fine
+    oracle = TableOracle(ds, {0: 1, 1: 0, 2: 1})
+    assert oracle.predict(np.array([0.0, 1.0])) == 1
 
 
 def test_table_oracle_unknown_query_errors(tmp_path):

@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from localgrad.cli import main
-from localgrad.data import gen_triangle, save_csv
+from localgrad.data import Dataset, gen_triangle, save_csv
 from localgrad.gpc import explain_gpc, load_gpc, predict_proba
 from localgrad.mimic import load_explanations
 
@@ -40,7 +41,7 @@ def fitted_model(triangle_csv, tmp_path_factory):
 
 
 def read_rows(path):
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
 
@@ -51,7 +52,7 @@ def read_rows(path):
 def test_fit_gpc_outputs(fitted_model):
     model = load_gpc(fitted_model)
     assert model.converged
-    metrics = json.load(open(fitted_model.replace(".json", "-metrics.json")))
+    metrics = json.loads(Path(fitted_model.replace(".json", "-metrics.json")).read_text())
     assert metrics["kernel"]["kind"] == "rbf"
     assert metrics["train_error"] <= 0.05
     assert 0.0 <= metrics["train_auc"] <= 1.0
@@ -86,8 +87,6 @@ def test_fit_gpc_deterministic_rerun(triangle_csv, tmp_path):
 
 def test_fit_gpc_auc_one_on_separated_data(tmp_path):
     rng = np.random.default_rng(0)
-    from localgrad.data import Dataset
-
     X = np.vstack(
         [rng.normal([-4, 0], 0.3, size=(15, 2)), rng.normal([4, 0], 0.3, size=(15, 2))]
     )
@@ -107,7 +106,7 @@ def test_fit_gpc_auc_one_on_separated_data(tmp_path):
         ]
     )
     assert rc == 0
-    metrics = json.load(open(tmp_path / "sep-model-metrics.json"))
+    metrics = json.loads((tmp_path / "sep-model-metrics.json").read_text())
     assert metrics["train_auc"] == 1.0
     assert metrics["train_error"] == 0.0
 
@@ -128,7 +127,7 @@ def test_fit_gpc_grid_search(triangle_csv, tmp_path):
         ]
     )
     assert rc == 0
-    metrics = json.load(open(tmp_path / "grid-model-metrics.json"))
+    metrics = json.loads((tmp_path / "grid-model-metrics.json").read_text())
     assert metrics["kernel"]["w"] in (0.5, 1.0, 2.0)
     assert metrics["grid_search"]["grid"] == [0.5, 1.0, 2.0]
     assert len(metrics["grid_search"]["accuracy"]) == 3
@@ -193,6 +192,44 @@ def test_explain_rejects_both_routes(triangle_csv, fitted_model, tmp_path, capsy
     assert rc != 0
     err = json.loads(capsys.readouterr().err)
     assert err["command"] == "explain"
+
+
+def test_explain_without_oracle_rejects_queries_off_the_data(triangle_csv, tmp_path, capsys):
+    # without --oracle the data's label column is g, which labels only its own rows
+    data = gen_triangle(40, seed=5)
+    queries_path = tmp_path / "shifted.csv"
+    save_csv(Dataset(data.features + 0.25, data.labels), queries_path)
+    out = tmp_path / "x.csv"
+    rc = main(
+        [
+            "explain",
+            "--data",
+            triangle_csv,
+            "--queries",
+            str(queries_path),
+            "--sigma",
+            "0.4",
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc != 0
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "explain" and err["type"] == "ValueError"
+    assert not out.exists()
+
+
+def test_explain_without_oracle_rejects_conflicting_duplicates(tmp_path, capsys):
+    # rows 0 and 2 share coordinates but not labels: no label for that point
+    ds = Dataset(np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]]), np.array([0, 1, 1]))
+    data_path = tmp_path / "dup.csv"
+    save_csv(ds, data_path)
+    rc = main(
+        ["explain", "--data", str(data_path), "--sigma", "0.5", "--out", str(tmp_path / "x.csv")]
+    )
+    assert rc != 0
+    err = json.loads(capsys.readouterr().err)
+    assert "conflicting labels" in err["error"]
 
 
 # ------------------------------------------------------------- vector-field
@@ -295,8 +332,6 @@ def test_rank_outputs(triangle_csv, fitted_model, tmp_path):
 
 def test_compare_outputs(tmp_path):
     rng = np.random.default_rng(1)
-    from localgrad.data import Dataset
-
     X = rng.normal(size=(60, 2))
     grp = (np.arange(60) < 20).astype(float)
     labels = np.where(X[:, 0] + np.where(grp > 0, 0.0, 2.0) * X[:, 1] > 0, 1, -1)
@@ -322,7 +357,7 @@ def test_compare_outputs(tmp_path):
         ]
     )
     assert rc == 0
-    result = json.load(open(out))
+    result = json.loads(out.read_text())
     assert result["feature"] == "f2"
     assert result["group_size"] == 20
     assert 0.0 <= result["p_value"] <= 1.0
@@ -343,7 +378,7 @@ def iris_run(tmp_path_factory):
 
 
 def test_iris_metrics(iris_run):
-    metrics = json.load(open(iris_run / "iris-metrics.json"))
+    metrics = json.loads((iris_run / "iris-metrics.json").read_text())
     assert metrics["k"] in range(1, 11)
     assert 0.0 <= metrics["test_error"] <= 0.2
     assert metrics["mimic_train_agreement"] >= 0.95

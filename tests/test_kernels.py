@@ -139,6 +139,28 @@ def test_gram_psd_small_random_sets():
         assert np.linalg.eigvalsh(K).min() > -1e-8
 
 
+def test_gram_exact_for_near_duplicates_far_from_origin():
+    # |a|^2 + |b|^2 - 2 a.b cancels to 0 here, giving K = 1 instead of exp(-1)
+    spec = KernelSpec("rbf", width=1e12)
+    pts = np.array([[1000.0, 1000.0], [1000.0, 1000.0 + 1e-6]])
+    K = kernel_gram(spec, pts)
+    expected = np.exp(-spec.width * np.sum((pts[0] - pts[1]) ** 2))
+    assert 0.36 < expected < 0.37
+    np.testing.assert_allclose([K[0, 1], K[1, 0]], expected, rtol=1e-12)
+    assert K[0, 0] == K[1, 1] == 1.0
+
+
+@pytest.mark.parametrize("d", [2, 5, 24])
+def test_gram_exactly_symmetric_with_rows_equal_to_kernel_vector(d):
+    rng = np.random.default_rng(d)
+    pts = rng.normal(scale=3.0, size=(40, d))
+    for spec in all_specs():
+        K = kernel_gram(spec, pts)
+        assert np.array_equal(K, K.T)
+        for i in range(len(pts)):
+            assert np.array_equal(K[i], kernel_vector(spec, pts[i], pts))
+
+
 def test_gram_matches_pairwise_eval():
     spec = KernelSpec("rational-quadratic", rq_alpha=1.0, rq_length=1.3)
     rng = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,24 @@ def test_default_sigma_grid_shape_and_span():
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     med = np.median(d[np.triu_indices(20, 1)])
     assert grid[0] == pytest.approx(1e-2 * med, rel=1e-12)
+
+
+def test_width_selection_memory_stays_quadratic():
+    # an m x m x d difference tensor alone would take 69 MB here
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(600, 24))
+    y = rng.integers(0, 2, size=600)
+    tracemalloc.start()
+    try:
+        grid = default_sigma_grid(X)
+        grid_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        select_width(X, y, X, y, grid)
+        select_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid_peak < 25e6
+    assert select_peak < 25e6
 
 
 # ------------------------------------------------------------- explanations
