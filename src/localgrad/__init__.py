@@ -23,6 +23,7 @@ from .analysis import (
 from .classifiers import KnnClassifier, TableOracle, knn_fit_loo, table_oracle_load
 from .data import (
     Dataset,
+    ExplanationVector,
     gen_nonlinear,
     gen_three_clusters,
     gen_triangle,
@@ -34,7 +35,6 @@ from .data import (
     split_stratified,
 )
 from .gpc import (
-    ExplanationVector,
     GpcModel,
     ep_fit,
     explain_gpc,

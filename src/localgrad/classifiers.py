@@ -33,12 +33,14 @@ class KnnClassifier:
         self.loo_errors = None  # filled by knn_fit_loo
 
     def predict(self, x) -> int:
-        x = np.asarray(x, dtype=float)
-        order = np.argsort(cdist(x[None], self.train_x, "sqeuclidean"), axis=1, kind="stable")
-        return int(_vote(self.train_y[order[:, : self.k]])[0])
+        return int(self.predict_batch([x])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        return np.array([self.predict(x) for x in np.atleast_2d(X)], dtype=int)
+        """Labels of the rows of X: one distance matrix, one stable
+        neighbor order and one vote over all rows."""
+        dist = cdist(np.atleast_2d(np.asarray(X, dtype=float)), self.train_x, "sqeuclidean")
+        order = np.argsort(dist, axis=1, kind="stable")
+        return _vote(self.train_y[order[:, : self.k]])
 
 
 def _vote(neighbor_labels: np.ndarray) -> np.ndarray:

@@ -99,45 +99,33 @@ def _build_mimic(args, refs):
 
 
 def _explanations(args, queries):
-    """Shared explanation routing: analytic (--model) or mimic."""
+    """Shared explanation routing: analytic (--model) or mimic, then the
+    --smooth-window smoothing when it is given."""
     if getattr(args, "model", None) and getattr(args, "oracle", None):
         raise ValueError("pass either --model (analytic) or --oracle (mimic), not both")
     if getattr(args, "model", None):
         model = gpc.load_gpc(args.model)
         evs = [gpc.explain_gpc(model, x) for x in queries.features]
-        prob = lambda x: gpc.predict_proba(model, x)
-        return evs, ("gpc", model, prob)
-    _require(args, "data")
-    refs = datamod.load_csv(args.data)
-    mm, oracle, _sigma = _build_mimic(args, refs)
-    threshold = getattr(args, "hessian_fallback", None)
-    evs = []
-    for x in queries.features:
-        g_label = oracle.predict(x)
-        if threshold is not None:
-            evs.append(mimicmod.explain_with_fallback(mm, x, g_label, float(threshold)))
-        else:
-            evs.append(mimicmod.explain_estimated(mm, x, g_label))
-    return evs, ("mimic", mm, None)
-
-
-def _apply_smoothing(args, queries, evs):
+        route = ("gpc", model, lambda x: gpc.predict_proba(model, x))
+    else:
+        _require(args, "data")
+        refs = datamod.load_csv(args.data)
+        mm, oracle, _sigma = _build_mimic(args, refs)
+        threshold = getattr(args, "hessian_fallback", None)
+        evs = []
+        for x in queries.features:
+            g_label = oracle.predict(x)
+            if threshold is not None:
+                evs.append(mimicmod.explain_with_fallback(mm, x, g_label, float(threshold)))
+            else:
+                evs.append(mimicmod.explain_estimated(mm, x, g_label))
+        route = ("mimic", mm, None)
     window = getattr(args, "smooth_window", None)
-    if window is None:
-        return evs
-    G = np.vstack([ev.gradient for ev in evs])
-    S = mimicmod.smooth_gradients(queries.features, G, float(window))
-    return [
-        gpc.ExplanationVector(
-            query=ev.query,
-            gradient=S[i],
-            predicted_probability=ev.predicted_probability,
-            predicted_label=ev.predicted_label,
-            source=ev.source,
-            far_field=ev.far_field,
-        )
-        for i, ev in enumerate(evs)
-    ]
+    if window is not None:
+        G = np.vstack([ev.gradient for ev in evs])
+        S = mimicmod.smooth_gradients(queries.features, G, float(window))
+        evs = [dataclasses.replace(ev, gradient=s) for ev, s in zip(evs, S)]
+    return evs, route
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +200,6 @@ def cmd_explain(args) -> int:
     _require(args, "out")
     queries = datamod.load_csv(args.queries or args.data)
     evs, _route = _explanations(args, queries)
-    evs = _apply_smoothing(args, queries, evs)
     mimicmod.save_explanations(args.out, evs, queries.feature_names)
     return 0
 
@@ -294,7 +281,6 @@ def cmd_rank(args) -> int:
     _require(args, "out")
     queries = datamod.load_csv(args.queries or args.data)
     evs, _route = _explanations(args, queries)
-    evs = _apply_smoothing(args, queries, evs)
     ranking = analysis.rank_features(evs, queries.feature_names)
     analysis.save_ranking_csv(ranking, args.out)
     bins = int(args.bins or 30)

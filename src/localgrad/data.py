@@ -3,7 +3,8 @@
 CSV layout is ``id,<feature...>,label``: an optional leading integer id
 column, numeric feature columns in file order, and one integer class
 column.  Normalization statistics travel with the dataset so a transform
-fitted on a training split can be applied to anything else.
+fitted on a training split can be applied to anything else.  Both
+explanation routes return the ExplanationVector record defined here.
 """
 
 from __future__ import annotations
@@ -64,6 +65,31 @@ class Dataset:
             row_ids=self.row_ids[idx],
             norm_stats=self.norm_stats,
         )
+
+
+@dataclass
+class ExplanationVector:
+    """A local explanation: the gradient of a class-probability function
+    at a query point, together with the prediction it explains.
+
+    A positive component means that increasing the corresponding feature
+    increases the explained probability (for the analytic source, the
+    probability of the +1 class; for the mimic sources, the probability
+    of leaving the predicted class).
+    """
+
+    query: np.ndarray
+    gradient: np.ndarray
+    predicted_probability: float
+    predicted_label: int
+    source: str  # analytic-gpc | parzen-mimic | hessian-fallback
+    far_field: bool = False
+
+    def __post_init__(self):
+        self.query = np.asarray(self.query, dtype=float)
+        self.gradient = np.asarray(self.gradient, dtype=float)
+        if self.query.shape != self.gradient.shape:
+            raise ValueError("gradient dimension must equal query dimension")
 
 
 def load_csv(path, label_column: str = "label", classes=None) -> Dataset:

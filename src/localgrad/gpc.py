@@ -31,6 +31,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import erfc, log_ndtr
 
+from .data import ExplanationVector
 from .kernels import (
     KernelSpec,
     kernel_eval,
@@ -44,31 +45,6 @@ from .kernels import (
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _TAU_FLOOR = 1e-10  # floor on site precision when forming site variances
-
-
-@dataclass
-class ExplanationVector:
-    """A local explanation: the gradient of a class-probability function
-    at a query point, together with the prediction it explains.
-
-    A positive component means that increasing the corresponding feature
-    increases the explained probability (for the analytic source, the
-    probability of the +1 class; for the mimic sources, the probability
-    of leaving the predicted class).
-    """
-
-    query: np.ndarray
-    gradient: np.ndarray
-    predicted_probability: float
-    predicted_label: int
-    source: str  # analytic-gpc | parzen-mimic | hessian-fallback
-    far_field: bool = False
-
-    def __post_init__(self):
-        self.query = np.asarray(self.query, dtype=float)
-        self.gradient = np.asarray(self.gradient, dtype=float)
-        if self.query.shape != self.gradient.shape:
-            raise ValueError("gradient dimension must equal query dimension")
 
 
 @dataclass
@@ -205,50 +181,60 @@ def ep_fit(
     )
 
 
+def _predictive(model: GpcModel, x0, grad: bool = False):
+    """Latent mean and variance at x0 from one k_* and one solve with the
+    stored factor, and with `grad` also their gradients with respect to x0:
+    (mean, var) or (mean, var, grad_mean, grad_var), the variance clamped
+    as predict_latent documents.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    k_star = kernel_vector(model.kernel, x0, model.train_x)
+    solved = cho_solve((model.chol_factor, True), k_star)
+    mean = float(model.alpha @ k_star)
+    var = float(kernel_eval(model.kernel, x0, x0) - k_star @ solved)
+    if var < -1e-10:
+        raise RuntimeError(f"negative predictive variance {var:.3g}: factorization unhealthy")
+    var = max(var, 0.0)
+    if not grad:
+        return mean, var
+    J = kernel_grad_matrix(model.kernel, x0, model.train_x)
+    # d k(x,x)/dx = 2 * (d k(x,y)/dx at y=x) by symmetry of the kernel
+    self_term = 2.0 * kernel_grad_x(model.kernel, x0, x0)
+    return mean, var, J.T @ model.alpha, self_term - 2.0 * (J.T @ solved)
+
+
+def _probit(mean: float, var: float) -> float:
+    """Predictive probability of the +1 class from the latent moments."""
+    return float(0.5 * erfc(-mean / (np.sqrt(2.0) * np.sqrt(1.0 + var))))
+
+
 def predict_latent(model: GpcModel, x0):
     """Latent mean and variance at x0.
 
     Variance is clamped to 0 when roundoff takes it slightly negative;
     anything below -1e-10 means the stored factorization is unhealthy.
     """
-    x0 = np.asarray(x0, dtype=float)
-    k_star = kernel_vector(model.kernel, x0, model.train_x)
-    mean = float(model.alpha @ k_star)
-    solved = cho_solve((model.chol_factor, True), k_star)
-    var = float(kernel_eval(model.kernel, x0, x0) - k_star @ solved)
-    if var < -1e-10:
-        raise RuntimeError(f"negative predictive variance {var:.3g}: factorization unhealthy")
-    return mean, max(var, 0.0)
+    return _predictive(model, x0)
 
 
 def predict_proba(model: GpcModel, x0) -> float:
     """Probability of the +1 class at x0."""
-    mean, var = predict_latent(model, x0)
-    return float(0.5 * erfc(-mean / (np.sqrt(2.0) * np.sqrt(1.0 + var))))
+    return _probit(*_predictive(model, x0))
 
 
 def grad_latent(model: GpcModel, x0):
     """Gradients of the latent mean and variance with respect to x0."""
-    x0 = np.asarray(x0, dtype=float)
-    k_star = kernel_vector(model.kernel, x0, model.train_x)
-    J = kernel_grad_matrix(model.kernel, x0, model.train_x)
-    grad_mean = J.T @ model.alpha
-    # d k(x,x)/dx = 2 * (d k(x,y)/dx at y=x) by symmetry of the kernel
-    self_term = 2.0 * kernel_grad_x(model.kernel, x0, x0)
-    solved = cho_solve((model.chol_factor, True), k_star)
-    grad_var = self_term - 2.0 * (J.T @ solved)
-    return grad_mean, grad_var
+    return _predictive(model, x0, grad=True)[2:]
 
 
 def explain_gpc(model: GpcModel, x0) -> ExplanationVector:
     """Explanation vector: the gradient of predict_proba at x0."""
     x0 = np.asarray(x0, dtype=float)
-    mean, var = predict_latent(model, x0)
-    grad_mean, grad_var = grad_latent(model, x0)
+    mean, var, grad_mean, grad_var = _predictive(model, x0, grad=True)
     s = 1.0 + var
     prefactor = np.exp(-(mean**2) / (2.0 * s)) / np.sqrt(2.0 * np.pi)
     gradient = prefactor * (grad_mean / np.sqrt(s) - 0.5 * mean * s**-1.5 * grad_var)
-    p = float(0.5 * erfc(-mean / (np.sqrt(2.0) * np.sqrt(s))))
+    p = _probit(mean, var)
     return ExplanationVector(
         query=x0,
         gradient=gradient,

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .gpc import ExplanationVector
+from .data import ExplanationVector
 
 # log of the smallest positive double: below this, exp() underflows to 0
 _UNDERFLOW_LOG = float(np.log(np.finfo(float).smallest_subnormal))
@@ -61,14 +61,14 @@ class ParzenMimic:
             raise ValueError("ref_x and ref_labels must have equal length")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        self.classes = np.unique(self.ref_labels)
-        self.class_index_sets = {
-            int(c): np.flatnonzero(self.ref_labels == c) for c in self.classes
-        }
+        self.classes, counts = np.unique(self.ref_labels, return_counts=True)
+        # reference order grouped by class, stable: class j holds positions
+        # class_bounds[j]:class_bounds[j + 1], so each class sum is one slice
+        self.by_class = np.argsort(self.ref_labels, kind="stable")
+        self.class_bounds = np.concatenate([[0], np.cumsum(counts)])
 
     def majority_class(self) -> int:
-        counts = np.array([len(self.class_index_sets[int(c)]) for c in self.classes])
-        return int(self.classes[np.argmax(counts)])  # ties: lower class id
+        return int(self.classes[np.argmax(np.diff(self.class_bounds))])  # ties: lower class id
 
 
 def _log_weights(mimic: ParzenMimic, x) -> np.ndarray:
@@ -80,45 +80,61 @@ def _log_weights(mimic: ParzenMimic, x) -> np.ndarray:
     return -0.5 * cdist(x[None], mimic.ref_x, "sqeuclidean")[0] / mimic.sigma**2
 
 
+def _rescale(w: np.ndarray) -> np.ndarray:
+    """Turn rows of log-weights, in place, into weights divided by the
+    row's largest one.  Returns the far-field mask: rows whose largest
+    weight underflows, and which therefore carry no information."""
+    top = w.max(axis=1)
+    far = top < _UNDERFLOW_LOG
+    top[far] = 0.0  # unshifted, far rows underflow to 0; callers fall back on them
+    w -= top[:, None]
+    np.exp(w, out=w)
+    return far
+
+
+def _weights(mimic: ParzenMimic, x):
+    """Rescaled weights at the point x as a 1 x m row, and its far-field mask."""
+    w = _log_weights(mimic, x)[None]
+    return w, _rescale(w)
+
+
+def _decide(mimic: ParzenMimic, w: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """The mimic's decision rule on C-ordered rows of rescaled weights whose
+    columns follow mimic.by_class: the class with the largest weight sum
+    (ties: lower class id); far-field rows go to the majority class.  A
+    class sum adds one contiguous slice of its row, the class's weights in
+    reference order, exactly as the posterior adds them; so a row's
+    prediction does not depend on the rows it is decided with."""
+    b = mimic.class_bounds
+    sums = np.column_stack([w[:, lo:hi].sum(axis=1) for lo, hi in zip(b[:-1], b[1:])])
+    pred = mimic.classes[np.argmax(sums, axis=1)]
+    if far.any():
+        pred[far] = mimic.majority_class()
+    return pred
+
+
 def is_far_field(mimic: ParzenMimic, x) -> bool:
     """True when every Gaussian weight at x underflows double precision."""
-    return float(np.max(_log_weights(mimic, x))) < _UNDERFLOW_LOG
+    return bool(_weights(mimic, x)[1][0])
 
 
 def parzen_joint(mimic: ParzenMimic, x, c) -> float:
     """Weighted class density (1/m) sum_{i in I_c} k_sigma(x - x_i)."""
     lw = _log_weights(mimic, x)
-    idx = mimic.class_index_sets.get(int(c))
-    if idx is None or len(idx) == 0:
+    inside = mimic.ref_labels == int(c)
+    if not inside.any():
         return 0.0
     norm = np.sqrt(2.0 * np.pi) * mimic.sigma
-    return float(np.sum(np.exp(lw[idx])) / (norm * len(mimic.ref_x)))
-
-
-def _scaled_class_sums(mimic: ParzenMimic, x):
-    """Per-class weight sums with weights rescaled by the largest one.
-
-    Returns (sums keyed by class, total).  Only ratios of these are
-    meaningful.  None when the point is far field.
-    """
-    lw = _log_weights(mimic, x)
-    top = float(np.max(lw))
-    if top < _UNDERFLOW_LOG:
-        return None
-    w = np.exp(lw - top)
-    sums = {c: float(np.sum(w[idx])) for c, idx in mimic.class_index_sets.items()}
-    return sums, float(np.sum(w))
+    return float(np.sum(np.exp(lw[inside])) / (norm * len(mimic.ref_x)))
 
 
 def parzen_posterior(mimic: ParzenMimic, x, c) -> float:
     """Mimic posterior p(y = c | x); class prior when x is far field."""
-    c = int(c)
-    scaled = _scaled_class_sums(mimic, x)
-    if scaled is None:
-        idx = mimic.class_index_sets.get(c)
-        return (len(idx) if idx is not None else 0) / len(mimic.ref_x)
-    sums, total = scaled
-    return sums.get(c, 0.0) / total
+    inside = mimic.ref_labels == int(c)
+    w, far = _weights(mimic, x)
+    if far[0]:
+        return np.count_nonzero(inside) / len(mimic.ref_x)
+    return float(np.sum(w[0][inside])) / float(np.sum(w[0]))
 
 
 def parzen_posterior_not(mimic: ParzenMimic, x, c) -> float:
@@ -128,12 +144,8 @@ def parzen_posterior_not(mimic: ParzenMimic, x, c) -> float:
 
 def mimic_predict(mimic: ParzenMimic, x) -> int:
     """Class with maximal posterior; ties and far field go as documented."""
-    scaled = _scaled_class_sums(mimic, x)
-    if scaled is None:
-        return mimic.majority_class()
-    sums, _ = scaled
-    best = max(sorted(sums), key=lambda c: sums[c])  # ties: lower class id
-    return int(best)
+    w, far = _weights(mimic, x)
+    return int(_decide(mimic, w[:, mimic.by_class], far)[0])
 
 
 def select_width(
@@ -165,27 +177,18 @@ def select_width(
     loo = probes.shape == ref_x.shape and np.array_equal(probes, ref_x) and np.array_equal(
         g_labels, ref_labels
     )
-    sq = cdist(probes, ref_x, "sqeuclidean")
-    if loo:
-        np.fill_diagonal(sq, np.inf)  # each probe's own reference gets weight 0
-    classes = np.unique(ref_labels)
-    onehot = (ref_labels[:, None] == classes[None, :]).astype(float)
-    counts = onehot.sum(axis=0)
-    majority = classes[np.argmax(counts)]
+    mimic = ParzenMimic(ref_x, ref_labels, positive[0])  # the decision rule reads only the labels
+    sq = cdist(probes, ref_x[mimic.by_class], "sqeuclidean")  # columns as _decide reads them
+    if loo:  # each probe's own reference gets weight 0
+        sq[np.arange(len(sq)), np.argsort(mimic.by_class)] = np.inf
 
     best_sigma, best_count = None, None
     w = np.empty_like(sq)  # log-weights, then weights, of one candidate; reused
     for s in positive:
         np.multiply(sq, -0.5, out=w)
         w /= s**2
-        top = w.max(axis=1)
-        far = top < _UNDERFLOW_LOG
-        top[far] = 0.0  # unshifted, far rows underflow to 0; the majority stands in below
-        w -= top[:, None]
-        np.exp(w, out=w)
-        pred = classes[np.argmax(w @ onehot, axis=1)]  # argmax ties: lower class id
-        pred = np.where(far, majority, pred)
-        count = int(np.sum(pred != g_labels))
+        far = _rescale(w)
+        count = int(np.sum(_decide(mimic, w, far) != g_labels))
         if best_count is None or count < best_count:
             best_sigma, best_count = s, count
     return best_sigma
@@ -193,33 +196,26 @@ def select_width(
 
 def default_sigma_grid(points, count: int = 25, span=(1e-2, 1e2)) -> np.ndarray:
     """Log-spaced candidate widths scaled by the median pairwise distance."""
-    med = float(np.median(np.sqrt(pdist(np.asarray(points, dtype=float), "sqeuclidean"))))
+    points = np.asarray(points, dtype=float)
+    if len(points) < 2:
+        raise ValueError(
+            f"the sigma grid is scaled by a median pairwise distance, which needs at "
+            f"least two points, got {len(points)}"
+        )
+    med = float(np.median(np.sqrt(pdist(points, "sqeuclidean"))))
     if med <= 0:
         med = 1.0
     return med * np.logspace(np.log10(span[0]), np.log10(span[1]), count)
 
 
 def _quotient_parts(mimic: ParzenMimic, z, c):
-    """Rescaled sums entering the explanation quotient at z.
-
-    Returns (S_in, S_out, V_in, V_out, T) or None in the far field.
-    """
-    z = np.asarray(z, dtype=float)
-    lw = _log_weights(mimic, z)
-    top = float(np.max(lw))
-    if top < _UNDERFLOW_LOG:
+    """What the explanation quotient and the Hessian at z are built from:
+    the rescaled weights, the mask of references in class c, and the
+    differences z - x_i.  None in the far field."""
+    w, far = _weights(mimic, z)
+    if far[0]:
         return None
-    w = np.exp(lw - top)
-    inside = np.zeros(len(w), dtype=bool)
-    idx = mimic.class_index_sets.get(int(c))
-    if idx is not None:
-        inside[idx] = True
-    diff = z - mimic.ref_x
-    s_in = float(np.sum(w[inside]))
-    s_out = float(np.sum(w[~inside]))
-    v_in = w[inside] @ diff[inside]
-    v_out = w[~inside] @ diff[~inside]
-    return s_in, s_out, v_in, v_out, s_in + s_out
+    return w[0], mimic.ref_labels == int(c), z - mimic.ref_x
 
 
 def explain_estimated(mimic: ParzenMimic, z, g_label) -> ExplanationVector:
@@ -241,8 +237,12 @@ def explain_estimated(mimic: ParzenMimic, z, g_label) -> ExplanationVector:
             source="parzen-mimic",
             far_field=True,
         )
-    s_in, s_out, v_in, v_out, total = parts
-    gradient = (s_out * v_in - s_in * v_out) / (mimic.sigma**2 * total**2)
+    w, inside, diff = parts
+    s_in = float(np.sum(w[inside]))
+    s_out = float(np.sum(w[~inside]))
+    v_in = w[inside] @ diff[inside]
+    v_out = w[~inside] @ diff[~inside]
+    gradient = (s_out * v_in - s_in * v_out) / (mimic.sigma**2 * (s_in + s_out) ** 2)
     return ExplanationVector(
         query=z,
         gradient=gradient,
@@ -263,20 +263,13 @@ def parzen_hessian(mimic: ParzenMimic, z, c) -> np.ndarray:
     leave the result unchanged.
     """
     z = np.asarray(z, dtype=float)
-    parts = _quotient_parts(mimic, z, int(c))
+    parts = _quotient_parts(mimic, z, c)
     if parts is None:
         return np.zeros((z.size, z.size))
-    lw = _log_weights(mimic, z)
-    w = np.exp(lw - float(np.max(lw)))
-    diff = z - mimic.ref_x
+    w, inside, diff = parts
     s2 = mimic.sigma**2
-    inside = np.zeros(len(w), dtype=bool)
-    idx = mimic.class_index_sets.get(int(c))
-    if idx is not None:
-        inside[idx] = True
     out = ~inside
-    d = z.size
-    eye = np.eye(d)
+    eye = np.eye(z.size)
 
     def grad_of(mask):
         return -(w[mask] @ diff[mask]) / s2
@@ -328,13 +321,7 @@ def explain_with_fallback(
         direction, _ = hessian_direction(mimic, z, g_label)
     except ValueError:
         return ev
-    return ExplanationVector(
-        query=ev.query,
-        gradient=direction,
-        predicted_probability=ev.predicted_probability,
-        predicted_label=ev.predicted_label,
-        source="hessian-fallback",
-    )
+    return replace(ev, gradient=direction, source="hessian-fallback")
 
 
 def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:

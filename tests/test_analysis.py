@@ -13,7 +13,7 @@ from localgrad.analysis import (
     save_ranking_csv,
     sym_kld,
 )
-from localgrad.gpc import ExplanationVector
+from localgrad.data import ExplanationVector
 from oracles import auc_pairwise, ecdf_distance, kld_two_terms, rebin_naive
 
 

@@ -35,19 +35,18 @@ def test_majority_vote_matches_exhaustive_sort():
     X = rng.normal(size=(30, 3))
     y = rng.integers(0, 3, size=30)
     clf = KnnClassifier(X, y, k=5)
-    for _ in range(50):
-        q = rng.normal(size=3)
+    queries = rng.normal(size=(50, 3))
+    expected = []
+    for q in queries:
         order = np.argsort([np.linalg.norm(q - xi) for xi in X], kind="stable")
         votes = y[order[:5]]
         counts = {c: np.sum(votes == c) for c in set(votes)}
         top = max(counts.values())
         tied = [c for c, n in counts.items() if n == top]
-        if len(tied) == 1:
-            assert clf.predict(q) == tied[0]
-        else:
-            # tie rule: the class of the nearest neighbor among tied classes
-            nearest_tied = next(c for c in votes if c in tied)
-            assert clf.predict(q) == nearest_tied
+        # tie rule: the class of the nearest neighbor among tied classes
+        expected.append(next(c for c in votes if c in tied))
+        assert clf.predict(q) == expected[-1]
+    assert clf.predict_batch(queries).tolist() == expected
 
 
 def test_distance_tie_broken_by_lower_index():

@@ -232,6 +232,15 @@ def test_explain_without_oracle_rejects_conflicting_duplicates(tmp_path, capsys)
     assert "conflicting labels" in err["error"]
 
 
+def test_explain_auto_sigma_grid_needs_two_references(tmp_path, capsys):
+    data_path = tmp_path / "one.csv"
+    save_csv(Dataset(np.array([[0.0, 1.0]]), np.array([1])), data_path)
+    rc = main(["explain", "--data", str(data_path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and "at least two points" in err["error"]
+
+
 # ------------------------------------------------------------- vector-field
 
 
@@ -330,7 +339,7 @@ def test_rank_outputs(triangle_csv, fitted_model, tmp_path):
 # ------------------------------------------------------------------ compare
 
 
-def test_compare_outputs(tmp_path):
+def run_compare(tmp_path, *extra):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(60, 2))
     grp = (np.arange(60) < 20).astype(float)
@@ -338,7 +347,7 @@ def test_compare_outputs(tmp_path):
     ds = Dataset(np.column_stack([X, grp]), labels, ["f1", "f2", "grp"])
     data_path = tmp_path / "grp.csv"
     save_csv(ds, data_path)
-    out = tmp_path / "cmp.json"
+    out = tmp_path / f"cmp{len(extra)}.json"
     rc = main(
         [
             "compare",
@@ -354,15 +363,27 @@ def test_compare_outputs(tmp_path):
             "grp",
             "--out",
             str(out),
+            *extra,
         ]
     )
     assert rc == 0
-    result = json.loads(out.read_text())
+    return json.loads(out.read_text())
+
+
+def test_compare_outputs(tmp_path):
+    result = run_compare(tmp_path)
     assert result["feature"] == "f2"
     assert result["group_size"] == 20
     assert 0.0 <= result["p_value"] <= 1.0
     assert result["sym_kld"] >= 0.0
     assert len(result["hist_in"]) == len(result["hist_out"])
+
+
+def test_compare_applies_smooth_window(tmp_path):
+    # a window holding every point turns each gradient into the global mean
+    smoothed = run_compare(tmp_path, "--smooth-window", "1e9")
+    assert smoothed != run_compare(tmp_path)
+    assert smoothed["ks_statistic"] == 0.0  # both groups hold the same value
 
 
 # --------------------------------------------------------------------- iris

@@ -162,13 +162,18 @@ def test_predict_tie_goes_to_lower_class_id():
     assert mimic_predict(mm, np.array([0.0])) == 1
 
 
-def test_class_index_sets_partition():
+def test_predict_is_argmax_of_naive_posterior():
+    # an oracle apart from the shared decision rule, which select_width_bruteforce also calls
     rng = np.random.default_rng(5)
-    mm = random_mimic(rng, m=30, n_classes=3)
-    seen = np.concatenate([idx for idx in mm.class_index_sets.values()])
-    assert sorted(seen) == list(range(30))
-    for c, idx in mm.class_index_sets.items():
-        assert np.all(mm.ref_labels[idx] == c)
+    for n_classes in (2, 3):
+        for _ in range(20):
+            mm = random_mimic(rng, n_classes=n_classes)
+            for q in rng.normal(0, 1.5, size=(10, mm.ref_x.shape[1])):
+                post = [
+                    parzen_posterior_naive(mm.ref_x, mm.ref_labels, mm.sigma, q, c)
+                    for c in mm.classes
+                ]
+                assert mimic_predict(mm, q) == mm.classes[int(np.argmax(post))]  # ties: lower id
 
 
 # ------------------------------------------------------------ width choice
@@ -208,6 +213,14 @@ def test_select_width_matches_bruteforce_loo():
     y = np.array([1] * 12 + [2] * 12)
     grid = [0.15, 0.4, 0.9, 2.0]
     assert select_width(X, y, X, y, grid) == select_width_bruteforce(X, y, grid)
+    # interleaved noisy classes: each probe's own reference sits elsewhere in
+    # the class-grouped order, and only leaving it out keeps 0.02 from winning
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(40, 2))
+    y = np.where(X[:, 0] > 0, 1, 2)
+    y[rng.choice(40, 8, replace=False)] ^= 3  # swaps labels 1 and 2
+    grid = [0.02, 0.3, 1.0, 3.0]
+    assert select_width(X, y, X, y, grid) == select_width_bruteforce(X, y, grid) == 0.3
 
 
 def test_select_width_tie_prefers_smaller():
@@ -229,7 +242,12 @@ def test_select_width_with_external_probes():
     probe_labels = np.where(probes[:, 0] < 0, 1, 2)
     grid = [0.2, 0.6, 1.5, 4.0]
     picked = select_width(X, y, probes, probe_labels, grid)
-    # recount disagreements per candidate with the full (non-LOO) mimic
+    assert picked == recount_pick(X, y, probes, probe_labels, grid)
+
+
+def recount_pick(X, y, probes, probe_labels, grid):
+    """The width select_width should pick: disagreements of the full
+    (non-LOO) mimic recounted with mimic_predict, ties to the smaller width."""
     counts = {}
     for s in grid:
         mm = ParzenMimic(X, y, s)
@@ -237,8 +255,19 @@ def test_select_width_with_external_probes():
             mimic_predict(mm, p) != gl for p, gl in zip(probes, probe_labels)
         )
     best = min(counts.values())
-    assert counts[picked] == best
-    assert picked == min(s for s, c in counts.items() if c == best)
+    return min(s for s, c in counts.items() if c == best)
+
+
+def test_select_width_near_tie_scores_the_mimic_it_returns():
+    # at sigma=1 each class has one weight of 1 and five of 2^-53, so the
+    # class sums tie or not depending on the order they are added in
+    s = np.array([1, 0, -1, 1, 0, 1, 1, 1, 1, -1, 1, 1], dtype=float)
+    X = (s * np.sqrt(106 * np.log(2)))[:, None]
+    y = np.array([1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 2, 1])
+    probes, probe_labels = np.array([[0.0]]), np.array([1])
+    grid = [1.0, 1.001]
+    picked = select_width(X, y, probes, probe_labels, grid)
+    assert picked == recount_pick(X, y, probes, probe_labels, grid)
 
 
 def test_default_sigma_grid_shape_and_span():
@@ -250,6 +279,12 @@ def test_default_sigma_grid_shape_and_span():
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     med = np.median(d[np.triu_indices(20, 1)])
     assert grid[0] == pytest.approx(1e-2 * med, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_default_sigma_grid_needs_two_points(n):
+    with pytest.raises(ValueError, match="at least two points"):
+        default_sigma_grid(np.zeros((n, 2)))
 
 
 def test_width_selection_memory_stays_quadratic():
