@@ -38,9 +38,7 @@ from .gpc import (
     GpcModel,
     ep_fit,
     explain_gpc,
-    grad_latent,
     load_gpc,
-    predict_latent,
     predict_proba,
     save_gpc,
 )
@@ -50,12 +48,9 @@ from .mimic import (
     explain_estimated,
     explain_with_fallback,
     hessian_direction,
-    load_mimic,
     mimic_predict,
-    parzen_joint,
     parzen_posterior,
     parzen_posterior_not,
-    save_mimic,
     select_width,
     smooth_gradients,
 )
@@ -81,7 +76,6 @@ __all__ = [
     "gen_nonlinear",
     "gen_three_clusters",
     "gen_triangle",
-    "grad_latent",
     "hessian_direction",
     "histogram",
     "inject_outliers",
@@ -94,19 +88,15 @@ __all__ = [
     "load_csv",
     "load_gpc",
     "load_iris",
-    "load_mimic",
     "mimic_predict",
     "normalize_fit_apply",
-    "parzen_joint",
     "parzen_posterior",
     "parzen_posterior_not",
-    "predict_latent",
     "predict_proba",
     "rank_features",
     "roc_auc",
     "save_csv",
     "save_gpc",
-    "save_mimic",
     "select_width",
     "smooth_gradients",
     "split_stratified",

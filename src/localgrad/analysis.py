@@ -5,7 +5,6 @@ statistics (two-sample KS, symmetrized KLD)."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,9 +204,3 @@ def comparison_to_dict(cmp: GroupComparison) -> dict:
         "clipped_in": cmp.clipped_in,
         "clipped_out": cmp.clipped_out,
     }
-
-
-def save_comparison_json(cmp: GroupComparison, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(comparison_to_dict(cmp), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -88,39 +88,30 @@ class TableOracle:
     """Stored predictions keyed to a companion dataset's rows.
 
     predict() requires an exact coordinate match against the companion
-    dataset (float-bit equality); lookups by row id are also available.
+    dataset (float-bit equality).
     """
 
     def __init__(self, dataset, by_id: dict):
         """`by_id` maps the dataset's row ids to labels; rows with equal
         coordinates must carry equal labels."""
-        by_coords = {}
+        self._by_coords = {}
         for rid, point in zip(dataset.row_ids, dataset.features):
             key = np.ascontiguousarray(point, dtype=float).tobytes()
-            prev = by_coords.get(key)
-            if prev is not None and by_id[prev] != by_id[int(rid)]:
+            label = by_id[int(rid)]
+            if self._by_coords.setdefault(key, label) != label:
                 raise ValueError(f"duplicate coordinates with conflicting labels (id {rid})")
-            by_coords.setdefault(key, int(rid))
-        self._by_id = by_id
-        self._by_coords = by_coords
 
     def predict(self, x) -> int:
         key = np.ascontiguousarray(x, dtype=float).tobytes()
         if key not in self._by_coords:
             raise ValueError("query point is not a row of the companion dataset")
-        return self._by_id[self._by_coords[key]]
-
-    def predict_by_id(self, row_id: int) -> int:
-        if int(row_id) not in self._by_id:
-            raise ValueError(f"unknown row id {row_id}")
-        return self._by_id[int(row_id)]
+        return self._by_coords[key]
 
 
-def table_oracle_load(path, dataset, classes=None) -> TableOracle:
+def table_oracle_load(path, dataset) -> TableOracle:
     """Load a prediction table CSV (header ``id,label``).
 
-    Ids must bijectively match the companion dataset's row ids; labels
-    outside `classes` (when given) are a load error.
+    Ids must bijectively match the companion dataset's row ids.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -136,20 +127,9 @@ def table_oracle_load(path, dataset, classes=None) -> TableOracle:
             rid, lab = int(row[0]), int(row[1])
         except ValueError:
             raise ValueError(f"{path}: non-integer cell at row {i}") from None
-        if classes is not None and lab not in classes:
-            raise ValueError(f"{path}: label {lab} at row {i} outside declared classes")
         if rid in by_id:
             raise ValueError(f"{path}: duplicate id {rid}")
         by_id[rid] = lab
     if set(by_id) != set(int(r) for r in dataset.row_ids):
         raise ValueError(f"{path}: ids do not match the companion dataset's row ids")
     return TableOracle(dataset, by_id)
-
-
-def save_predictions(path, row_ids, labels) -> None:
-    """Write a prediction table CSV (header ``id,label``)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "label"])
-        for rid, lab in zip(row_ids, labels):
-            w.writerow([int(rid), int(lab)])

@@ -32,13 +32,16 @@ def _parse_floats(text: str) -> list:
 
 
 def _load_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, if any."""
+    """Fill unset flags from the JSON config file, if any.  A key that
+    names no flag of the subcommand is an error."""
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
         for key, value in cfg.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
+            if attr in ("command", "func") or not hasattr(args, attr):
+                raise ValueError(f"config key {key!r} is not a flag of {args.command}")
+            if getattr(args, attr) is None:
                 setattr(args, attr, value)
     return args
 
@@ -210,13 +213,14 @@ def cmd_vector_field(args) -> int:
     if model.train_x.shape[1] != 2:
         raise ValueError("vector-field needs a 2-D model")
     n = int(args.grid or 30)
-    if args.xlim and args.ylim:
-        (x_lo, x_hi), (y_lo, y_hi) = _parse_floats(args.xlim), _parse_floats(args.ylim)
-    else:
-        lo = model.train_x.min(axis=0)
-        hi = model.train_x.max(axis=0)
-        pad = 0.1 * (hi - lo)
-        (x_lo, y_lo), (x_hi, y_hi) = lo - pad, hi + pad
+    lo = model.train_x.min(axis=0)
+    hi = model.train_x.max(axis=0)
+    pad = 0.1 * (hi - lo)
+    (x_lo, y_lo), (x_hi, y_hi) = lo - pad, hi + pad
+    if args.xlim:  # each given axis overrides its own axis of the padded box
+        x_lo, x_hi = _parse_floats(args.xlim)
+    if args.ylim:
+        y_lo, y_hi = _parse_floats(args.ylim)
     xs = np.linspace(x_lo, x_hi, n)
     ys = np.linspace(y_lo, y_hi, n)
     with open(args.out, "w", newline="") as fh:
@@ -433,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="fitted GPC model JSON")
     p.add_argument("--grid", type=int, help="grid nodes per axis (default 30)")
     p.add_argument("--xlim", help="x1 range as 'lo,hi' (default: data box +10%%)")
-    p.add_argument("--ylim", help="x2 range as 'lo,hi'")
+    p.add_argument("--ylim", help="x2 range as 'lo,hi' (default: data box +10%%)")
     p.set_defaults(func=cmd_vector_field)
 
     p = subs.add_parser("morph", help="walk queries along their explanation vectors")

@@ -92,11 +92,11 @@ class ExplanationVector:
             raise ValueError("gradient dimension must equal query dimension")
 
 
-def load_csv(path, label_column: str = "label", classes=None) -> Dataset:
+def load_csv(path, classes=None) -> Dataset:
     """Read a dataset CSV.
 
-    The header must contain `label_column`; a leading column named ``id``
-    supplies row ids (otherwise ids are 0..n-1 in file order).  If
+    The header must contain a ``label`` column; a leading column named
+    ``id`` supplies row ids (otherwise ids are 0..n-1 in file order).  If
     `classes` is given, every label must belong to it.
     """
     with open(path, newline="") as fh:
@@ -104,9 +104,9 @@ def load_csv(path, label_column: str = "label", classes=None) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
-    if label_column not in header:
-        raise ValueError(f"{path}: missing label column {label_column!r}")
-    label_pos = header.index(label_column)
+    if "label" not in header:
+        raise ValueError(f"{path}: missing label column 'label'")
+    label_pos = header.index("label")
     has_id = header and header[0] == "id"
     feature_pos = [
         j for j, name in enumerate(header) if j != label_pos and not (has_id and j == 0)
@@ -176,12 +176,6 @@ def save_norm_stats(stats: dict, path) -> None:
         fh.write("\n")
 
 
-def load_norm_stats(path) -> dict:
-    with open(path) as fh:
-        stats = json.load(fh)
-    return {name: {"mean": float(s["mean"]), "std": float(s["std"])} for name, s in stats.items()}
-
-
 def normalize_fit_apply(train: Dataset, others=()):
     """Standardize using the training split's mean and standard deviation.
 
@@ -208,22 +202,6 @@ def normalize_fit_apply(train: Dataset, others=()):
     return apply(train), [apply(ds) for ds in others]
 
 
-def apply_norm_stats(data: Dataset, stats: dict) -> Dataset:
-    """Apply previously fitted statistics to another dataset."""
-    mean = np.array([stats[name]["mean"] for name in data.feature_names])
-    scale = np.array([stats[name]["std"] for name in data.feature_names])
-    return replace(data, features=(data.features - mean) / scale, norm_stats=stats)
-
-
-def denormalize(data: Dataset) -> np.ndarray:
-    """Features mapped back to original units (norm_stats required)."""
-    if data.norm_stats is None:
-        raise ValueError("dataset carries no normalization statistics")
-    mean = np.array([data.norm_stats[name]["mean"] for name in data.feature_names])
-    scale = np.array([data.norm_stats[name]["std"] for name in data.feature_names])
-    return data.features * scale + mean
-
-
 def _allocate(sizes, total):
     # largest-remainder apportionment of `total` across strata of given sizes
     sizes = np.asarray(sizes, dtype=float)
@@ -235,52 +213,18 @@ def _allocate(sizes, total):
     return base
 
 
-def split_stratified(
-    data: Dataset,
-    n_train: int,
-    seed: int,
-    balance_classes: bool = False,
-    preserve_group=None,
-):
-    """Deterministic stratified train/test split.
-
-    Stratifies by class (and by group membership when `preserve_group`,
-    a boolean mask, is given).  With `balance_classes` the training class
-    counts differ by at most one.
-    """
+def split_stratified(data: Dataset, n_train: int, seed: int):
+    """Deterministic train/test split, stratified by class: each class
+    gets its largest-remainder share of the `n_train` training rows."""
     if not 0 < n_train < data.n:
         raise ValueError(f"n_train must be in (0, {data.n}), got {n_train}")
     rng = np.random.default_rng(seed)
     classes = data.classes()
-    if balance_classes:
-        per_class = np.full(len(classes), n_train // len(classes))
-        per_class[: n_train % len(classes)] += 1
-    else:
-        per_class = _allocate([np.sum(data.labels == c) for c in classes], n_train)
-
-    if preserve_group is not None:
-        group = np.asarray(preserve_group, dtype=bool)
-        if group.shape != (data.n,):
-            raise ValueError("preserve_group must be a boolean mask over all rows")
-
+    per_class = _allocate([np.sum(data.labels == c) for c in classes], n_train)
     train_idx = []
     for c, quota in zip(classes, per_class):
         members = np.flatnonzero(data.labels == c)
-        if quota > len(members):
-            raise ValueError(
-                f"class {c} has {len(members)} rows, cannot take {quota} for training"
-            )
-        if preserve_group is None:
-            cells = [members]
-            cell_quota = [quota]
-        else:
-            cells = [members[group[members]], members[~group[members]]]
-            cells = [cell for cell in cells if len(cell)]
-            cell_quota = _allocate([len(cell) for cell in cells], quota)
-        for cell, q in zip(cells, cell_quota):
-            if q > len(cell):
-                raise ValueError("infeasible group-preserving split")
-            train_idx.extend(rng.choice(cell, size=q, replace=False))
+        train_idx.extend(rng.choice(members, size=quota, replace=False))
     train_idx = np.sort(np.array(train_idx, dtype=int))
     test_idx = np.setdiff1d(np.arange(data.n), train_idx)
     return data.subset(train_idx), data.subset(test_idx)

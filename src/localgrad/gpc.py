@@ -79,6 +79,15 @@ def _probit_moments(mu_cav, var_cav, y):
     return mu_hat, np.maximum(var_hat, 1e-14)
 
 
+def _add_jitter(K):
+    """K + jitter*I with jitter = 1e-8 * trace(K) / n, and the jitter.
+    Fitted and loaded models both factor this matrix plus the diagonal
+    of site variances, added in that order."""
+    n = K.shape[0]
+    jitter = 1e-8 * np.trace(K) / n
+    return K + jitter * np.eye(n), jitter
+
+
 def _recompute_posterior(K, tau, nu):
     """Stable recomputation of the EP posterior q(f) = N(mu, Sigma)."""
     n = K.shape[0]
@@ -121,9 +130,7 @@ def ep_fit(
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {damping}")
 
-    K = kernel_gram(kernel, X)
-    jitter = 1e-8 * np.trace(K) / n
-    K = K + jitter * np.eye(n)
+    K, jitter = _add_jitter(kernel_gram(kernel, X))
     try:
         cholesky(K, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -163,8 +170,7 @@ def ep_fit(
 
     site_variance = 1.0 / np.maximum(tau, _TAU_FLOOR)
     site_mean_scaled = nu * site_variance  # mu_site = nu / tau
-    B = K + np.diag(site_variance)
-    L = cholesky(B, lower=True)
+    L = cholesky(K + np.diag(site_variance), lower=True)
     alpha = cho_solve((L, True), site_mean_scaled)
     return GpcModel(
         kernel=kernel,
@@ -184,8 +190,10 @@ def ep_fit(
 def _predictive(model: GpcModel, x0, grad: bool = False):
     """Latent mean and variance at x0 from one k_* and one solve with the
     stored factor, and with `grad` also their gradients with respect to x0:
-    (mean, var) or (mean, var, grad_mean, grad_var), the variance clamped
-    as predict_latent documents.
+    (mean, var) or (mean, var, grad_mean, grad_var).
+
+    The variance is clamped to 0 when roundoff takes it slightly negative;
+    anything below -1e-10 means the stored factorization is unhealthy.
     """
     x0 = np.asarray(x0, dtype=float)
     k_star = kernel_vector(model.kernel, x0, model.train_x)
@@ -208,23 +216,9 @@ def _probit(mean: float, var: float) -> float:
     return float(0.5 * erfc(-mean / (np.sqrt(2.0) * np.sqrt(1.0 + var))))
 
 
-def predict_latent(model: GpcModel, x0):
-    """Latent mean and variance at x0.
-
-    Variance is clamped to 0 when roundoff takes it slightly negative;
-    anything below -1e-10 means the stored factorization is unhealthy.
-    """
-    return _predictive(model, x0)
-
-
 def predict_proba(model: GpcModel, x0) -> float:
     """Probability of the +1 class at x0."""
     return _probit(*_predictive(model, x0))
-
-
-def grad_latent(model: GpcModel, x0):
-    """Gradients of the latent mean and variance with respect to x0."""
-    return _predictive(model, x0, grad=True)[2:]
 
 
 def explain_gpc(model: GpcModel, x0) -> ExplanationVector:
@@ -274,10 +268,8 @@ def model_from_dict(obj: dict) -> GpcModel:
     if np.any(site_variance < 0):
         raise ValueError("site_variance entries must be nonnegative")
     K = kernel_gram(kernel, X)
-    n = K.shape[0]
-    jitter = 1e-8 * np.trace(K) / n
-    B = K + jitter * np.eye(n) + np.diag(site_variance)
-    L = cholesky(B, lower=True)
+    K_jit, jitter = _add_jitter(K)
+    L = cholesky(K_jit + np.diag(site_variance), lower=True)
     target = K + np.diag(site_variance)
     err = np.linalg.norm(L @ L.T - target) / np.linalg.norm(target)
     if not err < 1e-8:

@@ -32,7 +32,6 @@ vectors to zero — all flagged.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -111,21 +110,6 @@ def _decide(mimic: ParzenMimic, w: np.ndarray, far: np.ndarray) -> np.ndarray:
     if far.any():
         pred[far] = mimic.majority_class()
     return pred
-
-
-def is_far_field(mimic: ParzenMimic, x) -> bool:
-    """True when every Gaussian weight at x underflows double precision."""
-    return bool(_weights(mimic, x)[1][0])
-
-
-def parzen_joint(mimic: ParzenMimic, x, c) -> float:
-    """Weighted class density (1/m) sum_{i in I_c} k_sigma(x - x_i)."""
-    lw = _log_weights(mimic, x)
-    inside = mimic.ref_labels == int(c)
-    if not inside.any():
-        return 0.0
-    norm = np.sqrt(2.0 * np.pi) * mimic.sigma
-    return float(np.sum(np.exp(lw[inside])) / (norm * len(mimic.ref_x)))
 
 
 def parzen_posterior(mimic: ParzenMimic, x, c) -> float:
@@ -347,33 +331,6 @@ def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def mimic_to_dict(mimic: ParzenMimic) -> dict:
-    return {
-        "refs": mimic.ref_x.tolist(),
-        "labels": mimic.ref_labels.tolist(),
-        "sigma": mimic.sigma,
-    }
-
-
-def mimic_from_dict(obj: dict) -> ParzenMimic:
-    return ParzenMimic(
-        ref_x=np.asarray(obj["refs"], dtype=float),
-        ref_labels=np.asarray(obj["labels"], dtype=int),
-        sigma=float(obj["sigma"]),
-    )
-
-
-def save_mimic(mimic: ParzenMimic, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mimic_to_dict(mimic), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_mimic(path) -> ParzenMimic:
-    with open(path) as fh:
-        return mimic_from_dict(json.load(fh))
 
 
 def save_explanations(path, explanations, feature_names=None) -> None:

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,6 @@ from localgrad.classifiers import (
     KnnClassifier,
     TableOracle,
     knn_fit_loo,
-    save_predictions,
     table_oracle_load,
 )
 from localgrad.data import Dataset
@@ -139,9 +139,9 @@ def test_table_oracle_three_rows(tmp_path):
     ds = Dataset(np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.array([0, 1, 0]))
     path = tmp_path / "preds.csv"
     path.write_text("id,label\n0,1\n1,0\n2,1\n")
-    oracle = table_oracle_load(path, ds, classes=(0, 1))
-    assert oracle.predict_by_id(2) == 1
+    oracle = table_oracle_load(path, ds)
     assert oracle.predict(np.array([2.0, 3.0])) == 0
+    assert oracle.predict(np.array([4.0, 5.0])) == 1
 
 
 def test_table_oracle_round_trip_with_knn(tmp_path):
@@ -150,8 +150,11 @@ def test_table_oracle_round_trip_with_knn(tmp_path):
     clf = KnnClassifier(X, y, k=3)
     preds = np.array([clf.predict(x) for x in X])
     path = tmp_path / "knn_preds.csv"
-    save_predictions(path, ds.row_ids, preds)
-    oracle = table_oracle_load(path, ds, classes=(0, 1))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "label"])
+        w.writerows(zip(ds.row_ids, preds))
+    oracle = table_oracle_load(path, ds)
     for i, x in enumerate(X):
         assert oracle.predict(x) == preds[i]
 
@@ -169,17 +172,9 @@ def test_table_oracle_unknown_query_errors(tmp_path):
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]))
     path = tmp_path / "p.csv"
     path.write_text("id,label\n0,0\n1,1\n")
-    oracle = table_oracle_load(path, ds, classes=(0, 1))
+    oracle = table_oracle_load(path, ds)
     with pytest.raises(ValueError):
         oracle.predict(np.array([0.5]))
-
-
-def test_table_oracle_label_outside_class_set(tmp_path):
-    ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]))
-    path = tmp_path / "p.csv"
-    path.write_text("id,label\n0,0\n1,4\n")
-    with pytest.raises(ValueError):
-        table_oracle_load(path, ds, classes=(0, 1))
 
 
 def test_table_oracle_id_mismatch(tmp_path):
@@ -187,7 +182,7 @@ def test_table_oracle_id_mismatch(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("id,label\n0,0\n5,1\n")
     with pytest.raises(ValueError):
-        table_oracle_load(path, ds, classes=(0, 1))
+        table_oracle_load(path, ds)
 
 
 def test_predictions_deterministic():

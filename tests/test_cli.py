@@ -263,6 +263,23 @@ def test_vector_field_grid(fitted_model, tmp_path):
         assert float(row[3]) == g[0] and float(row[4]) == g[1]
 
 
+@pytest.mark.parametrize("flag, axis", [("--xlim", 0), ("--ylim", 1)])
+def test_vector_field_one_axis_limit(fitted_model, tmp_path, flag, axis):
+    base = tmp_path / "base.csv"
+    out = tmp_path / "field.csv"
+    assert main(["vector-field", "--model", fitted_model, "--grid", "3", "--out", str(base)]) == 0
+    rc = main(
+        ["vector-field", "--model", fitted_model, "--grid", "3", f"{flag}=-5,5", "--out", str(out)]
+    )
+    assert rc == 0
+    _, default_rows = read_rows(base)
+    _, rows = read_rows(out)
+    given = sorted({float(row[axis]) for row in rows})
+    other = sorted({float(row[1 - axis]) for row in rows})
+    assert given == [-5.0, 0.0, 5.0]
+    assert other == sorted({float(row[1 - axis]) for row in default_rows})
+
+
 # -------------------------------------------------------------------- morph
 
 
@@ -480,6 +497,18 @@ def test_flags_override_config(fitted_model, tmp_path):
     assert rc == 0
     _, rows = read_rows(out)
     assert len(rows) == 16
+
+
+def test_config_unknown_key_rejected(fitted_model, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": fitted_model, "gird": 3}))
+    out = tmp_path / "field.csv"
+    rc = main(["vector-field", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "vector-field"
+    assert err["type"] == "ValueError" and "'gird'" in err["error"]
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- entry point

@@ -7,13 +7,12 @@ import pytest
 from localgrad.data import gen_triangle
 from localgrad.gpc import (
     GpcModel,
+    _predictive,
     ep_fit,
     explain_gpc,
-    grad_latent,
     load_gpc,
     model_from_dict,
     model_to_dict,
-    predict_latent,
     predict_proba,
     save_gpc,
 )
@@ -39,7 +38,7 @@ def test_symmetric_pair_probability_half_at_midpoint(symmetric_pair):
 
 
 def test_symmetric_pair_latent_mean_zero_at_midpoint(symmetric_pair):
-    mean, var = predict_latent(symmetric_pair, np.array([0.0]))
+    mean, var = _predictive(symmetric_pair, np.array([0.0]))
     assert abs(mean) < 1e-6
     assert var >= 0.0
 
@@ -76,7 +75,7 @@ def test_far_field_latent_is_prior():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
     y = np.array([-1, 1])
     model = ep_fit(X, y, KernelSpec("rbf", width=1.0))
-    mean, var = predict_latent(model, np.array([500.0, 500.0]))
+    mean, var = _predictive(model, np.array([500.0, 500.0]))
     assert abs(mean) < 1e-12
     assert var == pytest.approx(1.0, abs=1e-12)
     assert predict_proba(model, np.array([500.0, 500.0])) == pytest.approx(0.5)
@@ -86,7 +85,7 @@ def test_far_field_gradients_vanish():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
     y = np.array([-1, 1])
     model = ep_fit(X, y, KernelSpec("rbf", width=1.0))
-    gm, gv = grad_latent(model, np.array([40.0, -40.0]))
+    _, _, gm, gv = _predictive(model, np.array([40.0, -40.0]), grad=True)
     assert np.linalg.norm(gm) < 1e-6
     assert np.linalg.norm(gv) < 1e-6
 
@@ -96,7 +95,7 @@ def test_variance_matches_dense_inverse_oracle(triangle_gpc):
     rng = np.random.default_rng(0)
     for _ in range(25):
         x0 = rng.uniform(-2, 2, size=2)
-        _, var = predict_latent(model, x0)
+        _, var = _predictive(model, x0)
         want = latent_variance_dense(model, x0)
         assert abs(var - want) < 1e-8
 
@@ -120,7 +119,7 @@ def test_probit_link_value_against_erfc_oracle():
     assert p == pytest.approx(0.841344746068543, abs=1e-12)
     # and the model's own output respects the same formula
     x0 = np.array([0.3])
-    mean, var = predict_latent(model, x0)
+    mean, var = _predictive(model, x0)
     want = 0.5 * erfc_oracle(-mean / np.sqrt(2.0 * (1.0 + var)))
     assert predict_proba(model, x0) == pytest.approx(want, abs=1e-12)
 
@@ -130,9 +129,9 @@ def test_grad_latent_matches_finite_differences(triangle_gpc):
     rng = np.random.default_rng(1)
     for _ in range(20):
         x0 = rng.uniform(-1.5, 1.5, size=2)
-        gm, gv = grad_latent(model, x0)
-        fm = fd_gradient(lambda p: predict_latent(model, p)[0], x0)
-        fv = fd_gradient(lambda p: predict_latent(model, p)[1], x0)
+        _, _, gm, gv = _predictive(model, x0, grad=True)
+        fm = fd_gradient(lambda p: _predictive(model, p)[0], x0)
+        fv = fd_gradient(lambda p: _predictive(model, p)[1], x0)
         assert np.linalg.norm(gm - fm) / max(np.linalg.norm(fm), 1e-10) < 1e-6
         assert np.linalg.norm(gv - fv) / max(np.linalg.norm(fv), 1e-10) < 1e-6
 
