@@ -12,6 +12,8 @@ import csv
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import data
+
 
 class KnnClassifier:
     """Euclidean k-nearest-neighbors, majority vote.
@@ -36,11 +38,15 @@ class KnnClassifier:
         return int(self.predict_batch([x])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        """Labels of the rows of X: one distance matrix, one stable
-        neighbor order and one vote over all rows."""
-        dist = cdist(np.atleast_2d(np.asarray(X, dtype=float)), self.train_x, "sqeuclidean")
-        order = np.argsort(dist, axis=1, kind="stable")
-        return _vote(self.train_y[order[:, : self.k]])
+        """Labels of the rows of X, one row block at a time: a block's
+        distances, their stable neighbor order and one vote per row."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        labels = np.empty(len(X), dtype=self.train_y.dtype)
+        for block in data._row_blocks(len(X), len(self.train_x)):
+            dist = cdist(X[block], self.train_x, "sqeuclidean")
+            order = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
+            labels[block] = _vote(self.train_y[order])
+        return labels
 
 
 def _vote(neighbor_labels: np.ndarray) -> np.ndarray:
@@ -58,10 +64,12 @@ def _vote(neighbor_labels: np.ndarray) -> np.ndarray:
 def knn_fit_loo(train_x, train_y, k_candidates) -> KnnClassifier:
     """Pick k by leave-one-out error; ties go to the smaller k.
 
-    One distance matrix without its diagonal and one stable neighbor
-    order serve every candidate: point i's neighbors are the other points
-    in exactly the order KnnClassifier.predict would rank them with i left
-    out of the training set.
+    One stable neighbor order serves every candidate.  It is built one
+    row block at a time, with each point's distance to itself set to
+    +inf: point i's first k neighbors are then the other points in
+    exactly the order KnnClassifier.predict would rank them with i left
+    out of the training set.  That needs finite distances, so non-finite
+    points (or distances that overflow) are an error.
     """
     X = np.asarray(train_x, dtype=float)
     y = np.asarray(train_y, dtype=int)
@@ -73,9 +81,13 @@ def knn_fit_loo(train_x, train_y, k_candidates) -> KnnClassifier:
         raise ValueError("no k candidates")
     if cands[0] < 1 or cands[-1] > n - 1:
         raise ValueError(f"k candidates must lie in [1, {n - 1}]")
-    others = cdist(X, X, "sqeuclidean")[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    order = np.argsort(others, axis=1, kind="stable")[:, : cands[-1]]
-    order += order >= np.arange(n)[:, None]  # back to indices of X
+    order = np.empty((n, cands[-1]), dtype=np.intp)
+    for block in data._row_blocks(n, n):
+        dist = cdist(X[block], X, "sqeuclidean")
+        if not np.isfinite(dist).all():
+            raise ValueError("k-NN leave-one-out needs finite points and finite squared distances")
+        dist[np.arange(len(dist)), np.arange(n)[block]] = np.inf  # not its own neighbor
+        order[block] = np.argsort(dist, axis=1, kind="stable")[:, : cands[-1]]
     neighbor_labels = y[order]
     errors = {k: int(np.sum(_vote(neighbor_labels[:, :k]) != y)) for k in cands}
     best = min(cands, key=lambda k: (errors[k], k))
@@ -102,10 +114,15 @@ class TableOracle:
                 raise ValueError(f"duplicate coordinates with conflicting labels (id {rid})")
 
     def predict(self, x) -> int:
-        key = np.ascontiguousarray(x, dtype=float).tobytes()
-        if key not in self._by_coords:
-            raise ValueError("query point is not a row of the companion dataset")
-        return self._by_coords[key]
+        return int(self.predict_batch([x])[0])
+
+    def predict_batch(self, X) -> np.ndarray:
+        """Labels of the rows of X, one dict lookup per row."""
+        rows = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
+        try:
+            return np.array([self._by_coords[row.tobytes()] for row in rows], dtype=int)
+        except KeyError:
+            raise ValueError("query point is not a row of the companion dataset") from None
 
 
 def table_oracle_load(path, dataset) -> TableOracle:

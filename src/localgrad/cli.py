@@ -7,7 +7,8 @@ reproducible: outputs are byte-identical for the same config and seed
 and all randomness flows through one seeded generator per run).
 
 A JSON config file may mirror any flag (keys are the flag names with
-dashes replaced by underscores); explicitly passed flags win.
+dashes replaced by underscores, values are parsed as the flag parses
+them); explicitly passed flags win.
 """
 
 from __future__ import annotations
@@ -31,16 +32,32 @@ def _parse_floats(text: str) -> list:
     return [float(tok) for tok in str(text).split(",") if tok.strip()]
 
 
+class _RaisingParser(argparse.ArgumentParser):
+    """Parser for config values: a value its flag rejects raises instead
+    of exiting, so it takes the error contract of every other failure."""
+
+    def error(self, message):
+        raise ValueError(f"config: {message}")
+
+
 def _load_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, if any.  A key that
-    names no flag of the subcommand is an error."""
+    """Fill unset flags from the JSON config file, if any.  Each value goes
+    through the subcommand's own parser as ``--flag=value``, so it gets the
+    flag's type; ``true`` stands for the bare flag.  A key that names no
+    flag of the subcommand is an error; ``null`` leaves its flag unset."""
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
+        argv = [args.command]
         for key, value in cfg.items():
             attr = key.replace("-", "_")
             if attr in ("command", "func") or not hasattr(args, attr):
                 raise ValueError(f"config key {key!r} is not a flag of {args.command}")
+            if getattr(args, attr) is None and value is not None:
+                flag = "--" + attr.replace("_", "-")
+                argv.append(flag if value is True else f"{flag}={value}")
+        parsed = build_parser(_RaisingParser).parse_args(argv)
+        for attr, value in vars(parsed).items():
             if getattr(args, attr) is None:
                 setattr(args, attr, value)
     return args
@@ -88,7 +105,7 @@ def _resolve_oracle(spec, dataset):
 def _build_mimic(args, refs):
     """Reference labels from the oracle, then width selection."""
     oracle = _resolve_oracle(getattr(args, "oracle", None), refs)
-    g_labels = np.array([oracle.predict(x) for x in refs.features], dtype=int)
+    g_labels = oracle.predict_batch(refs.features)
     if getattr(args, "sigma", None) is not None:
         sigma = float(args.sigma)
     else:
@@ -411,8 +428,8 @@ def _add_mimic_opts(sub):
     sub.add_argument("--smooth-window", type=float, help="sliding-cube halfwidth for smoothing")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="localgrad",
         description="Local explanation vectors for classifiers.",
     )

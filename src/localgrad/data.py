@@ -4,7 +4,8 @@ CSV layout is ``id,<feature...>,label``: an optional leading integer id
 column, numeric feature columns in file order, and one integer class
 column.  Normalization statistics travel with the dataset so a transform
 fitted on a training split can be applied to anything else.  Both
-explanation routes return the ExplanationVector record defined here.
+explanation routes return the ExplanationVector record defined here, and
+the m-sized passes of model selection share the row blocks defined here.
 """
 
 from __future__ import annotations
@@ -16,6 +17,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+# Passes that hold one row of m numbers per point (k-NN neighbor orders,
+# width selection) work on blocks of rows with at most this many float64
+# elements (256 KiB), so their memory grows linearly in m.
+_BLOCK_ELEMENTS = 2**15
+
+
+def _row_blocks(n_rows: int, row_len: int):
+    """Slices covering rows 0..n_rows-1 in order, each holding as many
+    rows of row_len elements as _BLOCK_ELEMENTS allows (at least one)."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, row_len))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 @dataclass

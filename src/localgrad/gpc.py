@@ -89,14 +89,15 @@ def _add_jitter(K):
 
 
 def _recompute_posterior(K, tau, nu):
-    """Stable recomputation of the EP posterior q(f) = N(mu, Sigma)."""
+    """Stable recomputation of the EP posterior q(f) = N(mu, Sigma) with
+    Sigma = K - V'V: its marginal variances diag(Sigma) and its mean
+    Sigma @ nu, without forming Sigma."""
     n = K.shape[0]
     sroot = np.sqrt(tau)
     B = np.eye(n) + sroot[:, None] * K * sroot[None, :]
     L = cholesky(B, lower=True)
     V = solve_triangular(L, sroot[:, None] * K, lower=True)
-    Sigma = K - V.T @ V
-    return Sigma, Sigma @ nu
+    return np.diag(K) - np.einsum("ij,ij->j", V, V), K @ nu - V.T @ (V @ nu)
 
 
 def ep_fit(
@@ -139,12 +140,11 @@ def ep_fit(
     step = 1.0 - damping
     nu = np.zeros(n)  # site natural parameters: nu = mu_site / var_site
     tau = np.zeros(n)  # tau = 1 / var_site
-    Sigma, mu = K, np.zeros(n)
+    post_var, mu = np.diag(K), np.zeros(n)
     sweep_max_delta, sweep_skipped = [], []
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
-        post_var = np.diag(Sigma)
         tau_cav = 1.0 / post_var - tau
         nu_cav = mu / post_var - nu
         ok = tau_cav > 1e-12  # an improper cavity leaves its site as is
@@ -158,7 +158,7 @@ def ep_fit(
         max_delta = float(np.max(np.abs(np.concatenate([dtau, dnu])), initial=0.0))
         sweep_max_delta.append(max_delta)
         sweep_skipped.append(int(n - np.count_nonzero(ok)))
-        Sigma, mu = _recompute_posterior(K, tau, nu)
+        post_var, mu = _recompute_posterior(K, tau, nu)
         if max_delta < tol:
             converged = True
             break

@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
+from . import data
 from .data import ExplanationVector
 
 # log of the smallest positive double: below this, exp() underflows to 0
@@ -145,7 +146,9 @@ def select_width(
     mimic's prediction differs from the supplied g label; ties go to the
     smaller sigma.  When the probes coincide with the references (same
     points, same labels), each probe's own reference is left out of the
-    density — otherwise vanishing widths would win trivially.
+    density — otherwise vanishing widths would win trivially.  Probes are
+    scored one row block at a time, every candidate on each block, and
+    each candidate's counts are added across blocks.
     """
     ref_x = np.asarray(ref_x, dtype=float)
     ref_labels = np.asarray(ref_labels, dtype=int)
@@ -162,33 +165,44 @@ def select_width(
         g_labels, ref_labels
     )
     mimic = ParzenMimic(ref_x, ref_labels, positive[0])  # the decision rule reads only the labels
-    sq = cdist(probes, ref_x[mimic.by_class], "sqeuclidean")  # columns as _decide reads them
-    if loo:  # each probe's own reference gets weight 0
-        sq[np.arange(len(sq)), np.argsort(mimic.by_class)] = np.inf
-
-    best_sigma, best_count = None, None
-    w = np.empty_like(sq)  # log-weights, then weights, of one candidate; reused
-    for s in positive:
-        np.multiply(sq, -0.5, out=w)
-        w /= s**2
-        far = _rescale(w)
-        count = int(np.sum(_decide(mimic, w, far) != g_labels))
-        if best_count is None or count < best_count:
-            best_sigma, best_count = s, count
-    return best_sigma
+    columns = ref_x[mimic.by_class]  # as _decide reads them
+    own_column = np.argsort(mimic.by_class)
+    counts = np.zeros(len(positive), dtype=int)
+    for block in data._row_blocks(len(probes), len(ref_x)):
+        sq = cdist(probes[block], columns, "sqeuclidean")
+        if loo:  # each probe's own reference gets weight 0
+            sq[np.arange(len(sq)), own_column[block]] = np.inf
+        w = np.empty_like(sq)  # log-weights, then weights, of one candidate; reused
+        for i, s in enumerate(positive):
+            np.multiply(sq, -0.5, out=w)
+            w /= s**2
+            far = _rescale(w)
+            counts[i] += np.count_nonzero(_decide(mimic, w, far) != g_labels[block])
+    return positive[int(np.argmin(counts))]  # first minimum: the smaller sigma
 
 
 def default_sigma_grid(points, count: int = 25, span=(1e-2, 1e2)) -> np.ndarray:
-    """Log-spaced candidate widths scaled by the median pairwise distance."""
+    """Log-spaced candidate widths scaled by the median pairwise distance.
+
+    The median is taken in place on the one buffer of pairwise distances.
+    A zero median (more than half of the point pairs coincide) scales no
+    grid and is an error.
+    """
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         raise ValueError(
             f"the sigma grid is scaled by a median pairwise distance, which needs at "
             f"least two points, got {len(points)}"
         )
-    med = float(np.median(np.sqrt(pdist(points, "sqeuclidean"))))
-    if med <= 0:
-        med = 1.0
+    dist = pdist(points, "sqeuclidean")
+    np.sqrt(dist, out=dist)
+    med = float(np.median(dist, overwrite_input=True))
+    if not med > 0:
+        raise ValueError(
+            f"the median pairwise distance is {med:g}, so it cannot scale a sigma grid "
+            f"(it is 0 when more than half of the point pairs coincide); "
+            f"pass --sigma or --sigma-grid"
+        )
     return med * np.logspace(np.log10(span[0]), np.log10(span[1]), count)
 
 

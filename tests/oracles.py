@@ -155,19 +155,24 @@ def knn_loo_errors_bruteforce(train_x, train_y, k):
     return errors
 
 
-def select_width_bruteforce(ref_x, ref_labels, sigmas):
-    """Width selection by refitting a leave-one-out mimic per probe."""
+def select_width_bruteforce(ref_x, ref_labels, sigmas, probes=None, probe_labels=None):
+    """Width selection by refitting a leave-one-out mimic per probe or,
+    given external probes, by scoring the full mimic on each of them."""
     from localgrad.mimic import ParzenMimic, mimic_predict
 
     X = np.asarray(ref_x, dtype=float)
     y = np.asarray(ref_labels, dtype=int)
     best, best_count = None, None
     for s in sorted(float(v) for v in sigmas):
-        count = 0
-        for i in range(len(X)):
-            mm = ParzenMimic(np.delete(X, i, axis=0), np.delete(y, i), s)
-            if mimic_predict(mm, X[i]) != y[i]:
-                count += 1
+        if probes is None:
+            count = 0
+            for i in range(len(X)):
+                mm = ParzenMimic(np.delete(X, i, axis=0), np.delete(y, i), s)
+                if mimic_predict(mm, X[i]) != y[i]:
+                    count += 1
+        else:
+            mm = ParzenMimic(X, y, s)
+            count = sum(mimic_predict(mm, p) != g for p, g in zip(probes, probe_labels))
         if best_count is None or count < best_count:
             best, best_count = s, count
     return best

@@ -75,16 +75,48 @@ def test_loo_error_count_matches_bruteforce():
     assert clf.loo_errors == {k: knn_loo_errors_bruteforce(X, y, k) for k in (1, 3, 5)}
 
 
-def test_loo_errors_match_bruteforce_with_exact_ties():
-    # integer grid with duplicated rows: many exactly equal distances, so the
-    # neighbor order rests on the lower-index rule and the vote-tie rule
+def exact_ties_set():
+    """Integer grid with duplicated rows: many exactly equal distances, so
+    the neighbor order rests on the lower-index rule and the vote-tie rule."""
     rng = np.random.default_rng(21)
     base = rng.integers(0, 4, size=(30, 2)).astype(float)
     X = np.vstack([base, base[:10]])
-    y = rng.integers(0, 3, size=len(X))
+    return X, rng.integers(0, 3, size=len(X))
+
+
+def test_loo_errors_match_bruteforce_with_exact_ties():
+    X, y = exact_ties_set()
     ks = range(1, 7)
     clf = knn_fit_loo(X, y, ks)
     assert clf.loo_errors == {k: knn_loo_errors_bruteforce(X, y, k) for k in ks}
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_loo_errors_block_size_changes_nothing(monkeypatch, block_rows):
+    # blocks of one row, and of 7 rows, which does not divide the 40 points
+    X, y = exact_ties_set()
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(X))
+    ks = range(1, 7)
+    clf = knn_fit_loo(X, y, ks)
+    assert clf.loo_errors == {k: knn_loo_errors_bruteforce(X, y, k) for k in ks}
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_predict_batch_block_size_changes_nothing(monkeypatch, block_rows):
+    X, y = exact_ties_set()
+    queries = np.random.default_rng(22).integers(-1, 5, size=(50, 2)).astype(float)
+    clf = KnnClassifier(X, y, k=4)
+    expected = [clf.predict(q) for q in queries]
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(X))
+    assert clf.predict_batch(queries).tolist() == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_fit_loo_rejects_non_finite_distances(bad):
+    X, y = two_clusters(n=10)
+    X[3, 0] = bad  # 1e200 is finite, but its squared distances overflow
+    with pytest.raises(ValueError, match="finite"):
+        knn_fit_loo(X, y, (1, 3))
 
 
 def test_fit_loo_tie_prefers_smaller_k():
@@ -125,6 +157,24 @@ def test_fit_loo_memory_stays_quadratic():
     assert peak < 25e6
 
 
+def test_knn_memory_grows_linearly():
+    # one 2000 x 2000 float64 distance matrix alone would take 32 MB
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(2000, 6))
+    y = rng.integers(0, 2, size=2000)
+    tracemalloc.start()
+    try:
+        clf = knn_fit_loo(X, y, range(1, 11))
+        fit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        clf.predict_batch(rng.normal(size=(2000, 6)))
+        predict_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit_peak < 8e6
+    assert predict_peak < 8e6
+
+
 def test_fit_loo_validation():
     X, y = two_clusters(n=10)
     with pytest.raises(ValueError):
@@ -157,6 +207,15 @@ def test_table_oracle_round_trip_with_knn(tmp_path):
     oracle = table_oracle_load(path, ds)
     for i, x in enumerate(X):
         assert oracle.predict(x) == preds[i]
+
+
+def test_table_oracle_predict_batch_matches_predict():
+    ds = Dataset(np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.array([0, 1, 0]))
+    oracle = TableOracle(ds, {0: 2, 1: 1, 2: 2})
+    rows = ds.features[[2, 0, 1, 0]]
+    assert oracle.predict_batch(rows).tolist() == [oracle.predict(x) for x in rows] == [2, 2, 1, 2]
+    with pytest.raises(ValueError, match="not a row"):
+        oracle.predict_batch(np.vstack([rows, [[0.5, 0.5]]]))
 
 
 def test_table_oracle_conflicting_duplicate_coordinates():

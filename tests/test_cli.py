@@ -241,6 +241,19 @@ def test_explain_auto_sigma_grid_needs_two_references(tmp_path, capsys):
     assert err["type"] == "ValueError" and "at least two points" in err["error"]
 
 
+def test_explain_auto_sigma_grid_rejects_zero_median(tmp_path, capsys):
+    # 8 of 10 references coincide, so the median pairwise distance is 0
+    X = np.vstack([np.zeros((8, 2)), [[1.0, 0.0], [0.0, 2.0]]])
+    data_path = tmp_path / "piled.csv"
+    save_csv(Dataset(X, np.array([1] * 9 + [2])), data_path)
+    out = tmp_path / "x.csv"
+    rc = main(["explain", "--data", str(data_path), "--sigma-grid", "auto", "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and "median pairwise distance is 0" in err["error"]
+    assert "--sigma" in err["error"] and not out.exists()
+
+
 # ------------------------------------------------------------- vector-field
 
 
@@ -508,6 +521,34 @@ def test_config_unknown_key_rejected(fitted_model, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["command"] == "vector-field"
     assert err["type"] == "ValueError" and "'gird'" in err["error"]
+    assert not out.exists()
+
+
+def test_config_true_means_the_bare_flag(tmp_path):
+    data = tmp_path / "tri.csv"
+    save_csv(gen_triangle(30, 0), data)
+    base = ["explain", "--data", str(data), "--oracle", "knn:3", "--sigma", "0.3"]
+    flag_out, cfg_out = tmp_path / "flag.csv", tmp_path / "cfg.csv"
+    assert main(base + ["--hessian-fallback", "--out", str(flag_out)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hessian_fallback": True}))
+    assert main(base + ["--config", str(cfg), "--out", str(cfg_out)]) == 0
+    assert cfg_out.read_bytes() == flag_out.read_bytes()
+    # the threshold is the flag's 1e-6, not float(True) = 1.0
+    assert all(ev.source != "hessian-fallback" for ev in load_explanations(cfg_out))
+
+
+def test_config_value_gets_the_flag_type(triangle_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 2.5}))
+    out = tmp_path / "morph.csv"
+    rc = main(
+        ["morph", "--data", triangle_csv, "--sigma", "0.3", "--config", str(cfg), "--out", str(out)]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "morph"
+    assert err["type"] == "ValueError" and "--steps" in err["error"] and "2.5" in err["error"]
     assert not out.exists()
 
 

@@ -183,13 +183,7 @@ def test_select_width_matches_bruteforce_loo():
     y = np.array([1] * 12 + [2] * 12)
     grid = [0.15, 0.4, 0.9, 2.0]
     assert select_width(X, y, X, y, grid) == select_width_bruteforce(X, y, grid)
-    # interleaved noisy classes: each probe's own reference sits elsewhere in
-    # the class-grouped order, and only leaving it out keeps 0.02 from winning
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(40, 2))
-    y = np.where(X[:, 0] > 0, 1, 2)
-    y[rng.choice(40, 8, replace=False)] ^= 3  # swaps labels 1 and 2
-    grid = [0.02, 0.3, 1.0, 3.0]
+    X, y, grid = interleaved_set()
     assert select_width(X, y, X, y, grid) == select_width_bruteforce(X, y, grid) == 0.3
 
 
@@ -212,32 +206,48 @@ def test_select_width_with_external_probes():
     probe_labels = np.where(probes[:, 0] < 0, 1, 2)
     grid = [0.2, 0.6, 1.5, 4.0]
     picked = select_width(X, y, probes, probe_labels, grid)
-    assert picked == recount_pick(X, y, probes, probe_labels, grid)
+    assert picked == select_width_bruteforce(X, y, grid, probes, probe_labels)
 
 
-def recount_pick(X, y, probes, probe_labels, grid):
-    """The width select_width should pick: disagreements of the full
-    (non-LOO) mimic recounted with mimic_predict, ties to the smaller width."""
-    counts = {}
-    for s in grid:
-        mm = ParzenMimic(X, y, s)
-        counts[s] = sum(
-            mimic_predict(mm, p) != gl for p, gl in zip(probes, probe_labels)
-        )
-    best = min(counts.values())
-    return min(s for s, c in counts.items() if c == best)
+def interleaved_set():
+    """40 noisy points whose probes' own references sit elsewhere in the
+    class-grouped order; only leaving them out keeps 0.02 from winning."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(40, 2))
+    y = np.where(X[:, 0] > 0, 1, 2)
+    y[rng.choice(40, 8, replace=False)] ^= 3  # swaps labels 1 and 2
+    return X, y, [0.02, 0.3, 1.0, 3.0]
 
 
-def test_select_width_near_tie_scores_the_mimic_it_returns():
-    # at sigma=1 each class has one weight of 1 and five of 2^-53, so the
-    # class sums tie or not depending on the order they are added in
+def near_tie_set():
+    """At sigma=1 each class has one weight of 1 and five of 2^-53, so the
+    class sums tie or not depending on the order they are added in."""
     s = np.array([1, 0, -1, 1, 0, 1, 1, 1, 1, -1, 1, 1], dtype=float)
     X = (s * np.sqrt(106 * np.log(2)))[:, None]
     y = np.array([1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 2, 1])
+    return X, y, [1.0, 1.001]
+
+
+def test_select_width_near_tie_scores_the_mimic_it_returns():
+    X, y, grid = near_tie_set()
     probes, probe_labels = np.array([[0.0]]), np.array([1])
-    grid = [1.0, 1.001]
     picked = select_width(X, y, probes, probe_labels, grid)
-    assert picked == recount_pick(X, y, probes, probe_labels, grid)
+    assert picked == select_width_bruteforce(X, y, grid, probes, probe_labels)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+@pytest.mark.parametrize("make_set", [interleaved_set, near_tie_set])
+def test_select_width_block_size_changes_nothing(monkeypatch, block_rows, make_set):
+    # blocks of one row, and of 7 rows, which divides neither 40 nor 12
+    X, y, grid = make_set()
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(X))
+    assert select_width(X, y, X, y, grid) == select_width_bruteforce(X, y, grid)
+    rng = np.random.default_rng(12)
+    probes = rng.uniform(X.min(axis=0), X.max(axis=0), size=(23, X.shape[1]))
+    probe_labels = rng.integers(1, 3, size=23)
+    assert select_width(X, y, probes, probe_labels, grid) == select_width_bruteforce(
+        X, y, grid, probes, probe_labels
+    )
 
 
 def test_default_sigma_grid_shape_and_span():
@@ -257,6 +267,13 @@ def test_default_sigma_grid_needs_two_points(n):
         default_sigma_grid(np.zeros((n, 2)))
 
 
+def test_default_sigma_grid_rejects_zero_median():
+    # 8 of 10 points coincide: 28 of the 45 pairs are at distance 0
+    X = np.vstack([np.zeros((8, 2)), [[1.0, 0.0], [0.0, 2.0]]])
+    with pytest.raises(ValueError, match="median pairwise distance is 0.*--sigma"):
+        default_sigma_grid(X)
+
+
 def test_width_selection_memory_stays_quadratic():
     # an m x m x d difference tensor alone would take 69 MB here
     rng = np.random.default_rng(10)
@@ -273,6 +290,21 @@ def test_width_selection_memory_stays_quadratic():
         tracemalloc.stop()
     assert grid_peak < 25e6
     assert select_peak < 25e6
+
+
+def test_width_selection_memory_grows_linearly():
+    # two 2000 x 2000 float64 buffers alone would take 64 MB
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(2000, 6))
+    y = rng.integers(0, 2, size=2000)
+    grid = np.logspace(-1, 1, 25)
+    tracemalloc.start()
+    try:
+        select_width(X, y, X, y, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ------------------------------------------------------------- explanations
