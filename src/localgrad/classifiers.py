@@ -1,8 +1,9 @@
 """Classifiers to be explained: k-NN with LOO model selection and a
 table-backed oracle standing in for externally trained models.
 
-Anything with a ``predict(point) -> class`` method works as a label
-source; both classes here are deterministic and immutable once built.
+Anything with a ``predict`` method that labels a point, or each row of
+a block, works as a label source; both classes here are deterministic
+and immutable once built.
 """
 
 from __future__ import annotations
@@ -34,19 +35,18 @@ class KnnClassifier:
         self.k = int(k)
         self.loo_errors = None  # filled by knn_fit_loo
 
-    def predict(self, x) -> int:
-        return int(self.predict_batch([x])[0])
-
-    def predict_batch(self, X) -> np.ndarray:
-        """Labels of the rows of X, one row block at a time: a block's
-        distances, their stable neighbor order and one vote per row."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def predict(self, x):
+        """Label of a point x (an int), or of each row of a q x d block x
+        (an array), one row block at a time: a block's distances, their
+        stable neighbor order and one vote per row."""
+        x = np.asarray(x, dtype=float)
+        X = np.atleast_2d(x)
         labels = np.empty(len(X), dtype=self.train_y.dtype)
         for block in data._row_blocks(len(X), len(self.train_x)):
             dist = cdist(X[block], self.train_x, "sqeuclidean")
             order = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
             labels[block] = _vote(self.train_y[order])
-        return labels
+        return int(labels[0]) if x.ndim == 1 else labels
 
 
 def _vote(neighbor_labels: np.ndarray) -> np.ndarray:
@@ -113,16 +113,15 @@ class TableOracle:
             if self._by_coords.setdefault(key, label) != label:
                 raise ValueError(f"duplicate coordinates with conflicting labels (id {rid})")
 
-    def predict(self, x) -> int:
-        return int(self.predict_batch([x])[0])
-
-    def predict_batch(self, X) -> np.ndarray:
-        """Labels of the rows of X, one dict lookup per row."""
-        rows = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
+    def predict(self, x):
+        """Label of a point x (an int), or of each row of a q x d block x
+        (an array), one dict lookup per row."""
+        x = np.ascontiguousarray(x, dtype=float)
         try:
-            return np.array([self._by_coords[row.tobytes()] for row in rows], dtype=int)
+            labels = np.array([self._by_coords[row.tobytes()] for row in np.atleast_2d(x)], dtype=int)
         except KeyError:
             raise ValueError("query point is not a row of the companion dataset") from None
+        return int(labels[0]) if x.ndim == 1 else labels
 
 
 def table_oracle_load(path, dataset) -> TableOracle:

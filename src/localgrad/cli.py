@@ -105,7 +105,7 @@ def _resolve_oracle(spec, dataset):
 def _build_mimic(args, refs):
     """Reference labels from the oracle, then width selection."""
     oracle = _resolve_oracle(getattr(args, "oracle", None), refs)
-    g_labels = oracle.predict_batch(refs.features)
+    g_labels = oracle.predict(refs.features)
     if getattr(args, "sigma", None) is not None:
         sigma = float(args.sigma)
     else:
@@ -120,26 +120,27 @@ def _build_mimic(args, refs):
 
 def _explanations(args, queries):
     """Shared explanation routing: analytic (--model) or mimic, then the
-    --smooth-window smoothing when it is given."""
-    if getattr(args, "model", None) and getattr(args, "oracle", None):
-        raise ValueError("pass either --model (analytic) or --oracle (mimic), not both")
+    --smooth-window smoothing when it is given.  Returns the explanations
+    and the route: ("gpc", model) or ("mimic", mimic)."""
     if getattr(args, "model", None):
+        for name in ("oracle", "sigma", "sigma_grid", "hessian_fallback"):
+            if getattr(args, name, None) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"pass either --model (analytic) or {flag} (mimic), not both")
         model = gpc.load_gpc(args.model)
-        evs = [gpc.explain_gpc(model, x) for x in queries.features]
-        route = ("gpc", model, lambda x: gpc.predict_proba(model, x))
+        evs = gpc.explain_gpc(model, queries.features)
+        route = ("gpc", model)
     else:
         _require(args, "data")
         refs = datamod.load_csv(args.data)
         mm, oracle, _sigma = _build_mimic(args, refs)
         threshold = getattr(args, "hessian_fallback", None)
-        evs = []
-        for x in queries.features:
-            g_label = oracle.predict(x)
-            if threshold is not None:
-                evs.append(mimicmod.explain_with_fallback(mm, x, g_label, float(threshold)))
-            else:
-                evs.append(mimicmod.explain_estimated(mm, x, g_label))
-        route = ("mimic", mm, None)
+        pairs = zip(queries.features, oracle.predict(queries.features))  # one oracle call
+        if threshold is None:
+            evs = [mimicmod.explain_estimated(mm, x, g) for x, g in pairs]
+        else:
+            evs = [mimicmod.explain_with_fallback(mm, x, g, float(threshold)) for x, g in pairs]
+        route = ("mimic", mm)
     window = getattr(args, "smooth_window", None)
     if window is not None:
         G = np.vstack([ev.gradient for ev in evs])
@@ -175,9 +176,7 @@ def cmd_fit_gpc(args) -> int:
         for value in grid:
             spec = dataclasses.replace(base, **{param: float(value)})
             model = gpc.ep_fit(sub_train.features, y_sub, spec)
-            preds = np.array(
-                [1 if gpc.predict_proba(model, x) >= 0.5 else -1 for x in val.features]
-            )
+            preds = np.where(gpc.predict_proba(model, val.features) >= 0.5, 1, -1)
             scores[float(value)] = float(np.mean(preds == y_val))
         best = max(sorted(scores), key=lambda v: (scores[v], -v))
         base = dataclasses.replace(base, **{param: best})
@@ -188,7 +187,7 @@ def cmd_fit_gpc(args) -> int:
 
     def error_and_auc(ds):
         labels, _ = _binary_pm1(ds.labels)
-        probs = np.array([gpc.predict_proba(model, x) for x in ds.features])
+        probs = gpc.predict_proba(model, ds.features)
         preds = np.where(probs >= 0.5, 1, -1)
         return float(np.mean(preds != labels)), analysis.roc_auc(labels, probs)
 
@@ -242,59 +241,58 @@ def cmd_vector_field(args) -> int:
     ys = np.linspace(y_lo, y_hi, n)
     with open(args.out, "w", newline="") as fh:
         fh.write("x1,x2,p,grad_x1,grad_x2\n")
-        for yv in ys:
-            for xv in xs:
-                ev = gpc.explain_gpc(model, np.array([xv, yv]))
-                fh.write(
-                    ",".join(
-                        [_fmt(xv), _fmt(yv), _fmt(ev.predicted_probability)]
-                        + [_fmt(g) for g in ev.gradient]
-                    )
-                    + "\n"
-                )
+        for yv in ys:  # one explain_gpc call per grid row
+            for ev in gpc.explain_gpc(model, np.column_stack([xs, np.full(n, yv)])):
+                cells = [*ev.query, ev.predicted_probability, *ev.gradient]
+                fh.write(",".join(_fmt(v) for v in cells) + "\n")
     return 0
 
 
 def cmd_morph(args) -> int:
+    """Walk each query along its explanation vector until its label flips.
+    All live paths advance in lockstep, one block evaluation per step; the
+    rows are then written path by path."""
     _require(args, "out")
     queries = datamod.load_csv(args.queries or args.data)
-    evs, (route, obj, prob) = _explanations(args, queries)
+    evs, (route, obj) = _explanations(args, queries)
     steps = int(args.steps if args.steps is not None else 50)
     if args.step_size is not None:
         step_size = float(args.step_size)
     else:
         step_size = 0.1 * float(np.mean(queries.features.std(axis=0)))
 
+    start, label0 = queries.features, np.array([ev.predicted_label for ev in evs])
+    G = np.vstack([ev.gradient for ev in evs])
+    if route == "gpc":
+        G[label0 == 1] *= -1.0  # walk away from the predicted class
+    norms = np.array([np.linalg.norm(g) for g in G])[:, None]  # axis=1 would round otherwise
+    directions = np.divide(G, norms, out=np.zeros_like(G), where=norms > 0)
+    probs = np.empty((steps + 1, len(evs)))  # p of path i at step t
+    last, last_label = np.full(len(evs), steps), label0.copy()  # the first flip, if any
+    live = np.arange(len(evs))
+    for t in range(steps + 1):
+        X = start[live] + (t * step_size) * directions[live]
+        if route == "gpc":
+            probs[t, live] = gpc.predict_proba(obj, X)
+            label = np.where(probs[t, live] >= 0.5, 1, -1)
+        else:
+            label = mimicmod.mimic_predict(obj, X)
+            probs[t, live] = [mimicmod.parzen_posterior_not(obj, x, c) for x, c in zip(X, label0[live])]
+        flip = label != label0[live]
+        last[live[flip]], last_label[live[flip]] = t, label[flip]
+        live = live[~flip]
+        if not len(live):
+            break
+
     with open(args.out, "w", newline="") as fh:
         header = ["id", "step"] + list(queries.feature_names) + ["p", "label", "flipped"]
         fh.write(",".join(header) + "\n")
-        for rid, ev in zip(queries.row_ids, evs):
-            norm = float(np.linalg.norm(ev.gradient))
-            if norm > 0:
-                direction = ev.gradient / norm
-                if route == "gpc" and ev.predicted_label == 1:
-                    direction = -direction  # walk away from the predicted class
-            else:
-                direction = np.zeros_like(ev.gradient)
-            for t in range(steps + 1):
-                x = ev.query + (t * step_size) * direction
-                if route == "gpc":
-                    p = prob(x)
-                    label = 1 if p >= 0.5 else -1
-                else:
-                    label = mimicmod.mimic_predict(obj, x)
-                    p = mimicmod.parzen_posterior_not(obj, x, ev.predicted_label)
-                flipped = int(label != ev.predicted_label)
-                fh.write(
-                    ",".join(
-                        [str(int(rid)), str(t)]
-                        + [_fmt(v) for v in x]
-                        + [_fmt(p), str(int(label)), str(flipped)]
-                    )
-                    + "\n"
-                )
-                if flipped:
-                    break
+        for i, rid in enumerate(queries.row_ids):
+            for t in range(last[i] + 1):
+                x = start[i] + (t * step_size) * directions[i]
+                label = last_label[i] if t == last[i] else label0[i]
+                cells = [str(int(rid)), str(t)] + [_fmt(v) for v in x] + [_fmt(probs[t, i])]
+                fh.write(",".join(cells + [str(int(label)), str(int(label != label0[i]))]) + "\n")
     return 0
 
 
@@ -354,8 +352,8 @@ def cmd_iris(args) -> int:
 
     k_grid = [int(k) for k in _parse_floats(args.k_grid)] if args.k_grid else list(range(1, 11))
     clf = classifiers.knn_fit_loo(train.features, train.labels, k_grid)
-    g_train = clf.predict_batch(train.features)
-    g_test = clf.predict_batch(test.features)
+    g_train = clf.predict(train.features)
+    g_test = clf.predict(test.features)
     train_error = float(np.mean(g_train != train.labels))
     test_error = float(np.mean(g_test != test.labels))
 
@@ -368,7 +366,7 @@ def cmd_iris(args) -> int:
         sigma_grid = _parse_floats(args.sigma_grid)
     sigma = mimicmod.select_width(train.features, g_train, train.features, g_train, sigma_grid)
     mm = mimicmod.ParzenMimic(train.features, g_train, sigma)
-    mimic_train = np.array([mimicmod.mimic_predict(mm, x) for x in train.features])
+    mimic_train = mimicmod.mimic_predict(mm, train.features)
     agreement = float(np.mean(mimic_train == g_train))
 
     evs = [mimicmod.explain_estimated(mm, x, int(g)) for x, g in zip(test.features, g_test)]

@@ -5,7 +5,7 @@ column, numeric feature columns in file order, and one integer class
 column.  Normalization statistics travel with the dataset so a transform
 fitted on a training split can be applied to anything else.  Both
 explanation routes return the ExplanationVector record defined here, and
-the m-sized passes of model selection share the row blocks defined here.
+model selection and the block query paths share the row blocks defined here.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-# Passes that hold one row of m numbers per point (k-NN neighbor orders,
-# width selection) work on blocks of rows with at most this many float64
-# elements (256 KiB), so their memory grows linearly in m.
+# Passes that hold a row of m numbers per point (k-NN and mimic labels,
+# width selection), or of n*d for the GP's gradient tensor, work on blocks
+# of rows with at most this many float64 elements (256 KiB) each.
 _BLOCK_ELEMENTS = 2**15
 
 

@@ -31,13 +31,13 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import erfc, log_ndtr
 
+from . import data
 from .data import ExplanationVector
 from .kernels import (
     KernelSpec,
-    kernel_eval,
+    kernel_diag,
     kernel_from_dict,
     kernel_grad_matrix,
-    kernel_grad_x,
     kernel_gram,
     kernel_to_dict,
     kernel_vector,
@@ -187,55 +187,64 @@ def ep_fit(
     )
 
 
-def _predictive(model: GpcModel, x0, grad: bool = False):
-    """Latent mean and variance at x0 from one k_* and one solve with the
-    stored factor, and with `grad` also their gradients with respect to x0:
-    (mean, var) or (mean, var, grad_mean, grad_var).
+def _predictive(model: GpcModel, X, grad: bool = False):
+    """Latent means and variances at the rows of the q x d block X, and
+    with `grad` their q x d gradients: (mean, var[, grad_mean, grad_var]).
 
-    The variance is clamped to 0 when roundoff takes it slightly negative;
-    anything below -1e-10 means the stored factorization is unhealthy.
+    Rows go in chunks of at most data._BLOCK_ELEMENTS / (n d) rows.  Each
+    chunk takes one K*, one cho_solve with a right-hand side per row (GPML
+    Alg. 3.2 on a matrix of test inputs) and einsum contractions, which
+    sum each row in one order whatever its chunk.  A variance is clamped
+    to 0 when roundoff takes it slightly negative; anything below -1e-10
+    means the stored factorization is unhealthy.
     """
-    x0 = np.asarray(x0, dtype=float)
-    k_star = kernel_vector(model.kernel, x0, model.train_x)
-    solved = cho_solve((model.chol_factor, True), k_star)
-    mean = float(model.alpha @ k_star)
-    var = float(kernel_eval(model.kernel, x0, x0) - k_star @ solved)
-    if var < -1e-10:
-        raise RuntimeError(f"negative predictive variance {var:.3g}: factorization unhealthy")
-    var = max(var, 0.0)
-    if not grad:
-        return mean, var
-    J = kernel_grad_matrix(model.kernel, x0, model.train_x)
-    # d k(x,x)/dx = 2 * (d k(x,y)/dx at y=x) by symmetry of the kernel
-    self_term = 2.0 * kernel_grad_x(model.kernel, x0, x0)
-    return mean, var, J.T @ model.alpha, self_term - 2.0 * (J.T @ solved)
+    mean, var = np.empty(len(X)), np.empty(len(X))
+    grad_mean, grad_var = np.empty_like(X), np.empty_like(X)
+    for rows in data._row_blocks(len(X), model.train_x.size):
+        k_star = kernel_vector(model.kernel, X[rows], model.train_x)
+        solved = cho_solve((model.chol_factor, True), k_star.T).T
+        k_self, grad_self = kernel_diag(model.kernel, X[rows])
+        mean[rows] = np.einsum("qn,n->q", k_star, model.alpha)
+        var[rows] = k_self - np.einsum("qn,qn->q", k_star, solved)
+        if grad:
+            J = kernel_grad_matrix(model.kernel, X[rows], model.train_x)
+            grad_mean[rows] = np.einsum("qnd,n->qd", J, model.alpha)
+            grad_var[rows] = grad_self - 2.0 * np.einsum("qnd,qn->qd", J, solved)
+    if np.any(var < -1e-10):
+        raise RuntimeError(f"negative predictive variance {var.min():.3g}: factorization unhealthy")
+    np.maximum(var, 0.0, out=var)
+    return (mean, var, grad_mean, grad_var) if grad else (mean, var)
 
 
-def _probit(mean: float, var: float) -> float:
+def _probit(mean, var):
     """Predictive probability of the +1 class from the latent moments."""
-    return float(0.5 * erfc(-mean / (np.sqrt(2.0) * np.sqrt(1.0 + var))))
+    return 0.5 * erfc(-mean / (np.sqrt(2.0) * np.sqrt(1.0 + var)))
 
 
-def predict_proba(model: GpcModel, x0) -> float:
-    """Probability of the +1 class at x0."""
-    return _probit(*_predictive(model, x0))
-
-
-def explain_gpc(model: GpcModel, x0) -> ExplanationVector:
-    """Explanation vector: the gradient of predict_proba at x0."""
+def predict_proba(model: GpcModel, x0):
+    """Probability of the +1 class at a point x0 (a float), or at each row
+    of a q x d block x0 (an array)."""
     x0 = np.asarray(x0, dtype=float)
-    mean, var, grad_mean, grad_var = _predictive(model, x0, grad=True)
+    p = _probit(*_predictive(model, np.atleast_2d(x0)))
+    return float(p[0]) if x0.ndim == 1 else p
+
+
+def explain_gpc(model: GpcModel, x0):
+    """Explanation vector, the gradient of predict_proba, at a point x0;
+    for a q x d block x0, a list of them, one per row."""
+    x0 = np.asarray(x0, dtype=float)
+    X = np.atleast_2d(x0)
+    mean, var, grad_mean, grad_var = _predictive(model, X, grad=True)
     s = 1.0 + var
     prefactor = np.exp(-(mean**2) / (2.0 * s)) / np.sqrt(2.0 * np.pi)
-    gradient = prefactor * (grad_mean / np.sqrt(s) - 0.5 * mean * s**-1.5 * grad_var)
-    p = _probit(mean, var)
-    return ExplanationVector(
-        query=x0,
-        gradient=gradient,
-        predicted_probability=p,
-        predicted_label=1 if p >= 0.5 else -1,
-        source="analytic-gpc",
+    gradient = prefactor[:, None] * (
+        grad_mean / np.sqrt(s)[:, None] - (0.5 * mean * s**-1.5)[:, None] * grad_var
     )
+    evs = [
+        ExplanationVector(x, g, float(p), 1 if p >= 0.5 else -1, "analytic-gpc")
+        for x, g, p in zip(X, gradient, _probit(mean, var))
+    ]
+    return evs[0] if x0.ndim == 1 else evs
 
 
 # ---------------------------------------------------------------------------

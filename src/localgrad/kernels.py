@@ -78,28 +78,29 @@ def _as_point(x, name: str) -> np.ndarray:
     return x
 
 
-def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = _as_point(x, "x")
-    y = _as_point(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: x has {x.size} components, y has {y.size}")
-    return x, y
+def _as_matrix(X, name: str) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"{name} must be a 2-d array, got shape {X.shape}")
+    return X
 
 
 def _kernel_core(spec: KernelSpec, A: np.ndarray, B: np.ndarray, grad: bool = False):
-    """Kernel matrix K[i, j] = k(a_i, b_j), and with `grad` the matrix J
-    whose row j is the gradient of k(., b_j) at the single point A[0].
+    """Kernel matrix K[i, j] = k(a_i, b_j), and with `grad` the q x n x d
+    tensor J whose entry [i, j] is the gradient of k(., b_j) at a_i.
 
     Each kind is a profile of one scalar per pair: the dot product for
     linear, the squared distance (direct differences, so no cancellation
     between nearby points) otherwise.  J is the profile's derivative times
-    the gradient of that scalar.  Returns (K, J), J None without `grad`.
+    the gradient of that scalar, scaled in place in its one buffer.  Every
+    entry depends on its own pair only, so a row of A gives the same bits
+    in any block.  Returns (K, J), J None without `grad`.
     """
     if spec.kind == "linear":
         # einsum sums every pair in the same order: the Gram matrix is exactly
         # symmetric and each of its rows equals the single-point vector
         K = np.einsum("ik,jk->ij", A, B)
-        return K, (B.copy() if grad else None)
+        return K, (np.repeat(B[None], len(A), axis=0) if grad else None)
     sq = cdist(A, B, "sqeuclidean")
     if spec.kind == "rbf":
         K = np.exp(-spec.width * sq)
@@ -108,13 +109,16 @@ def _kernel_core(spec: KernelSpec, A: np.ndarray, B: np.ndarray, grad: bool = Fa
         base = 1.0 + sq / (2.0 * spec.rq_alpha * spec.rq_length**2)
         K = base**-spec.rq_alpha
         dK = -0.5 * base ** -(spec.rq_alpha + 1.0) / spec.rq_length**2 if grad else None
-    return K, ((2.0 * dK[0])[:, None] * (A[0] - B) if grad else None)
+    if not grad:
+        return K, None
+    J = A[:, None, :] - B[None, :, :]
+    J *= (2.0 * dK)[:, :, None]
+    return K, J
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """Evaluate k(x, y) for a single pair of points."""
-    x, y = _check_pair(x, y)
-    return float(_kernel_core(spec, x[None], y[None])[0][0, 0])
+    return float(kernel_vector(spec, _as_point(x, "x"), _as_point(y, "y")[None])[0])
 
 
 def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
@@ -124,29 +128,25 @@ def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
     antisymmetric under swapping the arguments:
     kernel_grad_x(x, y) = -kernel_grad_x(y, x).
     """
-    x, y = _check_pair(x, y)
-    return _kernel_core(spec, x[None], y[None], grad=True)[1][0]
+    return kernel_grad_matrix(spec, _as_point(x, "x"), _as_point(y, "y")[None])[0]
 
 
-def _as_matrix(X, name: str) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got shape {X.shape}")
-    return X
-
-
-def _check_cross(x0, points) -> tuple[np.ndarray, np.ndarray]:
-    x0 = _as_point(x0, "x0")
+def _check_cross(x0, points):
+    """x0 as a block of query rows, points, and whether x0 was one point."""
+    x0 = np.asarray(x0, dtype=float)
+    X = _as_matrix(x0[None] if x0.ndim == 1 else x0, "x0")
     P = _as_matrix(points, "points")
-    if P.shape[1] != x0.size:
-        raise ValueError(f"dimension mismatch: x0 has {x0.size} components, points have {P.shape[1]}")
-    return x0, P
+    if P.shape[1] != X.shape[1]:
+        raise ValueError(f"dimension mismatch: x0 has {X.shape[1]} components, points have {P.shape[1]}")
+    return X, P, x0.ndim == 1
 
 
 def kernel_vector(spec: KernelSpec, x0, points) -> np.ndarray:
-    """Vector of kernel values (k(x0, p_1), ..., k(x0, p_n))."""
-    x0, P = _check_cross(x0, points)
-    return _kernel_core(spec, x0[None], P)[0][0]
+    """Kernel values (k(x0, p_1), ..., k(x0, p_n)) at a point x0, or one
+    such row per row of a q x d block x0."""
+    X, P, point = _check_cross(x0, points)
+    K = _kernel_core(spec, X, P)[0]
+    return K[0] if point else K
 
 
 def kernel_gram(spec: KernelSpec, points) -> np.ndarray:
@@ -157,6 +157,15 @@ def kernel_gram(spec: KernelSpec, points) -> np.ndarray:
 
 
 def kernel_grad_matrix(spec: KernelSpec, x0, points) -> np.ndarray:
-    """Stacked gradients; row i is the gradient of k(., p_i) at x0."""
-    x0, P = _check_cross(x0, points)
-    return _kernel_core(spec, x0[None], P, grad=True)[1]
+    """Stacked gradients at a point x0: row i is the gradient of k(., p_i)
+    at x0.  A q x d block x0 gives one such n x d matrix per row."""
+    X, P, point = _check_cross(x0, points)
+    J = _kernel_core(spec, X, P, grad=True)[1]
+    return J[0] if point else J
+
+
+def kernel_diag(spec: KernelSpec, X):
+    """k(x, x) at every row x of the block X, and the gradients of x -> k(x, x)."""
+    if spec.kind == "linear":
+        return np.einsum("ik,ik->i", X, X), 2.0 * X
+    return np.ones(len(X)), np.zeros_like(X)  # both profiles are 1 at distance 0

@@ -71,13 +71,12 @@ class ParzenMimic:
         return int(self.classes[np.argmax(np.diff(self.class_bounds))])  # ties: lower class id
 
 
-def _log_weights(mimic: ParzenMimic, x) -> np.ndarray:
+def _point(mimic: ParzenMimic, x) -> np.ndarray:
+    """The query point x as a one-row block."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != mimic.ref_x.shape[1]:
-        raise ValueError(
-            f"query must be a point of dimension {mimic.ref_x.shape[1]}, got shape {x.shape}"
-        )
-    return -0.5 * cdist(x[None], mimic.ref_x, "sqeuclidean")[0] / mimic.sigma**2
+        raise ValueError(f"query must be a point of dimension {mimic.ref_x.shape[1]}, got shape {x.shape}")
+    return x[None]
 
 
 def _rescale(w: np.ndarray) -> np.ndarray:
@@ -92,9 +91,13 @@ def _rescale(w: np.ndarray) -> np.ndarray:
     return far
 
 
-def _weights(mimic: ParzenMimic, x):
-    """Rescaled weights at the point x as a 1 x m row, and its far-field mask."""
-    w = _log_weights(mimic, x)[None]
+def _weights(mimic: ParzenMimic, X, columns=None):
+    """Rescaled weights of the rows of X against the references, or against
+    `columns`, the references in another order, computed in place on one
+    buffer; and the far-field mask."""
+    w = cdist(X, mimic.ref_x if columns is None else columns, "sqeuclidean")
+    w *= -0.5
+    w /= mimic.sigma**2
     return w, _rescale(w)
 
 
@@ -116,7 +119,7 @@ def _decide(mimic: ParzenMimic, w: np.ndarray, far: np.ndarray) -> np.ndarray:
 def parzen_posterior(mimic: ParzenMimic, x, c) -> float:
     """Mimic posterior p(y = c | x); class prior when x is far field."""
     inside = mimic.ref_labels == int(c)
-    w, far = _weights(mimic, x)
+    w, far = _weights(mimic, _point(mimic, x))
     if far[0]:
         return np.count_nonzero(inside) / len(mimic.ref_x)
     return float(np.sum(w[0][inside])) / float(np.sum(w[0]))
@@ -127,10 +130,17 @@ def parzen_posterior_not(mimic: ParzenMimic, x, c) -> float:
     return 1.0 - parzen_posterior(mimic, x, c)
 
 
-def mimic_predict(mimic: ParzenMimic, x) -> int:
-    """Class with maximal posterior; ties and far field go as documented."""
-    w, far = _weights(mimic, x)
-    return int(_decide(mimic, w[:, mimic.by_class], far)[0])
+def mimic_predict(mimic: ParzenMimic, x):
+    """Class with maximal posterior at a point x (an int), or at each row
+    of a q x d block x (an array), one row block at a time; ties and far
+    field go as documented."""
+    x = np.asarray(x, dtype=float)
+    X = _point(mimic, x) if x.ndim == 1 else x
+    columns = mimic.ref_x[mimic.by_class]  # as _decide reads them
+    pred = np.empty(len(X), dtype=mimic.classes.dtype)
+    for block in data._row_blocks(len(X), len(columns)):
+        pred[block] = _decide(mimic, *_weights(mimic, X[block], columns))
+    return int(pred[0]) if x.ndim == 1 else pred
 
 
 def select_width(
@@ -210,7 +220,7 @@ def _quotient_parts(mimic: ParzenMimic, z, c):
     """What the explanation quotient and the Hessian at z are built from:
     the rescaled weights, the mask of references in class c, and the
     differences z - x_i.  None in the far field."""
-    w, far = _weights(mimic, z)
+    w, far = _weights(mimic, _point(mimic, z))
     if far[0]:
         return None
     return w[0], mimic.ref_labels == int(c), z - mimic.ref_x
@@ -227,26 +237,21 @@ def explain_estimated(mimic: ParzenMimic, z, g_label) -> ExplanationVector:
     c = int(g_label)
     parts = _quotient_parts(mimic, z, c)
     if parts is None:
-        return ExplanationVector(
-            query=z,
-            gradient=np.zeros_like(z),
-            predicted_probability=parzen_posterior_not(mimic, z, c),
-            predicted_label=c,
-            source="parzen-mimic",
-            far_field=True,
-        )
-    w, inside, diff = parts
-    s_in = float(np.sum(w[inside]))
-    s_out = float(np.sum(w[~inside]))
-    v_in = w[inside] @ diff[inside]
-    v_out = w[~inside] @ diff[~inside]
-    gradient = (s_out * v_in - s_in * v_out) / (mimic.sigma**2 * (s_in + s_out) ** 2)
+        gradient = np.zeros_like(z)
+    else:
+        w, inside, diff = parts
+        s_in = float(np.sum(w[inside]))
+        s_out = float(np.sum(w[~inside]))
+        v_in = w[inside] @ diff[inside]
+        v_out = w[~inside] @ diff[~inside]
+        gradient = (s_out * v_in - s_in * v_out) / (mimic.sigma**2 * (s_in + s_out) ** 2)
     return ExplanationVector(
         query=z,
         gradient=gradient,
         predicted_probability=parzen_posterior_not(mimic, z, c),
         predicted_label=c,
         source="parzen-mimic",
+        far_field=parts is None,
     )
 
 
@@ -371,26 +376,3 @@ def save_explanations(path, explanations, feature_names=None) -> None:
                 + ["%.17g" % v for v in ev.gradient]
                 + ["%.17g" % ev.predicted_probability, int(ev.predicted_label), ev.source, int(ev.far_field)]
             )
-
-
-def load_explanations(path):
-    """Inverse of save_explanations."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    d = (len(header) - 4) // 2
-    out = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        out.append(
-            ExplanationVector(
-                query=np.array([float(v) for v in row[:d]]),
-                gradient=np.array([float(v) for v in row[d : 2 * d]]),
-                predicted_probability=float(row[2 * d]),
-                predicted_label=int(row[2 * d + 1]),
-                source=row[2 * d + 2],
-                far_field=bool(int(row[2 * d + 3])),
-            )
-        )
-    return out

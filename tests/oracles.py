@@ -55,6 +55,26 @@ def latent_variance_dense(model, x0):
     return kernel_eval(model.kernel, x0, x0) - k_star @ np.linalg.inv(B) @ k_star
 
 
+def latent_moments_dense(model, x0):
+    """Latent mean and variance at x0 and their gradients, from a dense
+    inverse of K + S, one kernel call per training point, and a central
+    finite difference of x -> k(x, x) for the variance's self term."""
+    from localgrad.kernels import kernel_eval, kernel_grad_x, kernel_gram
+
+    K = kernel_gram(model.kernel, model.train_x)
+    B_inv = np.linalg.inv(K + model.jitter * np.eye(len(K)) + np.diag(model.site_variance))
+    k_star = np.array([kernel_eval(model.kernel, x0, xi) for xi in model.train_x])
+    J = np.array([kernel_grad_x(model.kernel, x0, xi) for xi in model.train_x])
+    self_grad = fd_gradient(lambda p: kernel_eval(model.kernel, p, p), x0)
+    solved = B_inv @ k_star
+    return (
+        k_star @ model.alpha,
+        kernel_eval(model.kernel, x0, x0) - k_star @ solved,
+        J.T @ model.alpha,
+        self_grad - 2.0 * J.T @ solved,
+    )
+
+
 def ep_sequential_oracle(train_x, train_y, kernel, tol=1e-6, max_sweeps=100, damping=0.5):
     """EP with the sequential schedule: one site at a time in index order,
     a rank-1 update of Sigma after every site, and a fresh posterior from
@@ -246,3 +266,27 @@ def auc_pairwise(labels, scores):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def load_explanations(path):
+    """Parse an explanations CSV as save_explanations writes it, by
+    column position, into ExplanationVector records."""
+    import csv
+
+    from localgrad.data import ExplanationVector
+
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    d = (len(rows[0]) - 4) // 2
+    return [
+        ExplanationVector(
+            query=np.array([float(v) for v in row[:d]]),
+            gradient=np.array([float(v) for v in row[d : 2 * d]]),
+            predicted_probability=float(row[2 * d]),
+            predicted_label=int(row[2 * d + 1]),
+            source=row[2 * d + 2],
+            far_field=bool(int(row[2 * d + 3])),
+        )
+        for row in rows[1:]
+        if row
+    ]

@@ -46,7 +46,7 @@ def test_majority_vote_matches_exhaustive_sort():
         # tie rule: the class of the nearest neighbor among tied classes
         expected.append(next(c for c in votes if c in tied))
         assert clf.predict(q) == expected[-1]
-    assert clf.predict_batch(queries).tolist() == expected
+    assert clf.predict(queries).tolist() == expected
 
 
 def test_distance_tie_broken_by_lower_index():
@@ -102,13 +102,13 @@ def test_loo_errors_block_size_changes_nothing(monkeypatch, block_rows):
 
 
 @pytest.mark.parametrize("block_rows", [1, 7])
-def test_predict_batch_block_size_changes_nothing(monkeypatch, block_rows):
+def test_predict_block_size_changes_nothing(monkeypatch, block_rows):
     X, y = exact_ties_set()
     queries = np.random.default_rng(22).integers(-1, 5, size=(50, 2)).astype(float)
     clf = KnnClassifier(X, y, k=4)
     expected = [clf.predict(q) for q in queries]
     monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(X))
-    assert clf.predict_batch(queries).tolist() == expected
+    assert clf.predict(queries).tolist() == expected
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
@@ -167,7 +167,7 @@ def test_knn_memory_grows_linearly():
         clf = knn_fit_loo(X, y, range(1, 11))
         fit_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        clf.predict_batch(rng.normal(size=(2000, 6)))
+        clf.predict(rng.normal(size=(2000, 6)))
         predict_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -209,13 +209,14 @@ def test_table_oracle_round_trip_with_knn(tmp_path):
         assert oracle.predict(x) == preds[i]
 
 
-def test_table_oracle_predict_batch_matches_predict():
+def test_table_oracle_block_predict_matches_point_predict():
     ds = Dataset(np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.array([0, 1, 0]))
     oracle = TableOracle(ds, {0: 2, 1: 1, 2: 2})
     rows = ds.features[[2, 0, 1, 0]]
-    assert oracle.predict_batch(rows).tolist() == [oracle.predict(x) for x in rows] == [2, 2, 1, 2]
+    assert oracle.predict(rows).tolist() == [oracle.predict(x) for x in rows] == [2, 2, 1, 2]
+    assert isinstance(oracle.predict(rows[0]), int)
     with pytest.raises(ValueError, match="not a row"):
-        oracle.predict_batch(np.vstack([rows, [[0.5, 0.5]]]))
+        oracle.predict(np.vstack([rows, [[0.5, 0.5]]]))
 
 
 def test_table_oracle_conflicting_duplicate_coordinates():

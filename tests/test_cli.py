@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from localgrad.classifiers import KnnClassifier
 from localgrad.cli import main
 from localgrad.data import Dataset, gen_triangle, save_csv
 from localgrad.gpc import explain_gpc, load_gpc, predict_proba
-from localgrad.mimic import load_explanations
+from localgrad.mimic import ParzenMimic, mimic_predict, parzen_posterior_not
+from oracles import load_explanations
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +196,19 @@ def test_explain_rejects_both_routes(triangle_csv, fitted_model, tmp_path, capsy
     assert err["command"] == "explain"
 
 
+@pytest.mark.parametrize("command", ["explain", "morph", "rank", "compare"])
+@pytest.mark.parametrize("flag", ["--sigma=0.3", "--sigma-grid=auto", "--hessian-fallback"])
+def test_model_route_rejects_mimic_flags(triangle_csv, fitted_model, tmp_path, capsys, command, flag):
+    # the analytic route has no width and no Hessian fallback; the flag used to be ignored
+    out = tmp_path / "out.csv"
+    extra = ["--feature", "x1", "--group", "x2"] if command == "compare" else []
+    argv = [command, "--data", triangle_csv, "--model", fitted_model, flag, *extra, "--out", str(out)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and flag.split("=")[0] in err["error"]
+    assert not out.exists()
+
+
 def test_explain_without_oracle_rejects_queries_off_the_data(triangle_csv, tmp_path, capsys):
     # without --oracle the data's label column is g, which labels only its own rows
     data = gen_triangle(40, seed=5)
@@ -348,6 +363,26 @@ def test_morph_deterministic(triangle_csv, fitted_model, tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_morph_mimic_rows_match_recomputation(triangle_csv, tmp_path):
+    out = tmp_path / "morph.csv"
+    argv = ["morph", "--data", triangle_csv, "--oracle", "knn:3", "--sigma", "0.3"]
+    assert main(argv + ["--steps", "20", "--step-size", "0.1", "--out", str(out)]) == 0
+    data = gen_triangle(40, seed=5)
+    knn = KnnClassifier(data.features, data.labels, 3)
+    mm = ParzenMimic(data.features, knn.predict(data.features), 0.3)
+    g = {int(rid): knn.predict(x) for rid, x in zip(data.row_ids, data.features)}
+    _, rows = read_rows(out)
+    flips = 0
+    for row in rows:
+        x = np.array([float(row[2]), float(row[3])])
+        label = mimic_predict(mm, x)
+        assert float(row[4]) == parzen_posterior_not(mm, x, g[int(row[0])])  # bit for bit
+        assert int(row[5]) == label
+        assert int(row[6]) == int(label != g[int(row[0])])
+        flips += int(row[6])
+    assert len({row[0] for row in rows}) == 80 and flips > 0
 
 
 # --------------------------------------------------------------------- rank

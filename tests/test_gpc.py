@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from localgrad.data import gen_triangle
+from localgrad.data import ExplanationVector, gen_triangle
 from localgrad.gpc import (
     GpcModel,
     _predictive,
@@ -17,7 +18,13 @@ from localgrad.gpc import (
     save_gpc,
 )
 from localgrad.kernels import KernelSpec, kernel_to_dict
-from oracles import ep_sequential_oracle, erfc_oracle, fd_gradient, latent_variance_dense
+from oracles import (
+    ep_sequential_oracle,
+    erfc_oracle,
+    fd_gradient,
+    latent_moments_dense,
+    latent_variance_dense,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +45,7 @@ def test_symmetric_pair_probability_half_at_midpoint(symmetric_pair):
 
 
 def test_symmetric_pair_latent_mean_zero_at_midpoint(symmetric_pair):
-    mean, var = _predictive(symmetric_pair, np.array([0.0]))
+    (mean,), (var,) = _predictive(symmetric_pair, np.array([[0.0]]))
     assert abs(mean) < 1e-6
     assert var >= 0.0
 
@@ -75,7 +82,7 @@ def test_far_field_latent_is_prior():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
     y = np.array([-1, 1])
     model = ep_fit(X, y, KernelSpec("rbf", width=1.0))
-    mean, var = _predictive(model, np.array([500.0, 500.0]))
+    (mean,), (var,) = _predictive(model, np.array([[500.0, 500.0]]))
     assert abs(mean) < 1e-12
     assert var == pytest.approx(1.0, abs=1e-12)
     assert predict_proba(model, np.array([500.0, 500.0])) == pytest.approx(0.5)
@@ -85,7 +92,7 @@ def test_far_field_gradients_vanish():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
     y = np.array([-1, 1])
     model = ep_fit(X, y, KernelSpec("rbf", width=1.0))
-    _, _, gm, gv = _predictive(model, np.array([40.0, -40.0]), grad=True)
+    _, _, (gm,), (gv,) = _predictive(model, np.array([[40.0, -40.0]]), grad=True)
     assert np.linalg.norm(gm) < 1e-6
     assert np.linalg.norm(gv) < 1e-6
 
@@ -95,7 +102,7 @@ def test_variance_matches_dense_inverse_oracle(triangle_gpc):
     rng = np.random.default_rng(0)
     for _ in range(25):
         x0 = rng.uniform(-2, 2, size=2)
-        _, var = _predictive(model, x0)
+        _, (var,) = _predictive(model, x0[None])
         want = latent_variance_dense(model, x0)
         assert abs(var - want) < 1e-8
 
@@ -119,7 +126,7 @@ def test_probit_link_value_against_erfc_oracle():
     assert p == pytest.approx(0.841344746068543, abs=1e-12)
     # and the model's own output respects the same formula
     x0 = np.array([0.3])
-    mean, var = _predictive(model, x0)
+    (mean,), (var,) = _predictive(model, x0[None])
     want = 0.5 * erfc_oracle(-mean / np.sqrt(2.0 * (1.0 + var)))
     assert predict_proba(model, x0) == pytest.approx(want, abs=1e-12)
 
@@ -129,9 +136,9 @@ def test_grad_latent_matches_finite_differences(triangle_gpc):
     rng = np.random.default_rng(1)
     for _ in range(20):
         x0 = rng.uniform(-1.5, 1.5, size=2)
-        _, _, gm, gv = _predictive(model, x0, grad=True)
-        fm = fd_gradient(lambda p: _predictive(model, p)[0], x0)
-        fv = fd_gradient(lambda p: _predictive(model, p)[1], x0)
+        _, _, (gm,), (gv,) = _predictive(model, x0[None], grad=True)
+        fm = fd_gradient(lambda p: _predictive(model, p[None])[0][0], x0)
+        fv = fd_gradient(lambda p: _predictive(model, p[None])[1][0], x0)
         assert np.linalg.norm(gm - fm) / max(np.linalg.norm(fm), 1e-10) < 1e-6
         assert np.linalg.norm(gv - fv) / max(np.linalg.norm(fv), 1e-10) < 1e-6
 
@@ -333,3 +340,68 @@ def test_model_from_dict_rejects_length_mismatch(triangle_gpc, key):
     blob[key] = blob[key][:-1]
     with pytest.raises(ValueError, match=f"{key} has"):
         model_from_dict(blob)
+
+
+# ------------------------------------------------------------ block queries
+
+BLOCK_SPECS = [
+    KernelSpec("rbf", width=0.8),
+    KernelSpec("linear"),
+    KernelSpec("rational-quadratic", rq_alpha=0.7, rq_length=1.3),
+]
+
+
+@pytest.fixture(scope="module")
+def three_kind_models():
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(30, 3))
+    y = np.where(X[:, 0] + 0.5 * rng.normal(size=30) > 0, 1, -1)
+    return [ep_fit(X, y, spec) for spec in BLOCK_SPECS]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+@pytest.mark.parametrize("kind", [spec.kind for spec in BLOCK_SPECS])
+def test_block_equals_point_whatever_the_chunk(three_kind_models, monkeypatch, block_rows, kind):
+    # chunks of one row, and of 7 rows, which does not divide the 40 queries
+    model = next(m for m in three_kind_models if m.kernel.kind == kind)
+    queries = np.random.default_rng(32).normal(scale=2.0, size=(40, 3))
+    points = [(predict_proba(model, q), explain_gpc(model, q)) for q in queries]
+    assert isinstance(points[0][0], float) and isinstance(points[0][1], ExplanationVector)
+    n, d = model.train_x.shape
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * n * d)
+    probs, evs = predict_proba(model, queries), explain_gpc(model, queries)
+    assert probs.shape == (40,) and len(evs) == 40
+    for p, ev, (p1, ev1) in zip(probs, evs, points):
+        assert p == p1 == ev.predicted_probability == ev1.predicted_probability
+        assert np.array_equal(ev.gradient, ev1.gradient)
+        assert np.array_equal(ev.query, ev1.query)
+        assert ev.predicted_label == ev1.predicted_label
+
+
+@pytest.mark.parametrize("kind", [spec.kind for spec in BLOCK_SPECS])
+def test_block_gradients_match_dense_inverse_oracle(three_kind_models, kind):
+    model = next(m for m in three_kind_models if m.kernel.kind == kind)
+    queries = np.random.default_rng(33).normal(scale=1.5, size=(12, 3))
+    mean, var, grad_mean, grad_var = _predictive(model, queries, grad=True)
+    for i, q in enumerate(queries):
+        want = latent_moments_dense(model, q)
+        np.testing.assert_allclose(mean[i], want[0], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(var[i], want[1], rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(grad_mean[i], want[2], rtol=1e-8, atol=1e-9)
+        np.testing.assert_allclose(grad_var[i], want[3], rtol=1e-6, atol=1e-7)
+
+
+def test_explain_block_memory_stays_small():
+    # one unchunked 2000 x 300 x 5 gradient tensor alone would take 24 MB
+    rng = np.random.default_rng(34)
+    X = rng.normal(size=(300, 5))
+    model = ep_fit(X, np.where(X[:, 0] > 0, 1, -1), KernelSpec("rbf", width=0.3))
+    queries = rng.normal(size=(2000, 5))
+    tracemalloc.start()
+    try:
+        evs = explain_gpc(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(evs) == 2000
+    assert peak < 4e6

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from localgrad.kernels import (
     KernelSpec,
+    kernel_diag,
     kernel_eval,
     kernel_from_dict,
     kernel_grad_matrix,
@@ -185,6 +186,36 @@ def test_kernel_vector_and_grad_matrix_consistency():
     for i in range(8):
         assert kv[i] == pytest.approx(kernel_eval(spec, x0, pts[i]), rel=1e-14)
         np.testing.assert_allclose(J[i], kernel_grad_x(spec, x0, pts[i]), rtol=1e-14)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_block_rows_equal_point_calls(block_rows):
+    # blocks of one row, and of 7 rows, which does not divide the 30 queries
+    rng = np.random.default_rng(41)
+    pts = rng.normal(size=(25, 4))
+    queries = rng.normal(scale=2.0, size=(30, 4))
+    for spec in all_specs():
+        K = kernel_vector(spec, queries, pts)
+        J = kernel_grad_matrix(spec, queries, pts)
+        assert K.shape == (30, 25) and J.shape == (30, 25, 4)
+        for lo in range(0, len(queries), block_rows):
+            rows = slice(lo, lo + block_rows)
+            assert np.array_equal(kernel_vector(spec, queries[rows], pts), K[rows])
+            assert np.array_equal(kernel_grad_matrix(spec, queries[rows], pts), J[rows])
+        for i, q in enumerate(queries):
+            assert np.array_equal(kernel_vector(spec, q, pts), K[i])
+            assert np.array_equal(kernel_grad_matrix(spec, q, pts), J[i])
+
+
+def test_kernel_diag_matches_pair_eval_and_finite_differences():
+    rng = np.random.default_rng(42)
+    X = rng.normal(size=(6, 3))
+    for spec in all_specs():
+        values, grads = kernel_diag(spec, X)
+        for x, v, g in zip(X, values, grads):
+            assert v == pytest.approx(kernel_eval(spec, x, x), rel=1e-15)
+            want = fd_gradient(lambda p: kernel_eval(spec, p, p), x)
+            np.testing.assert_allclose(g, want, rtol=1e-8, atol=1e-9)
 
 
 def test_dimension_mismatch_errors():

@@ -10,7 +10,6 @@ from localgrad.mimic import (
     explain_estimated,
     explain_with_fallback,
     hessian_direction,
-    load_explanations,
     mimic_predict,
     parzen_hessian,
     parzen_posterior,
@@ -22,6 +21,7 @@ from localgrad.mimic import (
 from oracles import (
     fd_gradient,
     fd_hessian,
+    load_explanations,
     parzen_posterior_naive,
     select_width_bruteforce,
 )
@@ -144,6 +144,20 @@ def test_predict_is_argmax_of_naive_posterior():
                     for c in mm.classes
                 ]
                 assert mimic_predict(mm, q) == mm.classes[int(np.argmax(post))]  # ties: lower id
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_mimic_predict_block_equals_point(monkeypatch, block_rows):
+    # blocks of one row, and of 7 rows, which does not divide the 45 queries
+    rng = np.random.default_rng(43)
+    mm = random_mimic(rng, m=30, d=3, n_classes=3, sigma=0.6)
+    queries = rng.normal(scale=1.5, size=(45, 3))
+    queries[-3:] += 1e4  # far field: the majority class
+    expected = [mimic_predict(mm, q) for q in queries]
+    assert all(isinstance(label, int) for label in expected)
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(mm.ref_x))
+    assert mimic_predict(mm, queries).tolist() == expected
+    assert expected[-1] == mm.majority_class()
 
 
 # ------------------------------------------------------------ width choice
