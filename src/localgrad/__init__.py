@@ -49,7 +49,6 @@ from .mimic import (
     explain_with_fallback,
     hessian_direction,
     mimic_predict,
-    parzen_posterior,
     parzen_posterior_not,
     select_width,
     smooth_gradients,
@@ -90,7 +89,6 @@ __all__ = [
     "load_iris",
     "mimic_predict",
     "normalize_fit_apply",
-    "parzen_posterior",
     "parzen_posterior_not",
     "predict_proba",
     "rank_features",

@@ -69,6 +69,14 @@ def _require(args, *names):
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _count(args, name, default, least):
+    """An integer flag's value, or its default when unset; below `least` is an error."""
+    value = default if getattr(args, name) is None else getattr(args, name)
+    if value < least:
+        raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
+    return value
+
+
 def _binary_pm1(labels):
     """Map a two-class label vector onto {-1,+1} (lower id -> -1)."""
     classes = sorted(set(int(v) for v in labels))
@@ -228,7 +236,7 @@ def cmd_vector_field(args) -> int:
     model = gpc.load_gpc(args.model)
     if model.train_x.shape[1] != 2:
         raise ValueError("vector-field needs a 2-D model")
-    n = int(args.grid or 30)
+    n = _count(args, "grid", 30, least=1)
     lo = model.train_x.min(axis=0)
     hi = model.train_x.max(axis=0)
     pad = 0.1 * (hi - lo)
@@ -254,12 +262,14 @@ def cmd_morph(args) -> int:
     rows are then written path by path."""
     _require(args, "out")
     queries = datamod.load_csv(args.queries or args.data)
-    evs, (route, obj) = _explanations(args, queries)
-    steps = int(args.steps if args.steps is not None else 50)
-    if args.step_size is not None:
-        step_size = float(args.step_size)
-    else:
+    steps = _count(args, "steps", 50, least=0)
+    if args.step_size is None:
         step_size = 0.1 * float(np.mean(queries.features.std(axis=0)))
+    elif args.step_size > 0:
+        step_size = args.step_size
+    else:
+        raise ValueError(f"--step-size must be positive, got {args.step_size}")
+    evs, (route, obj) = _explanations(args, queries)
 
     start, label0 = queries.features, np.array([ev.predicted_label for ev in evs])
     G = np.vstack([ev.gradient for ev in evs])
@@ -299,10 +309,10 @@ def cmd_morph(args) -> int:
 def cmd_rank(args) -> int:
     _require(args, "out")
     queries = datamod.load_csv(args.queries or args.data)
+    bins = _count(args, "bins", 30, least=1)
     evs, _route = _explanations(args, queries)
     ranking = analysis.rank_features(evs, queries.feature_names)
     analysis.save_ranking_csv(ranking, args.out)
-    bins = int(args.bins or 30)
     stem = str(args.out)
     if stem.endswith(".csv"):
         stem = stem[:-4]
@@ -323,10 +333,10 @@ def cmd_compare(args) -> int:
     if args.feature not in full.feature_names:
         raise ValueError(f"feature {args.feature!r} not in the dataset")
     mask = full.features[:, full.feature_names.index(args.group)] != 0
+    bins = _count(args, "bins", 30, least=1)
     evs, _route = _explanations(args, full)
     j = full.feature_names.index(args.feature)
     values = np.array([ev.gradient[j] for ev in evs])
-    bins = int(args.bins or 30)
     eps = float(args.epsilon if args.epsilon is not None else 1.0)
     spec = analysis.default_histogram_spec(values, bin_count=bins, epsilon=eps)
     cmp_result = analysis.compare_groups(evs, j, mask, spec)

@@ -46,7 +46,7 @@ _UNDERFLOW_LOG = float(np.log(np.finfo(float).smallest_subnormal))
 
 @dataclass
 class ParzenMimic:
-    """Labeled reference set plus kernel width.  Immutable once built."""
+    """Labeled reference set, stored grouped by class, plus kernel width.  Immutable once built."""
 
     ref_x: np.ndarray
     ref_labels: np.ndarray
@@ -61,14 +61,15 @@ class ParzenMimic:
             raise ValueError("ref_x and ref_labels must have equal length")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        self.classes, counts = np.unique(self.ref_labels, return_counts=True)
-        # reference order grouped by class, stable: class j holds positions
-        # class_bounds[j]:class_bounds[j + 1], so each class sum is one slice
-        self.by_class = np.argsort(self.ref_labels, kind="stable")
-        self.class_bounds = np.concatenate([[0], np.cumsum(counts)])
+        # grouped by class, stably: the rows of class classes[j] are class_slices[j]
+        order = np.argsort(self.ref_labels, kind="stable")
+        self.ref_x, self.ref_labels = self.ref_x[order], self.ref_labels[order]
+        self.classes, self.class_counts = np.unique(self.ref_labels, return_counts=True)
+        bounds = [0, *np.cumsum(self.class_counts).tolist()]
+        self.class_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     def majority_class(self) -> int:
-        return int(self.classes[np.argmax(np.diff(self.class_bounds))])  # ties: lower class id
+        return int(self.classes[np.argmax(self.class_counts)])  # ties: lower class id
 
 
 def _point(mimic: ParzenMimic, x) -> np.ndarray:
@@ -79,55 +80,57 @@ def _point(mimic: ParzenMimic, x) -> np.ndarray:
     return x[None]
 
 
-def _rescale(w: np.ndarray) -> np.ndarray:
-    """Turn rows of log-weights, in place, into weights divided by the
-    row's largest one.  Returns the far-field mask: rows whose largest
-    weight underflows, and which therefore carry no information."""
-    top = w.max(axis=1)
+def _class_index(mimic: ParzenMimic, c) -> int:
+    """Position of label c in mimic.classes; a label no reference carries is an error."""
+    try:
+        return mimic.classes.tolist().index(int(c))
+    except ValueError:
+        raise ValueError(f"label {int(c)} is carried by no reference of the mimic") from None
+
+
+def _rescale(sq: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
+    """Write into `out` the weights exp(-1/2 * sq / sigma^2) of rows of squared
+    distances, each row divided by its largest one.  Returns the far-field
+    mask: rows whose largest weight underflows, so they carry no information."""
+    np.multiply(sq, -0.5, out=out)
+    out /= sigma**2
+    top = out.max(axis=1)
     far = top < _UNDERFLOW_LOG
     top[far] = 0.0  # unshifted, far rows underflow to 0; callers fall back on them
-    w -= top[:, None]
-    np.exp(w, out=w)
+    out -= top[:, None]
+    np.exp(out, out=out)
     return far
 
 
-def _weights(mimic: ParzenMimic, X, columns=None):
-    """Rescaled weights of the rows of X against the references, or against
-    `columns`, the references in another order, computed in place on one
-    buffer; and the far-field mask."""
-    w = cdist(X, mimic.ref_x if columns is None else columns, "sqeuclidean")
-    w *= -0.5
-    w /= mimic.sigma**2
-    return w, _rescale(w)
+def _weights(mimic: ParzenMimic, X):
+    """Rescaled weights of the rows of X in place on one buffer, and the far-field mask."""
+    w = cdist(X, mimic.ref_x, "sqeuclidean")
+    return w, _rescale(w, mimic.sigma, out=w)
+
+
+def _class_sums(mimic: ParzenMimic, w: np.ndarray) -> np.ndarray:
+    """Each row's class sums, one slice each: a row's sums do not depend on the block."""
+    return np.array([w[:, s].sum(axis=1) for s in mimic.class_slices]).T
 
 
 def _decide(mimic: ParzenMimic, w: np.ndarray, far: np.ndarray) -> np.ndarray:
-    """The mimic's decision rule on C-ordered rows of rescaled weights whose
-    columns follow mimic.by_class: the class with the largest weight sum
-    (ties: lower class id); far-field rows go to the majority class.  A
-    class sum adds one contiguous slice of its row, the class's weights in
-    reference order, exactly as the posterior adds them; so a row's
-    prediction does not depend on the rows it is decided with."""
-    b = mimic.class_bounds
-    sums = np.column_stack([w[:, lo:hi].sum(axis=1) for lo, hi in zip(b[:-1], b[1:])])
-    pred = mimic.classes[np.argmax(sums, axis=1)]
+    """The mimic's decision rule: the class with the largest class sum (ties:
+    lower class id); far-field rows go to the majority class."""
+    pred = mimic.classes[np.argmax(_class_sums(mimic, w), axis=1)]
     if far.any():
         pred[far] = mimic.majority_class()
     return pred
 
 
-def parzen_posterior(mimic: ParzenMimic, x, c) -> float:
-    """Mimic posterior p(y = c | x); class prior when x is far field."""
-    inside = mimic.ref_labels == int(c)
+def parzen_posterior_not(mimic: ParzenMimic, x, c) -> float:
+    """p(y != c | x) = 1 - p(y = c | x), the share of the class sum _decide
+    compares in the total; in the far field, 1 - the class prior."""
+    j = _class_index(mimic, c)
     w, far = _weights(mimic, _point(mimic, x))
     if far[0]:
-        return np.count_nonzero(inside) / len(mimic.ref_x)
-    return float(np.sum(w[0][inside])) / float(np.sum(w[0]))
-
-
-def parzen_posterior_not(mimic: ParzenMimic, x, c) -> float:
-    """Complement posterior p(y != c | x), defined as 1 - p(y = c | x)."""
-    return 1.0 - parzen_posterior(mimic, x, c)
+        return 1.0 - float(mimic.class_counts[j]) / len(mimic.ref_x)
+    sums = _class_sums(mimic, w)[0]
+    return 1.0 - float(sums[j]) / float(sum(sums))
 
 
 def mimic_predict(mimic: ParzenMimic, x):
@@ -136,10 +139,9 @@ def mimic_predict(mimic: ParzenMimic, x):
     field go as documented."""
     x = np.asarray(x, dtype=float)
     X = _point(mimic, x) if x.ndim == 1 else x
-    columns = mimic.ref_x[mimic.by_class]  # as _decide reads them
     pred = np.empty(len(X), dtype=mimic.classes.dtype)
-    for block in data._row_blocks(len(X), len(columns)):
-        pred[block] = _decide(mimic, *_weights(mimic, X[block], columns))
+    for block in data._row_blocks(len(X), len(mimic.ref_x)):
+        pred[block] = _decide(mimic, *_weights(mimic, X[block]))
     return int(pred[0]) if x.ndim == 1 else pred
 
 
@@ -175,18 +177,16 @@ def select_width(
         g_labels, ref_labels
     )
     mimic = ParzenMimic(ref_x, ref_labels, positive[0])  # the decision rule reads only the labels
-    columns = ref_x[mimic.by_class]  # as _decide reads them
-    own_column = np.argsort(mimic.by_class)
+    if loo:  # probes in the mimic's order: probe i's own reference is column i
+        probes, g_labels = mimic.ref_x, mimic.ref_labels
     counts = np.zeros(len(positive), dtype=int)
     for block in data._row_blocks(len(probes), len(ref_x)):
-        sq = cdist(probes[block], columns, "sqeuclidean")
+        sq = cdist(probes[block], mimic.ref_x, "sqeuclidean")
         if loo:  # each probe's own reference gets weight 0
-            sq[np.arange(len(sq)), own_column[block]] = np.inf
-        w = np.empty_like(sq)  # log-weights, then weights, of one candidate; reused
+            np.fill_diagonal(sq[:, block], np.inf)
+        w = np.empty_like(sq)  # weights of one candidate; reused
         for i, s in enumerate(positive):
-            np.multiply(sq, -0.5, out=w)
-            w /= s**2
-            far = _rescale(w)
+            far = _rescale(sq, s, out=w)
             counts[i] += np.count_nonzero(_decide(mimic, w, far) != g_labels[block])
     return positive[int(np.argmin(counts))]  # first minimum: the smaller sigma
 
@@ -220,6 +220,7 @@ def _quotient_parts(mimic: ParzenMimic, z, c):
     """What the explanation quotient and the Hessian at z are built from:
     the rescaled weights, the mask of references in class c, and the
     differences z - x_i.  None in the far field."""
+    _class_index(mimic, c)  # a label no reference carries is an error
     w, far = _weights(mimic, _point(mimic, z))
     if far[0]:
         return None

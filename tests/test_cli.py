@@ -209,6 +209,31 @@ def test_model_route_rejects_mimic_flags(triangle_csv, fitted_model, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("vector-field", "--grid=0"),
+        ("vector-field", "--grid=-3"),
+        ("rank", "--bins=0"),
+        ("compare", "--bins=0"),
+        ("morph", "--steps=-1"),
+        ("morph", "--step-size=0"),
+        ("morph", "--step-size=-0.5"),
+    ],
+)
+def test_count_flags_out_of_range_are_errors(triangle_csv, fitted_model, tmp_path, capsys, command, flag):
+    # unchecked, a zero count falls back to the default, and a negative step count or
+    # a nonpositive step size writes a morph with no rows or walks backwards
+    out = tmp_path / "out.csv"
+    data = [] if command == "vector-field" else ["--data", triangle_csv]
+    extra = ["--feature", "x1", "--group", "x2"] if command == "compare" else []
+    argv = [command, *data, "--model", fitted_model, flag, *extra, "--out", str(out)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and flag.split("=")[0] in err["error"]
+    assert not out.exists()
+
+
 def test_explain_without_oracle_rejects_queries_off_the_data(triangle_csv, tmp_path, capsys):
     # without --oracle the data's label column is g, which labels only its own rows
     data = gen_triangle(40, seed=5)

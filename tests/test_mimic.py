@@ -12,7 +12,6 @@ from localgrad.mimic import (
     hessian_direction,
     mimic_predict,
     parzen_hessian,
-    parzen_posterior,
     parzen_posterior_not,
     save_explanations,
     select_width,
@@ -42,8 +41,8 @@ def random_mimic(rng, m=None, d=None, n_classes=2, sigma=None):
 
 def test_posterior_midpoint_symmetric_pair():
     mm = ParzenMimic(np.array([[-1.0], [1.0]]), np.array([1, 2]), 0.8)
-    assert parzen_posterior(mm, np.array([0.0]), 1) == pytest.approx(0.5, abs=1e-15)
-    assert parzen_posterior(mm, np.array([0.0]), 2) == pytest.approx(0.5, abs=1e-15)
+    assert 1 - parzen_posterior_not(mm, np.array([0.0]), 1) == pytest.approx(0.5, abs=1e-15)
+    assert 1 - parzen_posterior_not(mm, np.array([0.0]), 2) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_posterior_at_reference_small_sigma():
@@ -55,7 +54,7 @@ def test_posterior_at_reference_small_sigma():
     )
     mm = ParzenMimic(X, y, 0.01 * spread)
     for i in (0, 3, 7):
-        assert parzen_posterior(mm, X[i], y[i]) > 0.999
+        assert 1 - parzen_posterior_not(mm, X[i], y[i]) > 0.999
         assert mimic_predict(mm, X[i]) == y[i]
 
 
@@ -64,7 +63,7 @@ def test_posterior_normalization_thousand_queries():
     mm = random_mimic(rng, m=25, d=4, n_classes=3)
     for _ in range(1000):
         x = rng.normal(scale=2.0, size=4)
-        total = sum(parzen_posterior(mm, x, c) for c in (1, 2, 3))
+        total = sum(1 - parzen_posterior_not(mm, x, c) for c in (1, 2, 3))
         assert abs(total - 1.0) < 1e-12
 
 
@@ -73,7 +72,7 @@ def test_posterior_matches_naive_ratio():
     mm = random_mimic(rng, m=20, d=2)
     for _ in range(40):
         x = rng.normal(scale=1.5, size=2)
-        got = parzen_posterior(mm, x, 1)
+        got = 1 - parzen_posterior_not(mm, x, 1)
         want = parzen_posterior_naive(mm.ref_x, mm.ref_labels, mm.sigma, x, 1)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -84,7 +83,8 @@ def test_two_class_complement_exact():
     for _ in range(50):
         x = rng.normal(scale=3.0, size=3)
         for c in (1, 2):
-            assert parzen_posterior_not(mm, x, c) == 1.0 - parzen_posterior(mm, x, c)
+            other = 1 - parzen_posterior_not(mm, x, 3 - c)
+            assert parzen_posterior_not(mm, x, c) == pytest.approx(other, abs=1e-15)
 
 
 # ---------------------------------------------------------------- far field
@@ -104,8 +104,8 @@ def test_far_field_detection():
 def test_far_field_posterior_is_prior():
     mm = far_mimic()
     x = np.array([1e4, 1e4])
-    assert parzen_posterior(mm, x, 1) == pytest.approx(1.0 / 3.0)
-    assert parzen_posterior(mm, x, 2) == pytest.approx(2.0 / 3.0)
+    assert 1 - parzen_posterior_not(mm, x, 1) == pytest.approx(1.0 / 3.0)
+    assert 1 - parzen_posterior_not(mm, x, 2) == pytest.approx(2.0 / 3.0)
 
 
 def test_far_field_predict_is_majority():
@@ -158,6 +158,43 @@ def test_mimic_predict_block_equals_point(monkeypatch, block_rows):
     monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(mm.ref_x))
     assert mimic_predict(mm, queries).tolist() == expected
     assert expected[-1] == mm.majority_class()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reference_order_changes_nothing(seed):
+    # the mimic stores its references grouped by class; a permuted reference
+    # set must give the same mimic up to the order each class sum is added in
+    rng = np.random.default_rng(60 + seed)
+    mm = random_mimic(rng, m=60, d=3, n_classes=3, sigma=0.5)
+    perm = rng.permutation(60)
+    X, y = mm.ref_x[perm], mm.ref_labels[perm]
+    shuffled = ParzenMimic(X, y, mm.sigma)
+    queries = rng.normal(scale=1.5, size=(40, 3))
+    queries[-2:] += 1e4  # far field
+    assert mimic_predict(shuffled, queries).tolist() == mimic_predict(mm, queries).tolist()
+    grid = [0.1, 0.3, 0.6, 1.2]
+    R, r = mm.ref_x, mm.ref_labels
+    assert select_width(X, y, X, y, grid) == select_width(R, r, R, r, grid)
+    probe_labels = mimic_predict(mm, queries)
+    assert select_width(X, y, queries, probe_labels, grid) == select_width(R, r, queries, probe_labels, grid)
+    for q in queries:
+        for c in mm.classes:
+            a, b = explain_estimated(mm, q, c), explain_estimated(shuffled, q, c)
+            assert a.far_field == b.far_field
+            assert abs(a.predicted_probability - b.predicted_probability) <= 1e-12
+            assert np.allclose(a.gradient, b.gradient, rtol=0, atol=1e-12)
+    assert [explain_estimated(mm, q, 1).far_field for q in queries[-2:]] == [True, True]
+
+
+def test_label_no_reference_carries_is_an_error():
+    # label 7 has no class sum in a {1, 2} mimic: unchecked, it reads p = 1 with a
+    # zero gradient, or a Hessian-fallback direction made of rounding noise
+    mm = ParzenMimic(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([1, 2, 2]), 0.7)
+    for z in (np.array([0.3, 0.2]), np.array([1e4, 1e4])):  # near and far field
+        for call in (parzen_posterior_not, explain_estimated, parzen_hessian, explain_with_fallback):
+            with pytest.raises(ValueError, match="label 7"):
+                call(mm, z, 7)
+    assert explain_estimated(mm, np.array([0.3, 0.2]), np.int64(2)).predicted_label == 2
 
 
 # ------------------------------------------------------------ width choice
