@@ -42,7 +42,7 @@ from .gpc import (
     predict_proba,
     save_gpc,
 )
-from .kernels import KernelSpec, kernel_eval, kernel_from_dict, kernel_grad_x, kernel_to_dict
+from .kernels import KernelSpec, kernel_from_dict, kernel_to_dict
 from .mimic import (
     ParzenMimic,
     explain_estimated,
@@ -78,9 +78,7 @@ __all__ = [
     "hessian_direction",
     "histogram",
     "inject_outliers",
-    "kernel_eval",
     "kernel_from_dict",
-    "kernel_grad_x",
     "kernel_to_dict",
     "knn_fit_loo",
     "ks_two_sample",

@@ -110,20 +110,20 @@ def _resolve_oracle(spec, dataset):
     return classifiers.table_oracle_load(text, dataset)
 
 
-def _build_mimic(args, refs):
-    """Reference labels from the oracle, then width selection."""
-    oracle = _resolve_oracle(getattr(args, "oracle", None), refs)
-    g_labels = oracle.predict(refs.features)
+def _fit_mimic(args, points, g_labels, *span):
+    """The Parzen mimic of the labels g gives the points.  Its width is
+    --sigma, or else the leave-one-out choice from the --sigma-grid list
+    or from the auto grid, default_sigma_grid(points, *span)."""
     if getattr(args, "sigma", None) is not None:
         sigma = float(args.sigma)
     else:
-        grid_arg = getattr(args, "sigma_grid", None)
-        if grid_arg in (None, "auto"):
-            grid = mimicmod.default_sigma_grid(refs.features)
+        if args.sigma_grid in (None, "auto"):
+            grid = mimicmod.default_sigma_grid(points, *span)
         else:
-            grid = _parse_floats(grid_arg)
-        sigma = mimicmod.select_width(refs.features, g_labels, refs.features, g_labels, grid)
-    return mimicmod.ParzenMimic(refs.features, g_labels, sigma), oracle, sigma
+            grid = _parse_floats(args.sigma_grid)
+        # by keyword: perfbench's tracer counts the candidates from it
+        sigma = mimicmod.select_width(points, g_labels, candidate_sigmas=grid)
+    return mimicmod.ParzenMimic(points, g_labels, sigma)
 
 
 def _explanations(args, queries):
@@ -140,14 +140,17 @@ def _explanations(args, queries):
         route = ("gpc", model)
     else:
         _require(args, "data")
+        threshold = args.hessian_fallback
+        if threshold is not None and not threshold > 0:
+            raise ValueError(f"--hessian-fallback must be positive, got {threshold}")
         refs = datamod.load_csv(args.data)
-        mm, oracle, _sigma = _build_mimic(args, refs)
-        threshold = getattr(args, "hessian_fallback", None)
+        oracle = _resolve_oracle(args.oracle, refs)
+        mm = _fit_mimic(args, refs.features, oracle.predict(refs.features))
         pairs = zip(queries.features, oracle.predict(queries.features))  # one oracle call
         if threshold is None:
             evs = [mimicmod.explain_estimated(mm, x, g) for x, g in pairs]
         else:
-            evs = [mimicmod.explain_with_fallback(mm, x, g, float(threshold)) for x, g in pairs]
+            evs = [mimicmod.explain_with_fallback(mm, x, g, threshold) for x, g in pairs]
         route = ("mimic", mm)
     window = getattr(args, "smooth_window", None)
     if window is not None:
@@ -367,15 +370,10 @@ def cmd_iris(args) -> int:
     train_error = float(np.mean(g_train != train.labels))
     test_error = float(np.mean(g_test != test.labels))
 
-    if args.sigma_grid in (None, "auto"):
-        # widths below ~0.1x the pairwise scale collapse the mimic to a
-        # nearest-neighbor lookup where the selection count saturates, so
-        # this pipeline searches [0.1, 1] x median pairwise distance
-        sigma_grid = mimicmod.default_sigma_grid(train.features, span=(0.1, 1.0))
-    else:
-        sigma_grid = _parse_floats(args.sigma_grid)
-    sigma = mimicmod.select_width(train.features, g_train, train.features, g_train, sigma_grid)
-    mm = mimicmod.ParzenMimic(train.features, g_train, sigma)
+    # widths below ~0.1x the pairwise scale collapse the mimic to a
+    # nearest-neighbor lookup where the selection count saturates, so
+    # this pipeline's auto grid spans [0.1, 1] x median pairwise distance
+    mm = _fit_mimic(args, train.features, g_train, (0.1, 1.0))
     mimic_train = mimicmod.mimic_predict(mm, train.features)
     agreement = float(np.mean(mimic_train == g_train))
 
@@ -399,7 +397,7 @@ def cmd_iris(args) -> int:
         "k_loo_errors": {str(k): v for k, v in clf.loo_errors.items()},
         "train_error": train_error,
         "test_error": test_error,
-        "sigma": sigma,
+        "sigma": mm.sigma,
         "mimic_train_agreement": agreement,
     }
     with open(f"{stem}-metrics.json", "w") as fh:

@@ -71,13 +71,6 @@ def kernel_from_dict(obj: dict) -> KernelSpec:
     )
 
 
-def _as_point(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError(f"{name} must be a 1-d point, got shape {x.shape}")
-    return x
-
-
 def _as_matrix(X, name: str) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -114,21 +107,6 @@ def _kernel_core(spec: KernelSpec, A: np.ndarray, B: np.ndarray, grad: bool = Fa
     J = A[:, None, :] - B[None, :, :]
     J *= (2.0 * dK)[:, :, None]
     return K, J
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate k(x, y) for a single pair of points."""
-    return float(kernel_vector(spec, _as_point(x, "x"), _as_point(y, "y")[None])[0])
-
-
-def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
-    """Gradient of k(., y) at x.
-
-    For the translation-invariant kinds (rbf, rational-quadratic) this is
-    antisymmetric under swapping the arguments:
-    kernel_grad_x(x, y) = -kernel_grad_x(y, x).
-    """
-    return kernel_grad_matrix(spec, _as_point(x, "x"), _as_point(y, "y")[None])[0]
 
 
 def _check_cross(x0, points):

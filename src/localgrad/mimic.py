@@ -55,8 +55,8 @@ class ParzenMimic:
     def __post_init__(self):
         self.ref_x = np.asarray(self.ref_x, dtype=float)
         self.ref_labels = np.asarray(self.ref_labels, dtype=int)
-        if self.ref_x.ndim != 2:
-            raise ValueError("ref_x must be an m x d matrix")
+        if self.ref_x.ndim != 2 or len(self.ref_x) == 0:
+            raise ValueError("ref_x must be a nonempty m x d matrix")
         if len(self.ref_labels) != len(self.ref_x):
             raise ValueError("ref_x and ref_labels must have equal length")
         if not self.sigma > 0:
@@ -145,54 +145,42 @@ def mimic_predict(mimic: ParzenMimic, x):
     return int(pred[0]) if x.ndim == 1 else pred
 
 
-def select_width(
-    ref_x,
-    ref_labels,
-    probe_points,
-    probe_labels,
-    candidate_sigmas,
-) -> float:
-    """Pick sigma minimizing disagreement with g on the probe points.
+def select_width(ref_x, ref_labels, candidate_sigmas) -> float:
+    """Pick sigma by leave-one-out agreement with g on the references.
 
-    The score of a candidate is the plain count of probes where the
-    mimic's prediction differs from the supplied g label; ties go to the
-    smaller sigma.  When the probes coincide with the references (same
-    points, same labels), each probe's own reference is left out of the
-    density — otherwise vanishing widths would win trivially.  Probes are
-    scored one row block at a time, every candidate on each block, and
-    each candidate's counts are added across blocks.
+    Each reference is scored by the mimic of the other references, bit for
+    bit (its own weight is left out, or vanishing widths would win
+    trivially).  The score of a candidate is the plain count of references
+    where that mimic's prediction differs from the supplied g label; ties
+    go to the smaller sigma.  The references of one class share the layout
+    of the mimic of the others, so they are scored class by class, one row
+    block at a time, every candidate on each block.
     """
-    ref_x = np.asarray(ref_x, dtype=float)
-    ref_labels = np.asarray(ref_labels, dtype=int)
-    probes = np.asarray(probe_points, dtype=float)
-    g_labels = np.asarray(probe_labels, dtype=int)
-    if len(probes) == 0 or len(ref_x) == 0:
-        raise ValueError("reference and probe sets must be nonempty")
-    cands = sorted(float(s) for s in candidate_sigmas)
-    positive = [s for s in cands if s > 0]
-    if not positive:
+    sigmas = sorted(s for s in map(float, candidate_sigmas) if s > 0)
+    if not sigmas:
         raise ValueError("no positive sigma candidate")
+    mimic = ParzenMimic(ref_x, ref_labels, sigmas[0])  # the decision rule reads only the labels
+    X, m = mimic.ref_x, len(mimic.ref_x)
+    if m < 2:
+        raise ValueError(f"leave-one-out width selection needs at least two references, got {m}")
+    counts = np.zeros(len(sigmas), dtype=int)
+    for c, sl in zip(mimic.classes, mimic.class_slices):
+        others = ParzenMimic(
+            np.delete(X, sl.start, axis=0), np.delete(mimic.ref_labels, sl.start), sigmas[0]
+        )
+        for block in data._row_blocks(sl.stop - sl.start, m):
+            rows = np.arange(sl.start + block.start, sl.start + block.stop)
+            sq = cdist(X[rows], X, "sqeuclidean")
+            sq = sq[np.arange(m) != rows[:, None]].reshape(len(rows), m - 1)  # in the others' order
+            w = np.empty_like(sq)  # weights of one candidate; reused
+            for i, s in enumerate(sigmas):
+                far = _rescale(sq, s, out=w)
+                counts[i] += np.count_nonzero(_decide(others, w, far) != c)
+    return sigmas[int(np.argmin(counts))]  # first minimum: the smaller sigma
 
-    loo = probes.shape == ref_x.shape and np.array_equal(probes, ref_x) and np.array_equal(
-        g_labels, ref_labels
-    )
-    mimic = ParzenMimic(ref_x, ref_labels, positive[0])  # the decision rule reads only the labels
-    if loo:  # probes in the mimic's order: probe i's own reference is column i
-        probes, g_labels = mimic.ref_x, mimic.ref_labels
-    counts = np.zeros(len(positive), dtype=int)
-    for block in data._row_blocks(len(probes), len(ref_x)):
-        sq = cdist(probes[block], mimic.ref_x, "sqeuclidean")
-        if loo:  # each probe's own reference gets weight 0
-            np.fill_diagonal(sq[:, block], np.inf)
-        w = np.empty_like(sq)  # weights of one candidate; reused
-        for i, s in enumerate(positive):
-            far = _rescale(sq, s, out=w)
-            counts[i] += np.count_nonzero(_decide(mimic, w, far) != g_labels[block])
-    return positive[int(np.argmin(counts))]  # first minimum: the smaller sigma
 
-
-def default_sigma_grid(points, count: int = 25, span=(1e-2, 1e2)) -> np.ndarray:
-    """Log-spaced candidate widths scaled by the median pairwise distance.
+def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
+    """25 log-spaced candidate widths over `span` times the median pairwise distance.
 
     The median is taken in place on the one buffer of pairwise distances.
     A zero median (more than half of the point pairs coincide) scales no
@@ -213,7 +201,7 @@ def default_sigma_grid(points, count: int = 25, span=(1e-2, 1e2)) -> np.ndarray:
             f"(it is 0 when more than half of the point pairs coincide); "
             f"pass --sigma or --sigma-grid"
         )
-    return med * np.logspace(np.log10(span[0]), np.log10(span[1]), count)
+    return med * np.logspace(np.log10(span[0]), np.log10(span[1]), 25)
 
 
 def _quotient_parts(mimic: ParzenMimic, z, c):

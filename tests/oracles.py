@@ -45,31 +45,45 @@ def erfc_oracle(x, dps=30):
         return float(mpmath.erfc(x))
 
 
+def kernel_pair(spec, x, y):
+    """k(x, y) for one pair: kernel_vector at the point x on the one-row points [y]."""
+    from localgrad.kernels import kernel_vector
+
+    return float(kernel_vector(spec, x, np.asarray(y, dtype=float)[None])[0])
+
+
+def kernel_pair_grad(spec, x, y):
+    """Gradient of k(., y) at x: kernel_grad_matrix at the point x on the one-row points [y]."""
+    from localgrad.kernels import kernel_grad_matrix
+
+    return kernel_grad_matrix(spec, x, np.asarray(y, dtype=float)[None])[0]
+
+
 def latent_variance_dense(model, x0):
     """Predictive latent variance via explicit dense inversion of K + S."""
-    from localgrad.kernels import kernel_eval, kernel_gram, kernel_vector
+    from localgrad.kernels import kernel_gram, kernel_vector
 
     K = kernel_gram(model.kernel, model.train_x)
     B = K + model.jitter * np.eye(len(K)) + np.diag(model.site_variance)
     k_star = kernel_vector(model.kernel, x0, model.train_x)
-    return kernel_eval(model.kernel, x0, x0) - k_star @ np.linalg.inv(B) @ k_star
+    return kernel_pair(model.kernel, x0, x0) - k_star @ np.linalg.inv(B) @ k_star
 
 
 def latent_moments_dense(model, x0):
     """Latent mean and variance at x0 and their gradients, from a dense
     inverse of K + S, one kernel call per training point, and a central
     finite difference of x -> k(x, x) for the variance's self term."""
-    from localgrad.kernels import kernel_eval, kernel_grad_x, kernel_gram
+    from localgrad.kernels import kernel_gram
 
     K = kernel_gram(model.kernel, model.train_x)
     B_inv = np.linalg.inv(K + model.jitter * np.eye(len(K)) + np.diag(model.site_variance))
-    k_star = np.array([kernel_eval(model.kernel, x0, xi) for xi in model.train_x])
-    J = np.array([kernel_grad_x(model.kernel, x0, xi) for xi in model.train_x])
-    self_grad = fd_gradient(lambda p: kernel_eval(model.kernel, p, p), x0)
+    k_star = np.array([kernel_pair(model.kernel, x0, xi) for xi in model.train_x])
+    J = np.array([kernel_pair_grad(model.kernel, x0, xi) for xi in model.train_x])
+    self_grad = fd_gradient(lambda p: kernel_pair(model.kernel, p, p), x0)
     solved = B_inv @ k_star
     return (
         k_star @ model.alpha,
-        kernel_eval(model.kernel, x0, x0) - k_star @ solved,
+        kernel_pair(model.kernel, x0, x0) - k_star @ solved,
         J.T @ model.alpha,
         self_grad - 2.0 * J.T @ solved,
     )
@@ -175,24 +189,19 @@ def knn_loo_errors_bruteforce(train_x, train_y, k):
     return errors
 
 
-def select_width_bruteforce(ref_x, ref_labels, sigmas, probes=None, probe_labels=None):
-    """Width selection by refitting a leave-one-out mimic per probe or,
-    given external probes, by scoring the full mimic on each of them."""
+def select_width_bruteforce(ref_x, ref_labels, sigmas):
+    """Width selection by refitting a leave-one-out mimic per reference."""
     from localgrad.mimic import ParzenMimic, mimic_predict
 
     X = np.asarray(ref_x, dtype=float)
     y = np.asarray(ref_labels, dtype=int)
     best, best_count = None, None
     for s in sorted(float(v) for v in sigmas):
-        if probes is None:
-            count = 0
-            for i in range(len(X)):
-                mm = ParzenMimic(np.delete(X, i, axis=0), np.delete(y, i), s)
-                if mimic_predict(mm, X[i]) != y[i]:
-                    count += 1
-        else:
-            mm = ParzenMimic(X, y, s)
-            count = sum(mimic_predict(mm, p) != g for p, g in zip(probes, probe_labels))
+        count = 0
+        for i in range(len(X)):
+            mm = ParzenMimic(np.delete(X, i, axis=0), np.delete(y, i), s)
+            if mimic_predict(mm, X[i]) != y[i]:
+                count += 1
         if best_count is None or count < best_count:
             best, best_count = s, count
     return best

@@ -323,7 +323,7 @@ def test_06_width_regime_behavior():
         C = np.abs(U @ U.T)
         return float(C[np.triu_indices(len(U), k=1)].mean())
 
-    fitted = select_width(X, y, X, y, default_sigma_grid(X))
+    fitted = select_width(X, y, default_sigma_grid(X))
     g_tiny = grad_field(0.01 * med)
     g_fit = grad_field(fitted)
     g_huge = grad_field(100.0 * med)

@@ -8,9 +8,9 @@ import pytest
 
 from localgrad.classifiers import KnnClassifier
 from localgrad.cli import main
-from localgrad.data import Dataset, gen_triangle, save_csv
+from localgrad.data import Dataset, gen_triangle, load_csv, save_csv
 from localgrad.gpc import explain_gpc, load_gpc, predict_proba
-from localgrad.mimic import ParzenMimic, mimic_predict, parzen_posterior_not
+from localgrad.mimic import ParzenMimic, mimic_predict, parzen_posterior_not, select_width
 from oracles import load_explanations
 
 
@@ -177,6 +177,21 @@ def test_explain_mimic_route(triangle_csv, tmp_path):
     assert all(ev.source == "parzen-mimic" for ev in evs)
 
 
+def test_explain_sigma_grid_list_selects_like_fixed_sigma(triangle_csv, tmp_path):
+    # an explicit --sigma-grid is searched by leave-one-out on the oracle's
+    # reference labels; the mimic it builds is the --sigma mimic of that width
+    grid = [3.0, 0.01, 0.1, 0.3]
+    data = load_csv(triangle_csv)
+    g_labels = KnnClassifier(data.features, data.labels, 3).predict(data.features)
+    sigma = select_width(data.features, g_labels, grid)
+    assert sigma == 0.1  # neither the first nor the smallest candidate
+    base = ["explain", "--data", triangle_csv, "--oracle", "knn:3"]
+    listed, fixed = tmp_path / "listed.csv", tmp_path / "fixed.csv"
+    assert main(base + ["--sigma-grid", ",".join(map(str, grid)), "--out", str(listed)]) == 0
+    assert main(base + ["--sigma", repr(sigma), "--out", str(fixed)]) == 0
+    assert listed.read_bytes() == fixed.read_bytes()
+
+
 def test_explain_rejects_both_routes(triangle_csv, fitted_model, tmp_path, capsys):
     rc = main(
         [
@@ -231,6 +246,26 @@ def test_count_flags_out_of_range_are_errors(triangle_csv, fitted_model, tmp_pat
     assert main(argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "ValueError" and flag.split("=")[0] in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, in_config", [("-5", False), ("0", False), ("nan", False), (0, True)])
+def test_hessian_fallback_threshold_must_be_positive(
+    triangle_csv, tmp_path, capsys, monkeypatch, value, in_config
+):
+    # unchecked, no gradient norm falls below a threshold of 0 or less, so the
+    # fallback never ran, and every norm fails `>= nan`, so it always ran
+    def explain_with_fallback(*args):
+        raise AssertionError("an explanation was computed")
+
+    monkeypatch.setattr("localgrad.mimic.explain_with_fallback", explain_with_fallback)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hessian_fallback": value}))
+    out = tmp_path / "out.csv"
+    flag = ["--config", str(cfg)] if in_config else [f"--hessian-fallback={value}"]
+    assert main(["explain", "--data", triangle_csv, "--sigma", "0.3", *flag, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and "--hessian-fallback" in err["error"]
     assert not out.exists()
 
 
@@ -506,6 +541,21 @@ def test_iris_outputs_exist(iris_run):
         assert (iris_run / suffix).exists()
     evs = load_explanations(iris_run / "iris-explanations.csv")
     assert len(evs) == 50
+
+
+def test_iris_sigma_grid_list_is_searched_whole(tmp_path):
+    # the listed widths are searched by leave-one-out on the written training
+    # split as the k-NN labels it; the auto grid's span [0.1, 1] x median
+    # pairwise distance does not narrow the list
+    grid = [8.0, 0.05, 0.15, 3.0]
+    out = tmp_path / "iris"
+    assert main(["iris", "--seed", "1", "--sigma-grid", ",".join(map(str, grid)), "--out", str(out)]) == 0
+    metrics = json.loads((tmp_path / "iris-metrics.json").read_text())
+    train = load_csv(tmp_path / "iris-train.csv")
+    g_train = KnnClassifier(train.features, train.labels, metrics["k"]).predict(train.features)
+    assert metrics["sigma"] == select_width(train.features, g_train, grid) == 0.15
+    d = np.linalg.norm(train.features[:, None] - train.features[None], axis=2)
+    assert metrics["sigma"] < 0.1 * np.median(d[np.triu_indices(len(d), 1)])
 
 
 def test_iris_deterministic(tmp_path):

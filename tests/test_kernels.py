@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from localgrad.kernels import (
     KernelSpec,
     kernel_diag,
-    kernel_eval,
     kernel_from_dict,
     kernel_grad_matrix,
-    kernel_grad_x,
     kernel_gram,
     kernel_to_dict,
     kernel_vector,
 )
-from oracles import fd_gradient
+from oracles import fd_gradient, kernel_pair, kernel_pair_grad
 
 
 def all_specs():
@@ -32,19 +30,19 @@ def all_specs():
 def test_rbf_identical_points_is_one():
     spec = KernelSpec("rbf", width=1.0)
     x = np.array([0.3, -2.0])
-    assert kernel_eval(spec, x, x) == 1.0
+    assert kernel_pair(spec, x, x) == 1.0
 
 
 def test_rbf_unit_separation():
     spec = KernelSpec("rbf", width=1.0)
-    assert kernel_eval(spec, np.array([0.0]), np.array([1.0])) == pytest.approx(
+    assert kernel_pair(spec, np.array([0.0]), np.array([1.0])) == pytest.approx(
         np.exp(-1.0), rel=1e-15
     )
 
 
 def test_linear_is_dot_product():
     spec = KernelSpec("linear")
-    assert kernel_eval(spec, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+    assert kernel_pair(spec, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
 
 
 def test_rational_quadratic_closed_form():
@@ -53,7 +51,7 @@ def test_rational_quadratic_closed_form():
     y = np.array([-0.2, 0.3])
     sq = np.sum((x - y) ** 2)
     expected = (1.0 + sq / (2.0 * 2.0 * 0.25)) ** -2.0
-    assert kernel_eval(spec, x, y) == pytest.approx(expected, rel=1e-14)
+    assert kernel_pair(spec, x, y) == pytest.approx(expected, rel=1e-14)
 
 
 def test_symmetry_all_kinds():
@@ -61,20 +59,20 @@ def test_symmetry_all_kinds():
     for spec in all_specs():
         for _ in range(20):
             x, y = rng.normal(size=(2, 3))
-            assert kernel_eval(spec, x, y) == pytest.approx(
-                kernel_eval(spec, y, x), rel=1e-14, abs=1e-300
+            assert kernel_pair(spec, x, y) == pytest.approx(
+                kernel_pair(spec, y, x), rel=1e-14, abs=1e-300
             )
 
 
 def test_rbf_grad_at_identical_points_is_zero():
     spec = KernelSpec("rbf", width=2.5)
     x = np.array([1.0, -3.0, 0.5])
-    assert np.array_equal(kernel_grad_x(spec, x, x), np.zeros(3))
+    assert np.array_equal(kernel_pair_grad(spec, x, x), np.zeros(3))
 
 
 def test_rbf_grad_known_value():
     spec = KernelSpec("rbf", width=1.0)
-    g = kernel_grad_x(spec, np.array([0.0]), np.array([1.0]))
+    g = kernel_pair_grad(spec, np.array([0.0]), np.array([1.0]))
     assert g[0] == pytest.approx(2.0 * np.exp(-1.0), rel=1e-14)
 
 
@@ -87,8 +85,8 @@ def test_grad_matches_finite_differences_many_triples():
             d = rng.integers(1, 6)
             x = rng.normal(scale=1.5, size=d)
             y = rng.normal(scale=1.5, size=d)
-            got = kernel_grad_x(spec, x, y)
-            want = fd_gradient(lambda p: kernel_eval(spec, p, y), x)
+            got = kernel_pair_grad(spec, x, y)
+            want = fd_gradient(lambda p: kernel_pair(spec, p, y), x)
             scale = max(np.linalg.norm(want), 1e-8)
             assert np.linalg.norm(got - want) / scale < 1e-6
             checked += 1
@@ -103,7 +101,7 @@ def test_grad_antisymmetry_translation_invariant_kinds():
         for _ in range(25):
             x, y = rng.normal(size=(2, 4))
             np.testing.assert_allclose(
-                kernel_grad_x(spec, x, y), -kernel_grad_x(spec, y, x), rtol=1e-13
+                kernel_pair_grad(spec, x, y), -kernel_pair_grad(spec, y, x), rtol=1e-13
             )
 
 
@@ -111,7 +109,7 @@ def test_linear_grad_is_other_point():
     spec = KernelSpec("linear")
     x = np.array([0.1, 0.2])
     y = np.array([-3.0, 5.0])
-    assert np.array_equal(kernel_grad_x(spec, x, y), y)
+    assert np.array_equal(kernel_pair_grad(spec, x, y), y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,7 +123,7 @@ def test_rbf_value_range_property(xs, ys, w):
     x = np.array(xs[:d])
     y = np.array(ys[:d])
     spec = KernelSpec("rbf", width=w)
-    v = kernel_eval(spec, x, y)
+    v = kernel_pair(spec, x, y)
     assert 0.0 <= v <= 1.0
     if w * np.sum((x - y) ** 2) < 700:  # within float range, strictly positive
         assert v > 0.0
@@ -170,22 +168,23 @@ def test_gram_matches_pairwise_eval():
     for i in range(6):
         for j in range(6):
             assert K[i, j] == pytest.approx(
-                kernel_eval(spec, pts[i], pts[j]), rel=1e-12, abs=1e-15
+                kernel_pair(spec, pts[i], pts[j]), rel=1e-12, abs=1e-15
             )
 
 
 def test_kernel_vector_and_grad_matrix_consistency():
-    spec = KernelSpec("rbf", width=0.7)
+    # each entry depends on its own pair only: a block of points gives the pair's bits
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(8, 3))
     x0 = rng.normal(size=3)
-    kv = kernel_vector(spec, x0, pts)
-    J = kernel_grad_matrix(spec, x0, pts)
-    assert kv.shape == (8,)
-    assert J.shape == (8, 3)
-    for i in range(8):
-        assert kv[i] == pytest.approx(kernel_eval(spec, x0, pts[i]), rel=1e-14)
-        np.testing.assert_allclose(J[i], kernel_grad_x(spec, x0, pts[i]), rtol=1e-14)
+    for spec in all_specs():
+        kv = kernel_vector(spec, x0, pts)
+        J = kernel_grad_matrix(spec, x0, pts)
+        assert kv.shape == (8,)
+        assert J.shape == (8, 3)
+        for i in range(8):
+            assert kv[i] == kernel_pair(spec, x0, pts[i])
+            assert np.array_equal(J[i], kernel_pair_grad(spec, x0, pts[i]))
 
 
 @pytest.mark.parametrize("block_rows", [1, 7])
@@ -213,17 +212,20 @@ def test_kernel_diag_matches_pair_eval_and_finite_differences():
     for spec in all_specs():
         values, grads = kernel_diag(spec, X)
         for x, v, g in zip(X, values, grads):
-            assert v == pytest.approx(kernel_eval(spec, x, x), rel=1e-15)
-            want = fd_gradient(lambda p: kernel_eval(spec, p, p), x)
+            assert v == pytest.approx(kernel_pair(spec, x, x), rel=1e-15)
+            want = fd_gradient(lambda p: kernel_pair(spec, p, p), x)
             np.testing.assert_allclose(g, want, rtol=1e-8, atol=1e-9)
 
 
 def test_dimension_mismatch_errors():
     spec = KernelSpec("rbf", width=1.0)
-    with pytest.raises(ValueError):
-        kernel_eval(spec, np.array([1.0]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        kernel_grad_x(spec, np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+    for call in (kernel_vector, kernel_grad_matrix):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call(spec, np.array([1.0]), np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call(spec, np.array([1.0, 2.0, 3.0]), np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="points must be a 2-d array"):
+            call(spec, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 def test_invalid_parameters_rejected_at_construction():

@@ -173,10 +173,7 @@ def test_reference_order_changes_nothing(seed):
     queries[-2:] += 1e4  # far field
     assert mimic_predict(shuffled, queries).tolist() == mimic_predict(mm, queries).tolist()
     grid = [0.1, 0.3, 0.6, 1.2]
-    R, r = mm.ref_x, mm.ref_labels
-    assert select_width(X, y, X, y, grid) == select_width(R, r, R, r, grid)
-    probe_labels = mimic_predict(mm, queries)
-    assert select_width(X, y, queries, probe_labels, grid) == select_width(R, r, queries, probe_labels, grid)
+    assert select_width(X, y, grid) == select_width(mm.ref_x, mm.ref_labels, grid)
     for q in queries:
         for c in mm.classes:
             a, b = explain_estimated(mm, q, c), explain_estimated(shuffled, q, c)
@@ -203,14 +200,16 @@ def test_label_no_reference_carries_is_an_error():
 def test_select_width_single_candidate():
     mm_X = np.array([[0.0], [1.0]])
     y = np.array([1, 2])
-    assert select_width(mm_X, y, mm_X, y, [0.37]) == 0.37
+    assert select_width(mm_X, y, [0.37]) == 0.37
 
 
 def test_select_width_rejects_nonpositive():
     X = np.array([[0.0], [1.0]])
     y = np.array([1, 2])
-    with pytest.raises(ValueError):
-        select_width(X, y, X, y, [-1.0, 0.0])
+    with pytest.raises(ValueError, match="no positive sigma"):
+        select_width(X, y, [-1.0, 0.0])
+    with pytest.raises(ValueError, match="at least two references"):  # no other reference to score by
+        select_width(X[:1], y[:1], [1.0])
 
 
 def test_select_width_oversmoothed_not_chosen():
@@ -222,7 +221,7 @@ def test_select_width_oversmoothed_not_chosen():
     spread = np.median(
         np.linalg.norm(X[:, None] - X[None, :], axis=2)[np.triu_indices(40, 1)]
     )
-    picked = select_width(X, y, X, y, [0.01 * spread, spread, 100 * spread])
+    picked = select_width(X, y, [0.01 * spread, spread, 100 * spread])
     assert picked != 100 * spread
 
 
@@ -233,9 +232,9 @@ def test_select_width_matches_bruteforce_loo():
     )
     y = np.array([1] * 12 + [2] * 12)
     grid = [0.15, 0.4, 0.9, 2.0]
-    assert select_width(X, y, X, y, grid) == select_width_bruteforce(X, y, grid)
+    assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid)
     X, y, grid = interleaved_set()
-    assert select_width(X, y, X, y, grid) == select_width_bruteforce(X, y, grid) == 0.3
+    assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid) == 0.3
 
 
 def test_select_width_tie_prefers_smaller():
@@ -244,20 +243,7 @@ def test_select_width_tie_prefers_smaller():
     X = np.vstack([a, b])
     y = np.array([1, 1, 1, 2, 2, 2])
     # both candidates classify every LOO probe correctly -> tie -> smaller
-    assert select_width(X, y, X, y, [0.9, 0.5]) == 0.5
-
-
-def test_select_width_with_external_probes():
-    rng = np.random.default_rng(8)
-    X = np.vstack(
-        [rng.normal([-2, 0], 0.5, size=(15, 2)), rng.normal([2, 0], 0.5, size=(15, 2))]
-    )
-    y = np.array([1] * 15 + [2] * 15)
-    probes = rng.normal(0, 2.5, size=(40, 2))
-    probe_labels = np.where(probes[:, 0] < 0, 1, 2)
-    grid = [0.2, 0.6, 1.5, 4.0]
-    picked = select_width(X, y, probes, probe_labels, grid)
-    assert picked == select_width_bruteforce(X, y, grid, probes, probe_labels)
+    assert select_width(X, y, [0.9, 0.5]) == 0.5
 
 
 def interleaved_set():
@@ -271,34 +257,43 @@ def interleaved_set():
 
 
 def near_tie_set():
-    """At sigma=1 each class has one weight of 1 and five of 2^-53, so the
-    class sums tie or not depending on the order they are added in."""
-    s = np.array([1, 0, -1, 1, 0, 1, 1, 1, 1, -1, 1, 1], dtype=float)
-    X = (s * np.sqrt(106 * np.log(2)))[:, None]
-    y = np.array([1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 2, 1])
-    return X, y, [1.0, 1.001]
+    """Three references at 0 (labels 2, 2, 1) and two of class 2 at r = sqrt(106 ln 2).
+    At sigma=1 a reference at 0 weighs each other one at 0 by 1 and each at r
+    by just under 2^-53.  Left out, a class-2 reference at 0 sees class sums
+    of 1 and 1 + 2^-53 + 2^-53: added in the mimic's order, the first 2^-53
+    is lost and the tie goes to class 1; the two small weights added first
+    would sum to 2^-52 and survive.  At sigma=1.001 each small weight exceeds
+    2^-53 and class 2 wins in any order."""
+    r = np.sqrt(106 * np.log(2))
+    return np.array([[0.0], [0.0], [0.0], [r], [r]]), np.array([2, 2, 1, 2, 2]), [1.0, 1.001]
+
+
+def eight_term_tie_set():
+    """near_tie_set with six references at r.  Left out, a class-2 reference
+    at 0 sees a class-2 sum of seven terms, which numpy adds in order, so
+    the tie holds at 1.  The eight terms of the full slice, its own zero
+    weight included, numpy adds in eight partial sums, which keep the
+    small weights: a zero weight in place of leaving out loses the tie."""
+    r = np.sqrt(106 * np.log(2))
+    return np.array([[0.0]] * 3 + [[r]] * 6), np.array([2, 2, 1] + [2] * 6), [1.0, 1.001]
 
 
 def test_select_width_near_tie_scores_the_mimic_it_returns():
-    X, y, grid = near_tie_set()
-    probes, probe_labels = np.array([[0.0]]), np.array([1])
-    picked = select_width(X, y, probes, probe_labels, grid)
-    assert picked == select_width_bruteforce(X, y, grid, probes, probe_labels)
+    # each reference is scored by the mimic of the others, whose class sums
+    # are added in their own order: other orders resolve the tie otherwise
+    for X, y, grid in (near_tie_set(), eight_term_tie_set()):
+        loo = [ParzenMimic(np.delete(X, i, axis=0), np.delete(y, i), 1.0) for i in range(len(X))]
+        assert [mimic_predict(mm, x) for mm, x in zip(loo, X)] == [1, 1] + [2] * (len(X) - 2)
+        assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid) == 1.001
 
 
 @pytest.mark.parametrize("block_rows", [1, 7])
-@pytest.mark.parametrize("make_set", [interleaved_set, near_tie_set])
+@pytest.mark.parametrize("make_set", [interleaved_set, near_tie_set, eight_term_tie_set])
 def test_select_width_block_size_changes_nothing(monkeypatch, block_rows, make_set):
-    # blocks of one row, and of 7 rows, which divides neither 40 nor 12
+    # blocks of one row, and of 7 rows, which divides none of the sets' sizes
     X, y, grid = make_set()
     monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(X))
-    assert select_width(X, y, X, y, grid) == select_width_bruteforce(X, y, grid)
-    rng = np.random.default_rng(12)
-    probes = rng.uniform(X.min(axis=0), X.max(axis=0), size=(23, X.shape[1]))
-    probe_labels = rng.integers(1, 3, size=23)
-    assert select_width(X, y, probes, probe_labels, grid) == select_width_bruteforce(
-        X, y, grid, probes, probe_labels
-    )
+    assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid)
 
 
 def test_default_sigma_grid_shape_and_span():
@@ -335,7 +330,7 @@ def test_width_selection_memory_stays_quadratic():
         grid = default_sigma_grid(X)
         grid_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        select_width(X, y, X, y, grid)
+        select_width(X, y, grid)
         select_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,7 +346,7 @@ def test_width_selection_memory_grows_linearly():
     grid = np.logspace(-1, 1, 25)
     tracemalloc.start()
     try:
-        select_width(X, y, X, y, grid)
+        select_width(X, y, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -549,3 +544,5 @@ def test_parzen_mimic_validation():
         ParzenMimic(np.array([[0.0]]), np.array([1]), 0.0)
     with pytest.raises(ValueError):
         ParzenMimic(np.array([[0.0], [1.0]]), np.array([1]), 1.0)
+    with pytest.raises(ValueError, match="nonempty"):  # select_width rejects an empty set through it
+        ParzenMimic(np.zeros((0, 2)), np.zeros(0, dtype=int), 1.0)
