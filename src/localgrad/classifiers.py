@@ -43,10 +43,37 @@ class KnnClassifier:
         X = np.atleast_2d(x)
         labels = np.empty(len(X), dtype=self.train_y.dtype)
         for block in data._row_blocks(len(X), len(self.train_x)):
-            dist = cdist(X[block], self.train_x, "sqeuclidean")
-            order = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
-            labels[block] = _vote(self.train_y[order])
+            dist = _sq_distances(X[block], self.train_x)
+            labels[block] = _vote(self.train_y[_nearest(dist, self.k)])
         return int(labels[0]) if x.ndim == 1 else labels
+
+
+def _sq_distances(A, B) -> np.ndarray:
+    """Squared distances from each row of A to each row of B; ranking needs
+    them finite, so non-finite points or overflowing distances are an error."""
+    dist = cdist(A, B, "sqeuclidean")
+    if not np.isfinite(dist).all():
+        raise ValueError("k-NN needs finite points and finite squared distances")
+    return dist
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's k smallest distances, nearest first, ties to
+    the lower column: the first k columns of a stable argsort.
+
+    A partial selection finds each row's k-th smallest distance.  Where
+    exactly k columns lie at or below it, only those k are stable-sorted
+    (np.nonzero gives them in column order); rows where more columns tie
+    at the k-th distance get the full sort.  Needs 1 <= k <= m and no NaN.
+    """
+    within = dist <= np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    exact = np.count_nonzero(within, axis=1) == k
+    order = np.empty((len(dist), k), dtype=np.intp)
+    cols = np.nonzero(within[exact])[1].reshape(-1, k)
+    near = np.take_along_axis(dist[exact], cols, axis=1)
+    order[exact] = np.take_along_axis(cols, np.argsort(near, axis=1, kind="stable"), axis=1)
+    order[~exact] = np.argsort(dist[~exact], axis=1, kind="stable")[:, :k]
+    return order
 
 
 def _vote(neighbor_labels: np.ndarray) -> np.ndarray:
@@ -83,11 +110,9 @@ def knn_fit_loo(train_x, train_y, k_candidates) -> KnnClassifier:
         raise ValueError(f"k candidates must lie in [1, {n - 1}]")
     order = np.empty((n, cands[-1]), dtype=np.intp)
     for block in data._row_blocks(n, n):
-        dist = cdist(X[block], X, "sqeuclidean")
-        if not np.isfinite(dist).all():
-            raise ValueError("k-NN leave-one-out needs finite points and finite squared distances")
+        dist = _sq_distances(X[block], X)
         dist[np.arange(len(dist)), np.arange(n)[block]] = np.inf  # not its own neighbor
-        order[block] = np.argsort(dist, axis=1, kind="stable")[:, : cands[-1]]
+        order[block] = _nearest(dist, cands[-1])
     neighbor_labels = y[order]
     errors = {k: int(np.sum(_vote(neighbor_labels[:, :k]) != y)) for k in cands}
     best = min(cands, key=lambda k: (errors[k], k))

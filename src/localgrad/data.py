@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -140,7 +141,7 @@ def load_csv(path, classes=None) -> Dataset:
                 raise ValueError(
                     f"{path}: non-numeric value {row[j]!r} at row {i}, column {header[j]!r}"
                 ) from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"{path}: non-finite value at row {i}, column {header[j]!r}")
             vals.append(v)
         try:

@@ -174,17 +174,21 @@ def parzen_posterior_naive(ref_x, ref_labels, sigma, x, c):
 
 
 def knn_loo_errors_bruteforce(train_x, train_y, k):
-    """LOO error count by literally refitting n classifiers."""
-    from localgrad.classifiers import KnnClassifier
-
-    X = np.asarray(train_x, dtype=float)
-    y = np.asarray(train_y, dtype=int)
+    """LOO error count, ranking each left-out point's neighbors with a
+    full sort on (squared distance, index) and voting by the documented
+    rule: most votes wins, and a vote tie goes to the tied class met
+    first among the nearest."""
+    X = np.asarray(train_x, dtype=float).tolist()
+    y = np.asarray(train_y, dtype=int).tolist()
     errors = 0
-    for i in range(len(X)):
-        rest_x = np.delete(X, i, axis=0)
-        rest_y = np.delete(y, i)
-        clf = KnnClassifier(rest_x, rest_y, k)
-        if clf.predict(X[i]) != y[i]:
+    for i, xi in enumerate(X):
+        ranked = sorted(
+            (sum((a - b) * (a - b) for a, b in zip(xi, xj)), j) for j, xj in enumerate(X) if j != i
+        )
+        votes = [y[j] for _, j in ranked[:k]]
+        top = max(votes.count(c) for c in votes)
+        winner = next(c for c in votes if votes.count(c) == top)
+        if winner != y[i]:
             errors += 1
     return errors
 

@@ -3,14 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from localgrad.classifiers import (
     KnnClassifier,
     TableOracle,
+    _nearest,
     knn_fit_loo,
     table_oracle_load,
 )
-from localgrad.data import Dataset
+from localgrad.data import Dataset, _row_blocks
 from oracles import knn_loo_errors_bruteforce
 
 
@@ -111,12 +113,92 @@ def test_predict_block_size_changes_nothing(monkeypatch, block_rows):
     assert clf.predict(queries).tolist() == expected
 
 
+def tied_distances(rows=50, m=12, seed=23):
+    """Squared distances from rounded queries to rounded training points,
+    three of them duplicated and five queries on training points: ties
+    at the k-th distance are common, but not on every row."""
+    rng = np.random.default_rng(seed)
+    train = np.round(rng.normal(size=(m, 2)), 1)
+    train[-3:] = train[:3]
+    queries = np.round(rng.normal(size=(rows, 2)), 1)
+    queries[:5] = train[:5]
+    return cdist(queries, train, "sqeuclidean")
+
+
+def stable_first(dist, k):
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+@pytest.mark.parametrize("k", [1, 2, 11, 12])
+def test_nearest_equals_stable_argsort(monkeypatch, k, block_rows):
+    # k = 1, 2, m - 1 and m; one-row, 7-row and default-size blocks
+    dist = tied_distances()
+    m = dist.shape[1]
+    if k < m:  # the data must reach both the partial path and the tie fallback
+        counts = np.count_nonzero(dist <= np.sort(dist, axis=1)[:, k - 1 : k], axis=1)
+        assert (counts == k).any() and (counts > k).any()
+    if block_rows:
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * m)
+    got = np.vstack([_nearest(dist[block], k) for block in _row_blocks(len(dist), m)])
+    assert np.array_equal(got, stable_first(dist, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 11, 12])
+def test_nearest_with_inf_self_column(k):
+    # knn_fit_loo's block: each point's distance to itself is +inf
+    X = np.round(np.random.default_rng(24).normal(size=(12, 2)), 1)
+    X[-3:] = X[:3]
+    dist = cdist(X, X, "sqeuclidean")
+    dist[np.arange(12), np.arange(12)] = np.inf
+    assert np.array_equal(_nearest(dist, k), stable_first(dist, k))
+
+
+def test_nearest_fully_sorts_only_tied_rows(monkeypatch):
+    # a row without a tie at the k-th distance sorts only its k nearest
+    # columns; a full-width sort there would mean the partial path is gone
+    m, k = 60, 5
+    full_rows = []
+    argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        if np.shape(a)[-1] == m:
+            full_rows.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    rng = np.random.default_rng(25)
+    untied = cdist(rng.normal(size=(40, 3)), rng.normal(size=(m, 3)), "sqeuclidean")
+    tied = tied_distances(m=m)
+    n_tied = int(np.sum(np.count_nonzero(tied <= np.sort(tied, axis=1)[:, k - 1 : k], axis=1) > k))
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    got_untied, got_tied = _nearest(untied, k), _nearest(tied, k)
+    monkeypatch.undo()
+    assert np.array_equal(got_untied, stable_first(untied, k))
+    assert np.array_equal(got_tied, stable_first(tied, k))
+    assert 0 < n_tied < len(tied)
+    assert sum(full_rows) == n_tied
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
 def test_fit_loo_rejects_non_finite_distances(bad):
     X, y = two_clusters(n=10)
     X[3, 0] = bad  # 1e200 is finite, but its squared distances overflow
     with pytest.raises(ValueError, match="finite"):
         knn_fit_loo(X, y, (1, 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_predict_rejects_non_finite_distances(bad):
+    X, y = two_clusters(n=10)
+    queries = X.copy()
+    queries[3, 0] = bad  # 1e200 is finite, but its squared distances overflow
+    clf = KnnClassifier(X, y, k=3)
+    for q in (queries, queries[3]):
+        with pytest.raises(ValueError, match="finite"):
+            clf.predict(q)
+    X[3, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        KnnClassifier(X, y, k=3).predict(np.zeros(2))
 
 
 def test_fit_loo_tie_prefers_smaller_k():
