@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -51,7 +52,7 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
         argv = [args.command]
         for key, value in cfg.items():
             attr = key.replace("-", "_")
-            if attr in ("command", "func") or not hasattr(args, attr):
+            if attr == "command" or not hasattr(args, attr):
                 raise ValueError(f"config key {key!r} is not a flag of {args.command}")
             if getattr(args, attr) is None and value is not None:
                 flag = "--" + attr.replace("_", "-")
@@ -128,8 +129,10 @@ def _fit_mimic(args, points, g_labels, *span):
 
 def _explanations(args, queries):
     """Shared explanation routing: analytic (--model) or mimic, then the
-    --smooth-window smoothing when it is given.  Returns the explanations
-    and the route: ("gpc", model) or ("mimic", mimic)."""
+    --smooth-window smoothing when it is given.  The mimic's references are
+    the --data rows; without --queries they are the queries, read and
+    labelled once.  Returns the explanations and the route: ("gpc", model)
+    or ("mimic", mimic)."""
     if getattr(args, "model", None):
         for name in ("oracle", "sigma", "sigma_grid", "hessian_fallback"):
             if getattr(args, name, None) is not None:
@@ -143,10 +146,11 @@ def _explanations(args, queries):
         threshold = args.hessian_fallback
         if threshold is not None and not threshold > 0:
             raise ValueError(f"--hessian-fallback must be positive, got {threshold}")
-        refs = datamod.load_csv(args.data)
+        refs = queries if args.queries is None else datamod.load_csv(args.data)
         oracle = _resolve_oracle(args.oracle, refs)
-        mm = _fit_mimic(args, refs.features, oracle.predict(refs.features))
-        pairs = zip(queries.features, oracle.predict(queries.features))  # one oracle call
+        g_refs = oracle.predict(refs.features)
+        mm = _fit_mimic(args, refs.features, g_refs)
+        pairs = zip(queries.features, g_refs if queries is refs else oracle.predict(queries.features))
         if threshold is None:
             evs = [mimicmod.explain_estimated(mm, x, g) for x, g in pairs]
         else:
@@ -290,7 +294,7 @@ def cmd_morph(args) -> int:
             label = np.where(probs[t, live] >= 0.5, 1, -1)
         else:
             label = mimicmod.mimic_predict(obj, X)
-            probs[t, live] = [mimicmod.parzen_posterior_not(obj, x, c) for x, c in zip(X, label0[live])]
+            probs[t, live] = mimicmod.parzen_posterior_not(obj, X, label0[live])
         flip = label != label0[live]
         last[live[flip]], last_label[live[flip]] = t, label[flip]
         live = live[~flip]
@@ -359,8 +363,7 @@ def cmd_iris(args) -> int:
     _require(args, "out")
     seed = int(args.seed or 0)
     full = datamod.load_iris()
-    binary = datamod.load_iris(binary=True)
-    train, test = datamod.split_stratified(binary, 100, seed)
+    train, test = datamod.split_stratified(datamod.iris_binary(full), 100, seed)
     train, [test] = datamod.normalize_fit_apply(train, [test])
 
     k_grid = [int(k) for k in _parse_floats(args.k_grid)] if args.k_grid else list(range(1, 11))
@@ -434,7 +437,10 @@ def _add_mimic_opts(sub):
     sub.add_argument("--smooth-window", type=float, help="sliding-cube halfwidth for smoothing")
 
 
+@functools.cache
 def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The command-line parser, built once per parser class.  main looks the
+    command's cmd_* function up when it runs, so a replaced one is called."""
     parser = parser_class(
         prog="localgrad",
         description="Local explanation vectors for classifiers.",
@@ -448,12 +454,10 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--kernel", help='kernel JSON, e.g. {"kind":"rbf","w":2.0}')
     p.add_argument("--kernel-grid", help="comma-separated kernel parameter candidates")
     p.add_argument("--metrics", help="metrics JSON path (default derived from --out)")
-    p.set_defaults(func=cmd_fit_gpc)
 
     p = subs.add_parser("explain", help="explanation vectors for query points")
     _add_common(p)
     _add_mimic_opts(p)
-    p.set_defaults(func=cmd_explain)
 
     p = subs.add_parser("vector-field", help="probability and gradient on a 2-D grid")
     _add_common(p)
@@ -461,20 +465,17 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--grid", type=int, help="grid nodes per axis (default 30)")
     p.add_argument("--xlim", help="x1 range as 'lo,hi' (default: data box +10%%)")
     p.add_argument("--ylim", help="x2 range as 'lo,hi' (default: data box +10%%)")
-    p.set_defaults(func=cmd_vector_field)
 
     p = subs.add_parser("morph", help="walk queries along their explanation vectors")
     _add_common(p)
     _add_mimic_opts(p)
     p.add_argument("--steps", type=int, help="maximum number of steps (default 50)")
     p.add_argument("--step-size", type=float, help="step length (default 0.1 x data scale)")
-    p.set_defaults(func=cmd_morph)
 
     p = subs.add_parser("rank", help="feature ranking by mean gradient + histograms")
     _add_common(p)
     _add_mimic_opts(p)
     p.add_argument("--bins", type=int, help="histogram bins (default 30)")
-    p.set_defaults(func=cmd_rank)
 
     p = subs.add_parser("compare", help="two-group comparison of one feature's gradients")
     _add_common(p)
@@ -483,13 +484,11 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--group", help="dataset column whose nonzero entries mark the group")
     p.add_argument("--bins", type=int, help="histogram bins (default 30)")
     p.add_argument("--epsilon", type=float, help="bin smoothing for the KLD (default 1)")
-    p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("iris", help="bundled Iris pipeline (split, k-NN, mimic, explanations)")
     _add_common(p)
     p.add_argument("--k-grid", help="comma-separated k candidates (default 1..10)")
     p.add_argument("--sigma-grid", help="comma-separated widths or 'auto'")
-    p.set_defaults(func=cmd_iris)
 
     return parser
 
@@ -498,7 +497,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _load_config(args)
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except Exception as exc:  # error contract: nonzero exit + JSON on stderr
         print(
             json.dumps({"command": args.command, "error": str(exc), "type": type(exc).__name__}),

@@ -420,6 +420,9 @@ def load_iris(binary: bool = False) -> Dataset:
     path = resources.files("localgrad").joinpath("datasets/iris.csv")
     with resources.as_file(path) as p:
         data = load_csv(p, classes={0, 1, 2})
-    if binary:
-        data = replace(data, labels=np.where(data.labels == 1, 0, 1))
-    return data
+    return iris_binary(data) if binary else data
+
+
+def iris_binary(iris: Dataset) -> Dataset:
+    """The Iris set relabelled class 0 = versicolor versus class 1 = the other two species."""
+    return replace(iris, labels=np.where(iris.labels == 1, 0, 1))

@@ -80,12 +80,14 @@ def _point(mimic: ParzenMimic, x) -> np.ndarray:
     return x[None]
 
 
-def _class_index(mimic: ParzenMimic, c) -> int:
-    """Position of label c in mimic.classes; a label no reference carries is an error."""
-    try:
-        return mimic.classes.tolist().index(int(c))
-    except ValueError:
-        raise ValueError(f"label {int(c)} is carried by no reference of the mimic") from None
+def _class_index(mimic: ParzenMimic, c):
+    """Position in mimic.classes of each label of c, in c's shape; a label
+    no reference carries is an error."""
+    c = np.asarray(c, dtype=int)
+    unknown = set(c.ravel().tolist()).difference(mimic.classes.tolist())
+    if unknown:
+        raise ValueError(f"label {min(unknown)} is carried by no reference of the mimic")
+    return mimic.classes.searchsorted(c)
 
 
 def _rescale(sq: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
@@ -122,15 +124,27 @@ def _decide(mimic: ParzenMimic, w: np.ndarray, far: np.ndarray) -> np.ndarray:
     return pred
 
 
-def parzen_posterior_not(mimic: ParzenMimic, x, c) -> float:
+def parzen_posterior_not(mimic: ParzenMimic, x, c):
     """p(y != c | x) = 1 - p(y = c | x), the share of the class sum _decide
-    compares in the total; in the far field, 1 - the class prior."""
-    j = _class_index(mimic, c)
-    w, far = _weights(mimic, _point(mimic, x))
-    if far[0]:
-        return 1.0 - float(mimic.class_counts[j]) / len(mimic.ref_x)
-    sums = _class_sums(mimic, w)[0]
-    return 1.0 - float(sums[j]) / float(sum(sums))
+    compares in the total; in the far field, where every reference weighs
+    alike, 1 - the class prior.  A point x gives a float; the rows of a
+    q x d block x, with a label each in c, give an array, one row block at
+    a time, each row bit for bit as its point gives it."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:  # a point: the one-row block in scalar arithmetic, which costs less per call
+        w, far = _weights(mimic, _point(mimic, x))
+        sums = mimic.class_counts if far[0] else _class_sums(mimic, w)[0]
+        return 1.0 - float(sums[_class_index(mimic, c)]) / float(sum(sums))
+    j = _class_index(mimic, c).reshape(len(x))
+    p = np.empty(len(x))
+    for block in data._row_blocks(len(x), len(mimic.ref_x)):
+        w, far = _weights(mimic, x[block])
+        if far.any():
+            w[far] = 1.0
+        sums = _class_sums(mimic, w)
+        total = np.add.accumulate(sums, axis=1)[:, -1]  # in class order, as sum() for a point
+        p[block] = 1.0 - sums[np.arange(len(w)), j[block]] / total
+    return p
 
 
 def mimic_predict(mimic: ParzenMimic, x):
@@ -205,14 +219,17 @@ def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
 
 
 def _quotient_parts(mimic: ParzenMimic, z, c):
-    """What the explanation quotient and the Hessian at z are built from:
-    the rescaled weights, the mask of references in class c, and the
-    differences z - x_i.  None in the far field."""
-    _class_index(mimic, c)  # a label no reference carries is an error
+    """What the explanation quotient and the Hessian at z are built from: the
+    rescaled weights, the differences z - x_i, and the rows in class c (its
+    slice of the class-ordered layout) and outside it (one slice too when c
+    is the first or the last class).  None in the far field."""
+    s = mimic.class_slices[_class_index(mimic, c)]
     w, far = _weights(mimic, _point(mimic, z))
     if far[0]:
         return None
-    return w[0], mimic.ref_labels == int(c), z - mimic.ref_x
+    head, tail = slice(0, s.start), slice(s.stop, len(mimic.ref_x))
+    out = tail if s.start == 0 else head if s.stop == tail.stop else np.r_[head, tail]
+    return w[0], s, out, z - mimic.ref_x
 
 
 def explain_estimated(mimic: ParzenMimic, z, g_label) -> ExplanationVector:
@@ -228,11 +245,11 @@ def explain_estimated(mimic: ParzenMimic, z, g_label) -> ExplanationVector:
     if parts is None:
         gradient = np.zeros_like(z)
     else:
-        w, inside, diff = parts
-        s_in = float(np.sum(w[inside]))
-        s_out = float(np.sum(w[~inside]))
+        w, inside, out, diff = parts
+        s_in = float(w[inside].sum())
+        s_out = float(w[out].sum())
         v_in = w[inside] @ diff[inside]
-        v_out = w[~inside] @ diff[~inside]
+        v_out = w[out] @ diff[out]
         gradient = (s_out * v_in - s_in * v_out) / (mimic.sigma**2 * (s_in + s_out) ** 2)
     return ExplanationVector(
         query=z,
@@ -258,17 +275,16 @@ def parzen_hessian(mimic: ParzenMimic, z, c) -> np.ndarray:
     parts = _quotient_parts(mimic, z, c)
     if parts is None:
         return np.zeros((z.size, z.size))
-    w, inside, diff = parts
+    w, _, out, diff = parts
     s2 = mimic.sigma**2
-    out = ~inside
     eye = np.eye(z.size)
 
-    def grad_of(mask):
-        return -(w[mask] @ diff[mask]) / s2
+    def grad_of(rows):
+        return -(w[rows] @ diff[rows]) / s2
 
-    def hess_of(mask):
-        wd = w[mask, None] * diff[mask]
-        return (wd.T @ diff[mask]) / s2**2 - np.sum(w[mask]) / s2 * eye
+    def hess_of(rows):
+        wd = w[rows, None] * diff[rows]
+        return (wd.T @ diff[rows]) / s2**2 - np.sum(w[rows]) / s2 * eye
 
     T = float(np.sum(w))
     O = float(np.sum(w[out]))

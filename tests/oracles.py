@@ -173,6 +173,20 @@ def parzen_posterior_naive(ref_x, ref_labels, sigma, x, c):
     return num / den
 
 
+def parzen_explanation_masked(ref_x, ref_labels, sigma, z, c):
+    """The explanation quotient of the mimic module's docstring,
+    zeta = (S_out V_in - S_in V_out) / (sigma^2 T^2), from unscaled weights
+    and boolean class masks over the references in the order given."""
+    X = np.asarray(ref_x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    diff = z - X
+    w = np.exp(-0.5 * np.sum(diff * diff, axis=1) / sigma**2)
+    inside = np.asarray(ref_labels) == c
+    s_in, s_out = w[inside].sum(), w[~inside].sum()
+    v_in, v_out = w[inside] @ diff[inside], w[~inside] @ diff[~inside]
+    return (s_out * v_in - s_in * v_out) / (sigma**2 * (s_in + s_out) ** 2)
+
+
 def knn_loo_errors_bruteforce(train_x, train_y, k):
     """LOO error count, ranking each left-out point's neighbors with a
     full sort on (squared distance, index) and voting by the documented

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from localgrad import classifiers, cli, data as datamod
 from localgrad.classifiers import KnnClassifier
 from localgrad.cli import main
 from localgrad.data import Dataset, gen_triangle, load_csv, save_csv
@@ -495,6 +496,38 @@ def run_compare(tmp_path, *extra):
     return json.loads(out.read_text())
 
 
+def count_calls(monkeypatch, owner, attr, calls):
+    """Replace owner.attr by a wrapper that counts its calls in calls[attr]."""
+    fn = getattr(owner, attr)
+    calls[attr] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[attr] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+def test_compare_reads_and_labels_the_data_once(tmp_path, monkeypatch):
+    # the --data rows are both the references and the queries
+    calls = {}
+    count_calls(monkeypatch, datamod, "load_csv", calls)
+    count_calls(monkeypatch, classifiers.KnnClassifier, "predict", calls)
+    run_compare(tmp_path)
+    assert calls == {"load_csv": 1, "predict": 1}
+
+
+def test_main_runs_the_command_function_of_call_time(triangle_csv, tmp_path, monkeypatch):
+    # the parser is built once per process; the subcommand's function is looked
+    # up on the module when main runs, so a replaced cmd_* is the one called
+    argv = ["explain", "--data", triangle_csv, "--sigma", "0.3", "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_explain", lambda args: seen.append(args.out) or 0)
+    assert main(argv) == 0
+    assert seen == [str(tmp_path / "e.csv")]
+
+
 def test_compare_outputs(tmp_path):
     result = run_compare(tmp_path)
     assert result["feature"] == "f2"
@@ -556,6 +589,13 @@ def test_iris_sigma_grid_list_is_searched_whole(tmp_path):
     assert metrics["sigma"] == select_width(train.features, g_train, grid) == 0.15
     d = np.linalg.norm(train.features[:, None] - train.features[None], axis=2)
     assert metrics["sigma"] < 0.1 * np.median(d[np.triu_indices(len(d), 1)])
+
+
+def test_iris_reads_the_bundled_csv_once(tmp_path, monkeypatch):
+    calls = {}
+    count_calls(monkeypatch, datamod, "load_csv", calls)
+    assert main(["iris", "--seed", "1", "--out", str(tmp_path / "iris")]) == 0
+    assert calls == {"load_csv": 1}
 
 
 def test_iris_deterministic(tmp_path):

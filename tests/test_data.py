@@ -15,6 +15,7 @@ from localgrad.data import (
     gen_triangle,
     in_triangle,
     inject_outliers,
+    iris_binary,
     load_csv,
     load_iris,
     normalize_fit_apply,
@@ -293,6 +294,9 @@ def test_iris_binary_relabel():
     assert set(ds.labels) == {0, 1}
     assert int(np.sum(ds.labels == 0)) == 50
     assert int(np.sum(ds.labels == 1)) == 100
+    full = load_iris()  # the CLI relabels the 3-class set it has read already
+    assert np.array_equal(iris_binary(full).labels, ds.labels)
+    assert np.array_equal(iris_binary(full).features, ds.features)
 
 
 def test_iris_feature_names():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from oracles import (
     fd_gradient,
     fd_hessian,
     load_explanations,
+    parzen_explanation_masked,
     parzen_posterior_naive,
     select_width_bruteforce,
 )
@@ -158,6 +160,45 @@ def test_mimic_predict_block_equals_point(monkeypatch, block_rows):
     monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(mm.ref_x))
     assert mimic_predict(mm, queries).tolist() == expected
     assert expected[-1] == mm.majority_class()
+
+
+@pytest.mark.parametrize("n_classes", [3, 9])
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_posterior_block_equals_point(monkeypatch, block_rows, n_classes):
+    # a q x d block with a label per row gives each row's point value bit for bit,
+    # in blocks of one row and of 7 rows, which does not divide the 45 queries;
+    # from 8 classes on, numpy's sum(axis=1) no longer adds the class sums in order
+    rng = np.random.default_rng(44)
+    mm = random_mimic(rng, m=30, d=3, n_classes=n_classes, sigma=0.6)
+    queries = rng.normal(scale=1.5, size=(45, 3))
+    queries[-3:] += 1e4  # far field: 1 - the class prior, with no 0/0 on the way
+    labels = rng.integers(1, n_classes + 1, size=45)
+    expected = [parzen_posterior_not(mm, q, c) for q, c in zip(queries, labels)]
+    assert all(isinstance(p, float) for p in expected)
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(mm.ref_x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = parzen_posterior_not(mm, queries, labels)
+    assert got.tolist() == expected
+    assert got[-1] == 1.0 - mm.class_counts[labels[-1] - 1] / len(mm.ref_x)
+    labels[20] = 0  # the classes are 1..n_classes
+    with pytest.raises(ValueError, match="label 0 "):
+        parzen_posterior_not(mm, queries, labels)
+
+
+def test_explain_middle_class_matches_masked_quotient():
+    # the references of the middle class are a slice with others on both sides
+    rng = np.random.default_rng(45)
+    for _ in range(10):
+        mm = random_mimic(rng, m=40, d=3, n_classes=3, sigma=0.9)
+        perm = rng.permutation(len(mm.ref_x))  # the oracle sees the references unsorted
+        X, y = mm.ref_x[perm], mm.ref_labels[perm]
+        z = rng.normal(scale=0.8, size=3)
+        ev = explain_estimated(mm, z, 2)
+        want = parzen_explanation_masked(X, y, mm.sigma, z, 2)
+        assert np.allclose(ev.gradient, want, rtol=1e-10, atol=1e-14)
+        H = fd_hessian(lambda p: parzen_posterior_not(mm, p, 2), z, step=1e-4)
+        assert np.linalg.norm(parzen_hessian(mm, z, 2) - H) / max(np.linalg.norm(H), 1e-8) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(4))
