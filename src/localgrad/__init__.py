@@ -28,6 +28,7 @@ from .data import (
     gen_three_clusters,
     gen_triangle,
     inject_outliers,
+    iris_binary,
     load_csv,
     load_iris,
     normalize_fit_apply,
@@ -78,6 +79,7 @@ __all__ = [
     "hessian_direction",
     "histogram",
     "inject_outliers",
+    "iris_binary",
     "kernel_from_dict",
     "kernel_to_dict",
     "knn_fit_loo",

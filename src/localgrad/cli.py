@@ -57,7 +57,7 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
             if getattr(args, attr) is None and value is not None:
                 flag = "--" + attr.replace("_", "-")
                 argv.append(flag if value is True else f"{flag}={value}")
-        parsed = build_parser(_RaisingParser).parse_args(argv)
+        parsed = _parser(_RaisingParser).parse_args(argv)
         for attr, value in vars(parsed).items():
             if getattr(args, attr) is None:
                 setattr(args, attr, value)
@@ -437,10 +437,7 @@ def _add_mimic_opts(sub):
     sub.add_argument("--smooth-window", type=float, help="sliding-cube halfwidth for smoothing")
 
 
-@functools.cache
 def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The command-line parser, built once per parser class.  main looks the
-    command's cmd_* function up when it runs, so a replaced one is called."""
     parser = parser_class(
         prog="localgrad",
         description="Local explanation vectors for classifiers.",
@@ -493,8 +490,16 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     return parser
 
 
+@functools.cache
+def _parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """build_parser's tree, built once per parser class for main and the
+    config reader.  main looks the command's cmd_* function up when it runs,
+    so a replaced one is called."""
+    return build_parser(parser_class)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _load_config(args)
         return globals()["cmd_" + args.command.replace("-", "_")](args)

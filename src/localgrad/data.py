@@ -409,20 +409,16 @@ IRIS_FEATURES = ["sepal_length", "sepal_width", "petal_length", "petal_width"]
 IRIS_SPECIES = ("setosa", "versicolor", "virginica")
 
 
-def load_iris(binary: bool = False) -> Dataset:
-    """Bundled 150x4 Fisher Iris set; labels are species codes 0/1/2.
-
-    With ``binary=True`` the labels are collapsed to class 0 = versicolor
-    versus class 1 = the other two species.
-    """
+def load_iris() -> Dataset:
+    """Bundled 150x4 Fisher Iris set; labels are species codes 0/1/2."""
     from importlib import resources
 
     path = resources.files("localgrad").joinpath("datasets/iris.csv")
     with resources.as_file(path) as p:
-        data = load_csv(p, classes={0, 1, 2})
-    return iris_binary(data) if binary else data
+        return load_csv(p, classes={0, 1, 2})
 
 
 def iris_binary(iris: Dataset) -> Dataset:
-    """The Iris set relabelled class 0 = versicolor versus class 1 = the other two species."""
+    """The Iris set of load_iris relabelled class 0 = versicolor versus
+    class 1 = the other two species."""
     return replace(iris, labels=np.where(iris.labels == 1, 0, 1))

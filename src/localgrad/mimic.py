@@ -129,22 +129,18 @@ def parzen_posterior_not(mimic: ParzenMimic, x, c):
     compares in the total; in the far field, where every reference weighs
     alike, 1 - the class prior.  A point x gives a float; the rows of a
     q x d block x, with a label each in c, give an array, one row block at
-    a time, each row bit for bit as its point gives it."""
+    a time: a row's value does not depend on its block."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:  # a point: the one-row block in scalar arithmetic, which costs less per call
-        w, far = _weights(mimic, _point(mimic, x))
-        sums = mimic.class_counts if far[0] else _class_sums(mimic, w)[0]
-        return 1.0 - float(sums[_class_index(mimic, c)]) / float(sum(sums))
-    j = _class_index(mimic, c).reshape(len(x))
-    p = np.empty(len(x))
-    for block in data._row_blocks(len(x), len(mimic.ref_x)):
-        w, far = _weights(mimic, x[block])
-        if far.any():
-            w[far] = 1.0
+    X = x if x.ndim == 2 else _point(mimic, x)
+    j = _class_index(mimic, c).reshape(len(X))
+    p = np.empty(len(X))
+    for block in data._row_blocks(len(X), len(mimic.ref_x)):
+        w, far = _weights(mimic, X[block])
+        w[far] = 1.0
         sums = _class_sums(mimic, w)
-        total = np.add.accumulate(sums, axis=1)[:, -1]  # in class order, as sum() for a point
+        total = np.add.accumulate(sums, axis=1)[:, -1]  # in class order, whatever the class count
         p[block] = 1.0 - sums[np.arange(len(w)), j[block]] / total
-    return p
+    return p if x.ndim == 2 else float(p[0])
 
 
 def mimic_predict(mimic: ParzenMimic, x):

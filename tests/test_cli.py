@@ -526,6 +526,7 @@ def test_main_runs_the_command_function_of_call_time(triangle_csv, tmp_path, mon
     monkeypatch.setattr(cli, "cmd_explain", lambda args: seen.append(args.out) or 0)
     assert main(argv) == 0
     assert seen == [str(tmp_path / "e.csv")]
+    assert cli.build_parser() is not cli.build_parser()  # only main's own parser is shared
 
 
 def test_compare_outputs(tmp_path):

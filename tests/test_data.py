@@ -290,13 +290,13 @@ def test_iris_shape_and_species_counts():
 
 
 def test_iris_binary_relabel():
-    ds = load_iris(binary=True)
+    full = load_iris()
+    ds = iris_binary(full)
     assert set(ds.labels) == {0, 1}
     assert int(np.sum(ds.labels == 0)) == 50
     assert int(np.sum(ds.labels == 1)) == 100
-    full = load_iris()  # the CLI relabels the 3-class set it has read already
-    assert np.array_equal(iris_binary(full).labels, ds.labels)
-    assert np.array_equal(iris_binary(full).features, ds.features)
+    assert np.array_equal(ds.labels == 0, full.labels == 1)  # versicolor
+    assert ds.features is full.features
 
 
 def test_iris_feature_names():
