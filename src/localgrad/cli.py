@@ -25,10 +25,6 @@ from . import analysis, classifiers, data as datamod, gpc, mimic as mimicmod
 from .kernels import kernel_from_dict, kernel_to_dict
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def _parse_floats(text: str) -> list:
     return [float(tok) for tok in str(text).split(",") if tok.strip()]
 
@@ -254,12 +250,12 @@ def cmd_vector_field(args) -> int:
         y_lo, y_hi = _parse_floats(args.ylim)
     xs = np.linspace(x_lo, x_hi, n)
     ys = np.linspace(y_lo, y_hi, n)
+    row = ",".join(["%.17g"] * 5) + "\n"
     with open(args.out, "w", newline="") as fh:
         fh.write("x1,x2,p,grad_x1,grad_x2\n")
-        for yv in ys:  # one explain_gpc call per grid row
-            for ev in gpc.explain_gpc(model, np.column_stack([xs, np.full(n, yv)])):
-                cells = [*ev.query, ev.predicted_probability, *ev.gradient]
-                fh.write(",".join(_fmt(v) for v in cells) + "\n")
+        for yv in ys:  # one explain_gpc call and one write per grid row
+            evs = gpc.explain_gpc(model, np.column_stack([xs, np.full(n, yv)]))
+            fh.write("".join(row % (*ev.query, ev.predicted_probability, *ev.gradient) for ev in evs))
     return 0
 
 
@@ -301,15 +297,16 @@ def cmd_morph(args) -> int:
         if not len(live):
             break
 
+    row = "%d,%d" + ",%.17g" * (start.shape[1] + 1) + ",%d,%d\n"
     with open(args.out, "w", newline="") as fh:
         header = ["id", "step"] + list(queries.feature_names) + ["p", "label", "flipped"]
         fh.write(",".join(header) + "\n")
-        for i, rid in enumerate(queries.row_ids):
-            for t in range(last[i] + 1):
-                x = start[i] + (t * step_size) * directions[i]
-                label = last_label[i] if t == last[i] else label0[i]
-                cells = [str(int(rid)), str(t)] + [_fmt(v) for v in x] + [_fmt(probs[t, i])]
-                fh.write(",".join(cells + [str(int(label)), str(int(label != label0[i]))]) + "\n")
+        for i, rid in enumerate(queries.row_ids):  # one block and one write per path
+            t = np.arange(last[i] + 1)
+            cells = np.column_stack([start[i] + (t * step_size)[:, None] * directions[i], probs[t, i]])
+            labels = [label0[i]] * last[i] + [last_label[i]]  # only the last step can have flipped
+            rows = zip(t.tolist(), cells.tolist(), labels)
+            fh.write("".join(row % (rid, s, *c, label, label != label0[i]) for s, c, label in rows))
     return 0
 
 

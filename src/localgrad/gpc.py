@@ -80,24 +80,39 @@ def _probit_moments(mu_cav, var_cav, y):
 
 
 def _add_jitter(K):
-    """K + jitter*I with jitter = 1e-8 * trace(K) / n, and the jitter.
-    Fitted and loaded models both factor this matrix plus the diagonal
-    of site variances, added in that order."""
-    n = K.shape[0]
-    jitter = 1e-8 * np.trace(K) / n
-    return K + jitter * np.eye(n), jitter
+    """K + jitter*I, formed in place, with jitter = 1e-8 * trace(K) / n, and
+    the jitter.  Fitted and loaded models both factor this matrix plus the
+    diagonal of site variances, through `_site_factor`."""
+    jitter = 1e-8 * np.trace(K) / len(K)
+    np.einsum("ii->i", K)[...] += jitter
+    return K, jitter
+
+
+def _site_factor(K, site_variance):
+    """Lower Cholesky factor of K + diag(site_variance), formed in place in
+    one Fortran-ordered copy of K."""
+    A = np.array(K, order="F")
+    np.einsum("ii->i", A)[...] += site_variance
+    return cholesky(A, lower=True, overwrite_a=True)
 
 
 def _recompute_posterior(K, tau, nu):
     """Stable recomputation of the EP posterior q(f) = N(mu, Sigma) with
     Sigma = K - V'V: its marginal variances diag(Sigma) and its mean
-    Sigma @ nu, without forming Sigma."""
-    n = K.shape[0]
+    Sigma @ nu, without forming Sigma.  Besides K it holds two n x n
+    Fortran-ordered buffers, which LAPACK overwrites with V and with the
+    factor of B.  K is finite (`ep_fit` checks it), so the LAPACK calls
+    skip their finiteness scans and a non-finite result raises instead."""
     sroot = np.sqrt(tau)
-    B = np.eye(n) + sroot[:, None] * K * sroot[None, :]
-    L = cholesky(B, lower=True)
-    V = solve_triangular(L, sroot[:, None] * K, lower=True)
-    return np.diag(K) - np.einsum("ij,ij->j", V, V), K @ nu - V.T @ (V @ nu)
+    V = (K * sroot).T  # sroot[:, None] * K bit for bit, as K is exactly symmetric
+    B = V * sroot
+    np.einsum("ii->i", B)[...] += 1.0
+    L = cholesky(B, lower=True, overwrite_a=True, check_finite=False)
+    V = solve_triangular(L, V, lower=True, overwrite_b=True, check_finite=False)
+    post_var, mu = np.diag(K) - np.einsum("ij,ij->j", V, V), K @ nu - V.T @ (V @ nu)
+    if not (np.isfinite(post_var).all() and np.isfinite(mu).all()):
+        raise np.linalg.LinAlgError("EP posterior is not finite")
+    return post_var, mu
 
 
 def ep_fit(
@@ -170,7 +185,7 @@ def ep_fit(
 
     site_variance = 1.0 / np.maximum(tau, _TAU_FLOOR)
     site_mean_scaled = nu * site_variance  # mu_site = nu / tau
-    L = cholesky(K + np.diag(site_variance), lower=True)
+    L = _site_factor(K, site_variance)
     alpha = cho_solve((L, True), site_mean_scaled)
     return GpcModel(
         kernel=kernel,
@@ -276,9 +291,8 @@ def model_from_dict(obj: dict) -> GpcModel:
             raise ValueError(f"{name} has {len(arr)} entries but train_x has {len(X)} rows")
     if np.any(site_variance < 0):
         raise ValueError("site_variance entries must be nonnegative")
-    K = kernel_gram(kernel, X)
-    K_jit, jitter = _add_jitter(K)
-    L = cholesky(K_jit + np.diag(site_variance), lower=True)
+    K, jitter = _add_jitter(kernel_gram(kernel, X))
+    L = _site_factor(K, site_variance)
     target = K + np.diag(site_variance)
     err = np.linalg.norm(L @ L.T - target) / np.linalg.norm(target)
     if not err < 1e-8:

@@ -17,6 +17,7 @@ for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,9 @@ class KernelSpec:
     """Parameter record for a positive semi-definite kernel.
 
     Parameters the chosen kind does not use are ignored (a linear kernel
-    carries no parameters at all).  Parameters the kind does use must be
-    strictly positive.
+    carries no parameters at all), but every parameter must be finite, so
+    that the record serializes to valid JSON.  Parameters the kind does
+    use must also be strictly positive.
     """
 
     kind: str = "rbf"
@@ -42,13 +44,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}, expected one of {KINDS}")
-        if self.kind == "rbf" and not self.width > 0:
-            raise ValueError(f"rbf width must be positive, got {self.width}")
-        if self.kind == "rational-quadratic":
-            if not self.rq_alpha > 0:
-                raise ValueError(f"rational-quadratic alpha must be positive, got {self.rq_alpha}")
-            if not self.rq_length > 0:
-                raise ValueError(f"rational-quadratic length must be positive, got {self.rq_length}")
+        used = {"rbf": ("width",), "rational-quadratic": ("alpha", "length")}.get(self.kind, ())
+        for name, value in (("width", self.width), ("alpha", self.rq_alpha), ("length", self.rq_length)):
+            if not math.isfinite(value):
+                raise ValueError(f"kernel {name} must be finite, got {value}")
+            if name in used and not value > 0:
+                raise ValueError(f"{self.kind} {name} must be positive, got {value}")
 
 
 def kernel_to_dict(spec: KernelSpec) -> dict:

@@ -89,6 +89,20 @@ def latent_moments_dense(model, x0):
     )
 
 
+def ep_posterior_gpml(K, tau, nu):
+    """EP posterior marginal variances and mean from the stable B-form of
+    GPML section 3.6, as plain expressions with fresh arrays: B = I +
+    S^1/2 K S^1/2, L = chol(B), V = L^-1 S^1/2 K, Sigma = K - V'V."""
+    from scipy.linalg import cholesky, solve_triangular
+
+    n = K.shape[0]
+    sroot = np.sqrt(tau)
+    B = np.eye(n) + sroot[:, None] * K * sroot[None, :]
+    L = cholesky(B, lower=True)
+    V = solve_triangular(L, sroot[:, None] * K, lower=True)
+    return np.diag(K) - np.einsum("ij,ij->j", V, V), K @ nu - V.T @ (V @ nu)
+
+
 def ep_sequential_oracle(train_x, train_y, kernel, tol=1e-6, max_sweeps=100, damping=0.5):
     """EP with the sequential schedule: one site at a time in index order,
     a rank-1 update of Sigma after every site, and a fresh posterior from

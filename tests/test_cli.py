@@ -638,6 +638,19 @@ def test_bad_kernel_json_error(triangle_csv, tmp_path, capsys):
     assert err["type"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "kernel", ['{"kind": "rational-quadratic", "alpha": Infinity}', '{"kind": "rbf", "w": Infinity}']
+)
+def test_fit_gpc_rejects_non_finite_kernel_parameter(triangle_csv, tmp_path, capsys, kernel):
+    out = tmp_path / "m.json"
+    rc = main(["fit-gpc", "--data", triangle_csv, "--kernel", kernel, "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError"
+    assert "must be finite" in err["error"]
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- config
 
 

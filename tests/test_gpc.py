@@ -8,7 +8,9 @@ import pytest
 from localgrad.data import ExplanationVector, gen_triangle
 from localgrad.gpc import (
     GpcModel,
+    _add_jitter,
     _predictive,
+    _recompute_posterior,
     ep_fit,
     explain_gpc,
     load_gpc,
@@ -17,8 +19,9 @@ from localgrad.gpc import (
     predict_proba,
     save_gpc,
 )
-from localgrad.kernels import KernelSpec, kernel_to_dict
+from localgrad.kernels import KernelSpec, kernel_gram, kernel_to_dict
 from oracles import (
+    ep_posterior_gpml,
     ep_sequential_oracle,
     erfc_oracle,
     fd_gradient,
@@ -405,3 +408,54 @@ def test_explain_block_memory_stays_small():
         tracemalloc.stop()
     assert len(evs) == 2000
     assert peak < 4e6
+
+
+def test_ep_fit_memory_stays_small():
+    # a sweep holds K and two n x n LAPACK buffers; four n^2 float64 is the bound
+    n = 250
+    rng = np.random.default_rng(35)
+    X = rng.normal(size=(n, 5))
+    y = np.where(X[:, 0] + 0.5 * X[:, 1] > 0, 1, -1)
+    tracemalloc.start()
+    try:
+        model = ep_fit(X, y, KernelSpec("rbf", width=0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.converged and model.ep_iterations > 1
+    assert peak < 4 * n * n * 8
+
+
+# ----------------------------------------------------------- EP recompute
+
+
+@pytest.mark.parametrize("tau_case", ["zero", "mixed", "near-1e14"])
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=[spec.kind for spec in BLOCK_SPECS])
+def test_recompute_posterior_bytes_equal_gpml_form(spec, tau_case):
+    # exact zeros in the data give the linear Gram zero and negative entries,
+    # so the scaled Gram holds -0.0 wherever a zero tau meets a negative entry
+    rng = np.random.default_rng(36)
+    X = rng.normal(size=(80, 3))
+    X[rng.random(X.shape) < 0.2] = 0.0
+    K, _ = _add_jitter(kernel_gram(spec, X))
+    n = len(K)
+    tau = {
+        "zero": np.zeros(n),
+        "mixed": np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.1, 3.0, n)),
+        "near-1e14": rng.uniform(0.5e14, 1e14, n),
+    }[tau_case]
+    if spec.kind == "linear":
+        assert np.any(K < 0) and np.any(tau == 0) == (tau_case != "near-1e14")
+    for nu in (np.zeros(n), np.where(tau == 0, 0.0, rng.normal(size=n)), rng.normal(size=n)):
+        got = _recompute_posterior(K, tau, nu)
+        want = ep_posterior_gpml(K, tau, nu)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_recompute_posterior_raises_on_non_finite_result():
+    K, _ = _add_jitter(kernel_gram(KernelSpec("rbf"), np.random.default_rng(37).normal(size=(10, 2))))
+    nu = np.ones(10)
+    nu[3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        _recompute_posterior(K, np.ones(10), nu)

@@ -241,6 +241,15 @@ def test_invalid_parameters_rejected_at_construction():
         KernelSpec("cubic")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("kind", ["rbf", "linear", "rational-quadratic"])
+def test_non_finite_parameters_rejected_by_name(kind, value):
+    # an unused parameter must be finite too: it is written into the model JSON
+    for field, name in (("width", "width"), ("rq_alpha", "alpha"), ("rq_length", "length")):
+        with pytest.raises(ValueError, match=f"kernel {name} must be finite"):
+            KernelSpec(kind, **{field: value})
+
+
 def test_json_round_trip_all_kinds():
     for spec in all_specs():
         blob = json.dumps(kernel_to_dict(spec), sort_keys=True)
