@@ -4,12 +4,13 @@ statistics (two-sample KS, symmetrized KLD)."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import kolmogorov
 from scipy.stats import rankdata
+
+from . import data
 
 
 @dataclass
@@ -177,21 +178,14 @@ def roc_auc(labels, scores) -> float:
 
 
 def save_ranking_csv(ranking: FeatureRanking, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["feature", "mean_gradient", "rank"])
-        for name, mean, rank in ranking.ordered():
-            w.writerow([name, "%.17g" % mean, rank])
+    names, means, ranks = zip(*ranking.ordered())
+    data._write_table(path, ["feature", "mean_gradient", "rank"], [(names, means, ranks)])
 
 
 def save_histogram_csv(spec: HistogramSpec, counts, path, clipped: int = 0) -> None:
     edges = spec.edges()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "count"])
-        for i, c in enumerate(counts):
-            w.writerow(["%.17g" % edges[i], "%.17g" % edges[i + 1], int(c)])
-        w.writerow(["clipped", "", clipped])
+    blocks = [(edges[:-1], edges[1:], counts), (["clipped"], [""], [clipped])]
+    data._write_table(path, ["bin_lo", "bin_hi", "count"], blocks)
 
 
 def comparison_to_dict(cmp: GroupComparison) -> dict:

@@ -74,15 +74,13 @@ def _count(args, name, default, least):
     return value
 
 
-def _binary_pm1(labels):
-    """Map a two-class label vector onto {-1,+1} (lower id -> -1)."""
-    classes = sorted(set(int(v) for v in labels))
-    if classes == [-1, 1]:
-        return np.asarray(labels, dtype=int), {-1: -1, 1: 1}
-    if len(classes) != 2:
-        raise ValueError(f"need exactly two classes, got {classes}")
-    mapping = {classes[0]: -1, classes[1]: 1}
-    return np.array([mapping[int(v)] for v in labels], dtype=int), mapping
+def _to_pm1(labels, label_map):
+    """Labels mapped onto {-1,+1} by the training set's label_map; a label
+    the training set does not carry is an error."""
+    unknown = sorted(set(labels.tolist()) - set(label_map))
+    if unknown:
+        raise ValueError(f"label {unknown[0]} is not a training class {sorted(label_map)}")
+    return np.array([label_map[v] for v in labels.tolist()], dtype=int)
 
 
 def _resolve_oracle(spec, dataset):
@@ -168,7 +166,10 @@ def _explanations(args, queries):
 def cmd_fit_gpc(args) -> int:
     _require(args, "data", "out")
     train = datamod.load_csv(args.data)
-    y, label_map = _binary_pm1(train.labels)
+    classes = train.classes().tolist()
+    if len(classes) != 2:
+        raise ValueError(f"need exactly two classes, got {classes}")
+    label_map = {classes[0]: -1, classes[1]: 1}  # lower id -> -1
     kernel_dict = json.loads(args.kernel) if args.kernel else {"kind": "rbf"}
     base = kernel_from_dict(kernel_dict)
     seed = int(args.seed or 0)
@@ -181,8 +182,7 @@ def cmd_fit_gpc(args) -> int:
         param = "width" if base.kind == "rbf" else "rq_length"
         n_val = max(1, train.n // 4)
         sub_train, val = datamod.split_stratified(train, train.n - n_val, seed)
-        y_sub, _ = _binary_pm1(sub_train.labels)
-        y_val, _ = _binary_pm1(val.labels)
+        y_sub, y_val = _to_pm1(sub_train.labels, label_map), _to_pm1(val.labels, label_map)
         scores = {}
         for value in grid:
             spec = dataclasses.replace(base, **{param: float(value)})
@@ -193,11 +193,11 @@ def cmd_fit_gpc(args) -> int:
         base = dataclasses.replace(base, **{param: best})
         searched = {"parameter": param, "grid": grid, "accuracy": scores, "selected": best}
 
-    model = gpc.ep_fit(train.features, y, base)
+    model = gpc.ep_fit(train.features, _to_pm1(train.labels, label_map), base)
     gpc.save_gpc(model, args.out)
 
     def error_and_auc(ds):
-        labels, _ = _binary_pm1(ds.labels)
+        labels = _to_pm1(ds.labels, label_map)
         probs = gpc.predict_proba(model, ds.features)
         preds = np.where(probs >= 0.5, 1, -1)
         return float(np.mean(preds != labels)), analysis.roc_auc(labels, probs)
@@ -219,10 +219,7 @@ def cmd_fit_gpc(args) -> int:
     if args.test:
         test = datamod.load_csv(args.test)
         metrics["test_error"], metrics["test_auc"] = error_and_auc(test)
-    out_metrics = args.metrics or (str(args.out).rsplit(".", 1)[0] + "-metrics.json")
-    with open(out_metrics, "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    datamod.save_json(metrics, args.metrics or (str(args.out).rsplit(".", 1)[0] + "-metrics.json"))
     return 0
 
 
@@ -250,12 +247,14 @@ def cmd_vector_field(args) -> int:
         y_lo, y_hi = _parse_floats(args.ylim)
     xs = np.linspace(x_lo, x_hi, n)
     ys = np.linspace(y_lo, y_hi, n)
-    row = ",".join(["%.17g"] * 5) + "\n"
-    with open(args.out, "w", newline="") as fh:
-        fh.write("x1,x2,p,grad_x1,grad_x2\n")
-        for yv in ys:  # one explain_gpc call and one write per grid row
-            evs = gpc.explain_gpc(model, np.column_stack([xs, np.full(n, yv)]))
-            fh.write("".join(row % (*ev.query, ev.predicted_probability, *ev.gradient) for ev in evs))
+
+    def grid_rows():  # one explain_gpc call and one block per grid row
+        for yv in ys:
+            Q = np.column_stack([xs, np.full(n, yv)])
+            evs = gpc.explain_gpc(model, Q)
+            yield Q, [ev.predicted_probability for ev in evs], [ev.gradient for ev in evs]
+
+    datamod._write_table(args.out, ["x1", "x2", "p", "grad_x1", "grad_x2"], grid_rows())
     return 0
 
 
@@ -297,16 +296,15 @@ def cmd_morph(args) -> int:
         if not len(live):
             break
 
-    row = "%d,%d" + ",%.17g" * (start.shape[1] + 1) + ",%d,%d\n"
-    with open(args.out, "w", newline="") as fh:
-        header = ["id", "step"] + list(queries.feature_names) + ["p", "label", "flipped"]
-        fh.write(",".join(header) + "\n")
-        for i, rid in enumerate(queries.row_ids):  # one block and one write per path
+    def paths():  # one block per path
+        for i, rid in enumerate(queries.row_ids):
             t = np.arange(last[i] + 1)
-            cells = np.column_stack([start[i] + (t * step_size)[:, None] * directions[i], probs[t, i]])
-            labels = [label0[i]] * last[i] + [last_label[i]]  # only the last step can have flipped
-            rows = zip(t.tolist(), cells.tolist(), labels)
-            fh.write("".join(row % (rid, s, *c, label, label != label0[i]) for s, c, label in rows))
+            labels = np.where(t < last[i], label0[i], last_label[i])  # only the last step can have flipped
+            X = start[i] + (t * step_size)[:, None] * directions[i]
+            yield np.full(len(t), rid), t, X, probs[t, i], labels, labels != label0[i]
+
+    header = ["id", "step"] + list(queries.feature_names) + ["p", "label", "flipped"]
+    datamod._write_table(args.out, header, paths())
     return 0
 
 
@@ -317,9 +315,7 @@ def cmd_rank(args) -> int:
     evs, _route = _explanations(args, queries)
     ranking = analysis.rank_features(evs, queries.feature_names)
     analysis.save_ranking_csv(ranking, args.out)
-    stem = str(args.out)
-    if stem.endswith(".csv"):
-        stem = stem[:-4]
+    stem = str(args.out).removesuffix(".csv")
     G = np.vstack([ev.gradient for ev in evs])
     for j, name in enumerate(queries.feature_names):
         spec = analysis.default_histogram_spec(G[:, j], bin_count=bins)
@@ -348,9 +344,7 @@ def cmd_compare(args) -> int:
     out["feature"] = args.feature
     out["group"] = args.group
     out["group_size"] = int(mask.sum())
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    datamod.save_json(out, args.out)
     return 0
 
 
@@ -378,18 +372,14 @@ def cmd_iris(args) -> int:
     agreement = float(np.mean(mimic_train == g_train))
 
     evs = [mimicmod.explain_estimated(mm, x, int(g)) for x, g in zip(test.features, g_test)]
-    stem = str(args.out)
-    if stem.endswith(".csv"):
-        stem = stem[:-4]
+    stem = str(args.out).removesuffix(".csv")
     mimicmod.save_explanations(f"{stem}-explanations.csv", evs, test.feature_names)
     datamod.save_csv(train, f"{stem}-train.csv")
     datamod.save_csv(test, f"{stem}-test.csv")
-    species = {int(r): int(l) for r, l in zip(full.row_ids, full.labels)}
-    with open(f"{stem}-test-species.csv", "w", newline="") as fh:
-        fh.write("id,species\n")
-        for rid in test.row_ids:
-            fh.write(f"{int(rid)},{species[int(rid)]}\n")
-    datamod.save_norm_stats(train.norm_stats, f"{stem}-norm-stats.json")
+    species = dict(zip(full.row_ids.tolist(), full.labels.tolist()))
+    test_species = [species[r] for r in test.row_ids.tolist()]
+    datamod._write_table(f"{stem}-test-species.csv", ["id", "species"], [(test.row_ids, test_species)])
+    datamod.save_json(train.norm_stats, f"{stem}-norm-stats.json")
 
     metrics = {
         "seed": seed,
@@ -400,9 +390,7 @@ def cmd_iris(args) -> int:
         "sigma": mm.sigma,
         "mimic_train_agreement": agreement,
     }
-    with open(f"{stem}-metrics.json", "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    datamod.save_json(metrics, f"{stem}-metrics.json")
     return 0
 
 

@@ -23,6 +23,10 @@ from scipy.spatial.distance import cdist
 # width selection), or of n*d for the GP's gradient tensor, work on blocks
 # of rows with at most this many float64 elements (256 KiB) each.
 _BLOCK_ELEMENTS = 2**15
+# _write_table writes at most this many cells per call: about 100 KiB of memory
+_WRITE_CELLS = 2**10
+# cell formats by numpy dtype kind; a column of any other kind is quoted text
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
 
 def _row_blocks(n_rows: int, row_len: int):
@@ -149,7 +153,7 @@ def load_csv(path, classes=None) -> Dataset:
             lab = int(lab_f)
             if lab != lab_f:
                 raise ValueError
-        except ValueError:
+        except (ValueError, OverflowError):  # int(inf) overflows
             raise ValueError(
                 f"{path}: non-integer label {row[label_pos]!r} at row {i}"
             ) from None
@@ -168,25 +172,43 @@ def load_csv(path, classes=None) -> Dataset:
     return Dataset(np.array(feats), np.array(labels), feature_names, np.array(ids))
 
 
-def save_csv(data: Dataset, path) -> None:
-    """Write ``id,<feature...>,label`` with 17-significant-digit floats.
+def _quote(text) -> str:
+    """A text cell as csv's QUOTE_MINIMAL writes it (quotes doubled inside)."""
+    text = str(text)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
-    The float format round-trips doubles bit-exactly through load_csv.
-    """
+
+def _write_table(path, header, blocks) -> None:
+    """Write a CSV table: the header, then the rows of each block, in the
+    package's one table format, as csv.writer writes it: floats with 17
+    significant digits (they round-trip bit-exactly), ints and bools as
+    integers, text and header names quoted as by QUOTE_MINIMAL, and CRLF
+    after every row.  A block is a sequence of equally long arrays, each one
+    column (1-D) or several (2-D).  Its row template is built once from
+    their dtypes, and its rows are written _WRITE_CELLS cells at a time."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + list(data.feature_names) + ["label"])
-        for i in range(data.n):
-            w.writerow(
-                [int(data.row_ids[i])]
-                + ["%.17g" % v for v in data.features[i]]
-                + [int(data.labels[i])]
-            )
+        fh.write(",".join(map(_quote, header)) + "\r\n")
+        for block in blocks:
+            cols = [c for a in map(np.asarray, block) for c in (a.T if a.ndim == 2 else [a])]
+            row = ",".join(_CELL_FORMATS.get(c.dtype.kind, "%s") for c in cols) + "\r\n"
+            cols = [c if c.dtype.kind in _CELL_FORMATS else np.array(list(map(_quote, c)), dtype=object)
+                    for c in cols]
+            step = max(1, _WRITE_CELLS // len(cols))
+            for lo in range(0, len(cols[0]), step):
+                cells = zip(*(c[lo : lo + step].tolist() for c in cols))
+                fh.write("".join(row % r for r in cells))
 
 
-def save_norm_stats(stats: dict, path) -> None:
+def save_csv(data: Dataset, path) -> None:
+    """Write ``id,<feature...>,label``; the floats round-trip bit-exactly through load_csv."""
+    header = ["id"] + list(data.feature_names) + ["label"]
+    _write_table(path, header, [(data.row_ids, data.features, data.labels)])
+
+
+def save_json(obj, path) -> None:
+    """Write a JSON object with sorted keys, indented, ending in a newline."""
     with open(path, "w") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

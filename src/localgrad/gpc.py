@@ -293,8 +293,11 @@ def model_from_dict(obj: dict) -> GpcModel:
         raise ValueError("site_variance entries must be nonnegative")
     K, jitter = _add_jitter(kernel_gram(kernel, X))
     L = _site_factor(K, site_variance)
-    target = K + np.diag(site_variance)
-    err = np.linalg.norm(L @ L.T - target) / np.linalg.norm(target)
+    R = L @ L.T  # the residual against K + diag(s), in one n x n buffer
+    R -= K
+    np.einsum("ii->i", R)[...] -= site_variance
+    s = site_variance  # |K + diag(s)|^2 = |K|^2 + 2 s.diag(K) + |s|^2
+    err = np.linalg.norm(R) / np.sqrt(np.linalg.norm(K) ** 2 + 2.0 * s @ np.diag(K) + s @ s)
     if not err < 1e-8:
         raise ValueError(f"factorization check failed (relative error {err:.3g})")
     fbar = K @ alpha

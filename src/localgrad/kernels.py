@@ -97,7 +97,7 @@ def _kernel_core(spec: KernelSpec, A: np.ndarray, B: np.ndarray, grad: bool = Fa
         return K, (np.repeat(B[None], len(A), axis=0) if grad else None)
     sq = cdist(A, B, "sqeuclidean")
     if spec.kind == "rbf":
-        K = np.exp(-spec.width * sq)
+        K = np.exp(np.multiply(sq, -spec.width, out=sq), out=sq)  # in sq's buffer
         dK = -spec.width * K if grad else None
     else:
         base = 1.0 + sq / (2.0 * spec.rq_alpha * spec.rq_length**2)

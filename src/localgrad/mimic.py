@@ -31,7 +31,6 @@ vectors to zero — all flagged.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -355,7 +354,7 @@ def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:
 
 def save_explanations(path, explanations, feature_names=None) -> None:
     """Write explanations as CSV: query coords, gradient coords, predicted
-    label, source, far-field flag.  Floats carry 17 significant digits."""
+    probability, label, source, far-field flag, in data's table format."""
     explanations = list(explanations)
     if not explanations:
         raise ValueError("nothing to save")
@@ -364,16 +363,8 @@ def save_explanations(path, explanations, feature_names=None) -> None:
         feature_names = [f"x{j + 1}" for j in range(d)]
     if len(feature_names) != d:
         raise ValueError(f"expected {d} feature names")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            list(feature_names)
-            + [f"grad_{name}" for name in feature_names]
-            + ["probability", "label", "source", "far_field"]
-        )
-        for ev in explanations:
-            w.writerow(
-                ["%.17g" % v for v in ev.query]
-                + ["%.17g" % v for v in ev.gradient]
-                + ["%.17g" % ev.predicted_probability, int(ev.predicted_label), ev.source, int(ev.far_field)]
-            )
+    names = list(feature_names)
+    header = names + [f"grad_{name}" for name in names] + ["probability", "label", "source", "far_field"]
+    fields = ("query", "gradient", "predicted_probability", "predicted_label", "source", "far_field")
+    block = [np.array([getattr(ev, name) for ev in explanations]) for name in fields]
+    data._write_table(path, header, [block])

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -135,6 +136,32 @@ def test_fit_gpc_grid_search(triangle_csv, tmp_path):
     assert metrics["grid_search"]["grid"] == [0.5, 1.0, 2.0]
     assert len(metrics["grid_search"]["accuracy"]) == 3
     assert metrics["grid_search"]["selected"] == metrics["kernel"]["w"]
+
+
+def test_fit_gpc_grid_search_with_one_minority_row(tmp_path):
+    # the validation split holds class 0 only; it is scored by the training classes
+    X = np.random.default_rng(9).normal(size=(12, 2))
+    X[11] += 3.0
+    data_path = tmp_path / "minority.csv"
+    save_csv(Dataset(X, np.array([0] * 11 + [1])), data_path)
+    out = tmp_path / "m.json"
+    rc = main(["fit-gpc", "--data", str(data_path), "--kernel-grid", "0.5,1.0", "--out", str(out)])
+    assert rc == 0
+    metrics = json.loads((tmp_path / "m-metrics.json").read_text())
+    assert metrics["label_map"] == {"0": -1, "1": 1}
+    assert metrics["grid_search"]["selected"] in (0.5, 1.0)
+
+
+def test_fit_gpc_rejects_a_test_label_the_training_set_lacks(triangle_csv, tmp_path, capsys):
+    # the model is trained on -1/+1; a test set labelled 1/2 is not remapped by its own classes
+    test = load_csv(triangle_csv)
+    test_path = tmp_path / "test12.csv"
+    save_csv(Dataset(test.features, np.where(test.labels > 0, 2, 1)), test_path)
+    out = tmp_path / "m.json"
+    rc = main(["fit-gpc", "--data", triangle_csv, "--test", str(test_path), "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and "label 2" in err["error"]
 
 
 # ------------------------------------------------------------------ explain
@@ -608,6 +635,35 @@ def test_iris_deterministic(tmp_path):
         assert rc == 0
         blobs.append((out.parent / "iris-metrics.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# ------------------------------------------------------------ output format
+
+
+def test_every_csv_written_is_rectangular_with_crlf_rows(fitted_model, tmp_path):
+    # feature names with a comma and a quote must be quoted wherever they are header cells
+    X = np.random.default_rng(8).normal(size=(24, 2))
+    data_path = tmp_path / "named.csv"
+    save_csv(Dataset(X, (X[:, 0] + X[:, 1] > 0).astype(int), ["a,b", 'c"d']), data_path)
+    mim = ["--data", str(data_path), "--oracle", "knn:3", "--sigma", "0.8"]
+    for argv in (
+        ["explain", *mim, "--out", str(tmp_path / "expl.csv")],
+        ["morph", *mim, "--steps", "4", "--out", str(tmp_path / "morph.csv")],
+        ["rank", *mim, "--bins", "4", "--out", str(tmp_path / "rank.csv")],
+        ["vector-field", "--model", fitted_model, "--grid", "3", "--out", str(tmp_path / "field.csv")],
+        ["iris", "--seed", "1", "--out", str(tmp_path / "iris.csv")],
+    ):
+        assert main(argv) == 0, argv[0]
+    written = sorted(tmp_path.glob("*.csv"))
+    assert len(written) == 11  # the dataset, 3 explain/morph/field, 3 rank, 4 iris
+    for path in written:
+        raw = path.read_bytes()
+        assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), path.name
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), path.name
+    with open(tmp_path / "morph.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["id", "step", "a,b", 'c"d', "p", "label", "flipped"]
 
 
 # ----------------------------------------------------------- error contract

@@ -1,8 +1,12 @@
+import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
 
+from localgrad import data as datamod
 from localgrad.analysis import ks_two_sample
 from localgrad.data import (
     NONLINEAR_DISK_RADIUS,
@@ -20,7 +24,7 @@ from localgrad.data import (
     load_iris,
     normalize_fit_apply,
     save_csv,
-    save_norm_stats,
+    save_json,
     split_stratified,
 )
 
@@ -63,6 +67,13 @@ def test_load_unknown_label_rejected(tmp_path):
         load_csv(p, classes=(0, 1))
 
 
+@pytest.mark.parametrize("label", ["1.5", "nan", "inf", "-inf"])
+def test_load_non_integer_label_rejected(tmp_path, label):
+    p = write(tmp_path / "bad.csv", f"f1,label\n1.0,0\n2.0,{label}\n")
+    with pytest.raises(ValueError, match=re.escape(f"non-integer label '{label}' at row 1")):
+        load_csv(p)
+
+
 def test_load_missing_label_column(tmp_path):
     p = write(tmp_path / "bad.csv", "f1,f2\n1.0,2.0\n")
     with pytest.raises(ValueError):
@@ -82,6 +93,32 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
     assert list(back.feature_names) == list(ds.feature_names)
+
+
+@pytest.mark.parametrize("cells_per_write", [1, 13, datamod._WRITE_CELLS])
+def test_write_table_matches_csv_writer(tmp_path, monkeypatch, cells_per_write):
+    # reference: csv.writer with the same cells formatted by %.17g / %d
+    monkeypatch.setattr(datamod, "_WRITE_CELLS", cells_per_write)
+    floats = np.array([-0.0, 5e-324, 2.2250738585072009e-308, 1e308, -1e308, 0.1, np.pi, 1.0])
+    ints = np.array([0, -3, 2**53 + 1, 7, 1, -1, 12, 5])
+    bools = np.array([True, False] * 4)
+    text = np.array(["plain", "a,b", 'say "hi"', "", 'x,"y"', "line\nbreak", "cr\r", " q "])
+    matrix = np.column_stack([floats[::-1], -floats])
+    header = ["id", "a,b", 'quo"te', "", "m1", "m2"]
+    blocks = [(ints, floats, bools, text, matrix), (ints[:3], floats[:3], bools[:3], text[:3], matrix[:3])]
+    path = tmp_path / "table.csv"
+    datamod._write_table(path, header, blocks)
+
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref, lineterminator="\r\n")
+    w.writerow(header)
+    for n in (8, 3):
+        for i in range(n):
+            w.writerow(["%d" % ints[i], "%.17g" % floats[i], "%d" % bools[i], text[i]]
+                       + ["%.17g" % v for v in matrix[i]])
+    assert path.read_bytes() == ref.getvalue().encode()
+    with open(path, newline="") as fh:
+        assert [row[3] for row in csv.reader(fh)][1:] == list(text) + list(text[:3])
 
 
 # ------------------------------------------------------------ normalization
@@ -127,7 +164,7 @@ def test_norm_stats_json_round_trip(tmp_path):
     ds = Dataset(rng.normal(size=(15, 3)), np.zeros(15, dtype=int))
     train, _ = normalize_fit_apply(ds, [])
     path = tmp_path / "stats.json"
-    save_norm_stats(train.norm_stats, path)
+    save_json(train.norm_stats, path)
     loaded = json.loads(path.read_text())
     assert loaded == train.norm_stats
     mean = np.array([loaded[name]["mean"] for name in ds.feature_names])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from localgrad import gpc
 from localgrad.data import ExplanationVector, gen_triangle
 from localgrad.gpc import (
     GpcModel,
@@ -343,6 +344,33 @@ def test_model_from_dict_rejects_length_mismatch(triangle_gpc, key):
     blob[key] = blob[key][:-1]
     with pytest.raises(ValueError, match=f"{key} has"):
         model_from_dict(blob)
+
+
+@pytest.mark.parametrize("scale, fails", [(1.0 + 1e-6, True), (1.0 + 1e-12, False)])
+def test_model_from_dict_factorization_check(triangle_gpc, monkeypatch, scale, fails):
+    # a factor off by `scale` leaves a relative residual of about 2 (scale - 1)
+    _, model = triangle_gpc
+    site_factor = gpc._site_factor
+    monkeypatch.setattr(gpc, "_site_factor", lambda K, s: site_factor(K, s) * scale)
+    if fails:
+        with pytest.raises(ValueError, match="factorization check failed"):
+            model_from_dict(model_to_dict(model))
+    else:
+        model_from_dict(model_to_dict(model))
+
+
+def test_model_from_dict_memory_stays_small():
+    # K, its factor and one residual buffer: three n x n float64 arrays
+    n = 150
+    X = np.random.default_rng(36).normal(size=(n, 5))
+    blob = model_to_dict(ep_fit(X, np.where(X[:, 0] > 0, 1, -1), KernelSpec("rbf", width=0.3)))
+    tracemalloc.start()
+    try:
+        model_from_dict(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n * n * 8
 
 
 # ------------------------------------------------------------ block queries

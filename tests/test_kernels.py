@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from localgrad.kernels import (
     KernelSpec,
@@ -158,6 +160,20 @@ def test_gram_exactly_symmetric_with_rows_equal_to_kernel_vector(d):
         assert np.array_equal(K, K.T)
         for i in range(len(pts)):
             assert np.array_equal(K[i], kernel_vector(spec, pts[i], pts))
+
+
+def test_rbf_gram_in_one_buffer_bit_equal_to_textbook_form():
+    n = 200
+    pts = np.random.default_rng(13).normal(scale=2.0, size=(n, 4))
+    for w in (0.37, 1.0, 25.0):
+        tracemalloc.start()
+        try:
+            K = kernel_gram(KernelSpec("rbf", width=w), pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(K, np.exp(-w * cdist(pts, pts, "sqeuclidean")))
+        assert peak < 1.5 * n * n * 8  # the squared distances are scaled and exponentiated in place
 
 
 def test_gram_matches_pairwise_eval():
