@@ -8,8 +8,6 @@ and immutable once built.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
@@ -129,12 +127,14 @@ class TableOracle:
     """
 
     def __init__(self, dataset, by_id: dict):
-        """`by_id` maps the dataset's row ids to labels; rows with equal
-        coordinates must carry equal labels."""
+        """`by_id` maps exactly the dataset's row ids to labels; rows with
+        equal coordinates must carry equal labels."""
+        if set(by_id) != set(dataset.row_ids.tolist()):
+            raise ValueError("the labels' ids do not match the companion dataset's row ids")
         self._by_coords = {}
-        for rid, point in zip(dataset.row_ids, dataset.features):
+        for rid, point in zip(dataset.row_ids.tolist(), dataset.features):
             key = np.ascontiguousarray(point, dtype=float).tobytes()
-            label = by_id[int(rid)]
+            label = by_id[rid]
             if self._by_coords.setdefault(key, label) != label:
                 raise ValueError(f"duplicate coordinates with conflicting labels (id {rid})")
 
@@ -150,27 +150,10 @@ class TableOracle:
 
 
 def table_oracle_load(path, dataset) -> TableOracle:
-    """Load a prediction table CSV (header ``id,label``).
-
-    Ids must bijectively match the companion dataset's row ids.
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [h.strip() for h in rows[0]] != ["id", "label"]:
-        raise ValueError(f"{path}: expected header 'id,label'")
-    by_id = {}
-    for i, row in enumerate(rows[1:]):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"{path}: row {i} malformed")
-        try:
-            rid, lab = int(row[0]), int(row[1])
-        except ValueError:
-            raise ValueError(f"{path}: non-integer cell at row {i}") from None
-        if rid in by_id:
-            raise ValueError(f"{path}: duplicate id {rid}")
-        by_id[rid] = lab
-    if set(by_id) != set(int(r) for r in dataset.row_ids):
-        raise ValueError(f"{path}: ids do not match the companion dataset's row ids")
-    return TableOracle(dataset, by_id)
+    """Load a prediction table: a dataset CSV (data.load_csv) with a label
+    column, an optional leading id column and no feature columns.  Its ids
+    must be exactly the companion dataset's row ids."""
+    table = data.load_csv(path)
+    if table.d:
+        raise ValueError(f"{path}: a prediction table has no feature columns, got {table.feature_names}")
+    return TableOracle(dataset, dict(zip(table.row_ids, table.labels)))

@@ -93,8 +93,7 @@ def _resolve_oracle(spec, dataset):
     labels only points that are rows of the dataset.
     """
     if spec is None:
-        labels = {int(r): int(l) for r, l in zip(dataset.row_ids, dataset.labels)}
-        return classifiers.TableOracle(dataset, labels)
+        return classifiers.TableOracle(dataset, dict(zip(dataset.row_ids, dataset.labels)))
     text = str(spec)
     if text.startswith("knn"):
         _, _, arg = text.partition(":")
@@ -224,7 +223,7 @@ def cmd_fit_gpc(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    _require(args, "out")
+    _require(args, "out", "data" if args.queries is None else "queries")
     queries = datamod.load_csv(args.queries or args.data)
     evs, _route = _explanations(args, queries)
     mimicmod.save_explanations(args.out, evs, queries.feature_names)
@@ -262,7 +261,7 @@ def cmd_morph(args) -> int:
     """Walk each query along its explanation vector until its label flips.
     All live paths advance in lockstep, one block evaluation per step; the
     rows are then written path by path."""
-    _require(args, "out")
+    _require(args, "out", "data" if args.queries is None else "queries")
     queries = datamod.load_csv(args.queries or args.data)
     steps = _count(args, "steps", 50, least=0)
     if args.step_size is None:
@@ -309,33 +308,37 @@ def cmd_morph(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _require(args, "out")
+    _require(args, "out", "data" if args.queries is None else "queries")
     queries = datamod.load_csv(args.queries or args.data)
     bins = _count(args, "bins", 30, least=1)
+    stem = str(args.out).removesuffix(".csv")
+    hist_paths = {}  # histogram file -> its feature, in feature order
+    for name in queries.feature_names:
+        path = f"{stem}-hist-{''.join(ch if ch.isalnum() else '_' for ch in name)}.csv"
+        if path in hist_paths:
+            raise ValueError(f"features {hist_paths[path]!r} and {name!r} would both write {path}")
+        hist_paths[path] = name
     evs, _route = _explanations(args, queries)
     ranking = analysis.rank_features(evs, queries.feature_names)
     analysis.save_ranking_csv(ranking, args.out)
-    stem = str(args.out).removesuffix(".csv")
     G = np.vstack([ev.gradient for ev in evs])
-    for j, name in enumerate(queries.feature_names):
+    for j, path in enumerate(hist_paths):
         spec = analysis.default_histogram_spec(G[:, j], bin_count=bins)
         counts, clipped = analysis.histogram(G[:, j], spec)
-        safe = "".join(ch if ch.isalnum() else "_" for ch in name)
-        analysis.save_histogram_csv(spec, counts, f"{stem}-hist-{safe}.csv", clipped)
+        analysis.save_histogram_csv(spec, counts, path, clipped)
     return 0
 
 
 def cmd_compare(args) -> int:
-    _require(args, "out", "data", "feature", "group")
-    full = datamod.load_csv(args.data)
-    if args.group not in full.feature_names:
-        raise ValueError(f"group column {args.group!r} not in the dataset")
-    if args.feature not in full.feature_names:
-        raise ValueError(f"feature {args.feature!r} not in the dataset")
-    mask = full.features[:, full.feature_names.index(args.group)] != 0
+    _require(args, "out", "feature", "group", "data" if args.queries is None else "queries")
+    queries = datamod.load_csv(args.queries or args.data)
+    for flag in ("group", "feature"):
+        if getattr(args, flag) not in queries.feature_names:
+            raise ValueError(f"--{flag} {getattr(args, flag)!r} is not a column of the dataset")
+    mask = queries.features[:, queries.feature_names.index(args.group)] != 0
     bins = _count(args, "bins", 30, least=1)
-    evs, _route = _explanations(args, full)
-    j = full.feature_names.index(args.feature)
+    evs, _route = _explanations(args, queries)
+    j = queries.feature_names.index(args.feature)
     values = np.array([ev.gradient[j] for ev in evs])
     eps = float(args.epsilon if args.epsilon is not None else 1.0)
     spec = analysis.default_histogram_spec(values, bin_count=bins, epsilon=eps)
@@ -357,7 +360,11 @@ def cmd_iris(args) -> int:
     train, test = datamod.split_stratified(datamod.iris_binary(full), 100, seed)
     train, [test] = datamod.normalize_fit_apply(train, [test])
 
-    k_grid = [int(k) for k in _parse_floats(args.k_grid)] if args.k_grid else list(range(1, 11))
+    k_grid = range(1, 11)
+    if args.k_grid:
+        k_grid = [datamod._integral(k) for k in args.k_grid.split(",") if k.strip()]
+    if None in k_grid:
+        raise ValueError(f"--k-grid takes integers, got {args.k_grid!r}")
     clf = classifiers.knn_fit_loo(train.features, train.labels, k_grid)
     g_train = clf.predict(train.features)
     g_test = clf.predict(test.features)
@@ -401,7 +408,6 @@ def cmd_iris(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--config", help="JSON file mirroring the flags; flags override it")
-    sub.add_argument("--seed", type=int, help="run seed (default 0)")
     sub.add_argument("--out", help="output path (or prefix for multi-file commands)")
 
 
@@ -431,6 +437,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     p = subs.add_parser("fit-gpc", help="train a GP classifier, optionally grid-searching the kernel")
     _add_common(p)
+    p.add_argument("--seed", type=int, help="seed of the grid search's validation split (default 0)")
     p.add_argument("--data", help="training dataset CSV (binary labels)")
     p.add_argument("--test", help="held-out dataset CSV for test metrics")
     p.add_argument("--kernel", help='kernel JSON, e.g. {"kind":"rbf","w":2.0}')
@@ -469,6 +476,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     p = subs.add_parser("iris", help="bundled Iris pipeline (split, k-NN, mimic, explanations)")
     _add_common(p)
+    p.add_argument("--seed", type=int, help="seed of the train/test split (default 0)")
     p.add_argument("--k-grid", help="comma-separated k candidates (default 1..10)")
     p.add_argument("--sigma-grid", help="comma-separated widths or 'auto'")
 

@@ -110,12 +110,28 @@ class ExplanationVector:
             raise ValueError("gradient dimension must equal query dimension")
 
 
+def _integral(text):
+    """The integer an id or label cell, or a --k-grid value, holds, or None:
+    integer text is read exactly by int(), other text must be a float with
+    an integral value ("1.0" is 1; inf and nan are not)."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            return None
+    return int(value) if value.is_integer() else None
+
+
 def load_csv(path, classes=None) -> Dataset:
-    """Read a dataset CSV.
+    """Read a dataset CSV; the package's only CSV reader.
 
     The header must contain a ``label`` column; a leading column named
-    ``id`` supplies row ids (otherwise ids are 0..n-1 in file order).  If
-    `classes` is given, every label must belong to it.
+    ``id`` supplies row ids (otherwise ids are 0..n-1 in file order).  Ids
+    and labels are integer cells by _integral's rule.  If `classes` is
+    given, every label must belong to it.  A prediction table is such a
+    file with no feature columns.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -125,10 +141,8 @@ def load_csv(path, classes=None) -> Dataset:
     if "label" not in header:
         raise ValueError(f"{path}: missing label column 'label'")
     label_pos = header.index("label")
-    has_id = header and header[0] == "id"
-    feature_pos = [
-        j for j, name in enumerate(header) if j != label_pos and not (has_id and j == 0)
-    ]
+    has_id = header[0] == "id"
+    feature_pos = [j for j in range(has_id, len(header)) if j != label_pos]
     feature_names = [header[j] for j in feature_pos]
 
     feats, labels, ids = [], [], []
@@ -148,25 +162,18 @@ def load_csv(path, classes=None) -> Dataset:
             if not math.isfinite(v):
                 raise ValueError(f"{path}: non-finite value at row {i}, column {header[j]!r}")
             vals.append(v)
-        try:
-            lab_f = float(row[label_pos])
-            lab = int(lab_f)
-            if lab != lab_f:
-                raise ValueError
-        except (ValueError, OverflowError):  # int(inf) overflows
-            raise ValueError(
-                f"{path}: non-integer label {row[label_pos]!r} at row {i}"
-            ) from None
+        lab, rid = _integral(row[label_pos]), _integral(row[0]) if has_id else len(ids)
+        if lab is None:
+            raise ValueError(f"{path}: non-integer label {row[label_pos]!r} at row {i}")
+        if rid is None:
+            raise ValueError(f"{path}: non-integer id {row[0]!r} at row {i}")
         if classes is not None and lab not in classes:
             raise ValueError(f"{path}: unknown label {lab} at row {i}")
-        if has_id:
-            ids.append(int(row[0]))
         feats.append(vals)
         labels.append(lab)
+        ids.append(rid)
     if not feats:
         raise ValueError(f"{path}: no data rows")
-    if not has_id:
-        ids = list(range(len(feats)))
     if len(set(ids)) != len(ids):
         raise ValueError(f"{path}: duplicate row ids")
     return Dataset(np.array(feats), np.array(labels), feature_names, np.array(ids))

@@ -165,9 +165,10 @@ def select_width(ref_x, ref_labels, candidate_sigmas) -> float:
     of the mimic of the others, so they are scored class by class, one row
     block at a time, every candidate on each block.
     """
-    sigmas = sorted(s for s in map(float, candidate_sigmas) if s > 0)
-    if not sigmas:
-        raise ValueError("no positive sigma candidate")
+    sigmas = sorted(map(float, candidate_sigmas))
+    bad = [s for s in sigmas if not 0 < s < np.inf]  # NaN too
+    if bad or not sigmas:
+        raise ValueError(f"sigma candidates must be positive and finite, got {bad or 'none'}")
     mimic = ParzenMimic(ref_x, ref_labels, sigmas[0])  # the decision rule reads only the labels
     X, m = mimic.ref_x, len(mimic.ref_x)
     if m < 2:

@@ -327,6 +327,40 @@ def test_table_oracle_id_mismatch(tmp_path):
         table_oracle_load(path, ds)
 
 
+def test_table_oracle_reads_integral_float_labels(tmp_path):
+    ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]))
+    path = tmp_path / "p.csv"
+    path.write_text("id,label\n0,1.0\n1,0\n")
+    assert table_oracle_load(path, ds).predict(ds.features).tolist() == [1, 0]
+
+
+def test_table_oracle_without_id_column_keys_rows_in_order(tmp_path):
+    # like a dataset file, a table without an id column has ids 0..n-1
+    ds = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 0]))
+    path = tmp_path / "p.csv"
+    path.write_text("label\n1\n1\n0\n")
+    assert table_oracle_load(path, ds).predict(ds.features).tolist() == [1, 1, 0]
+    shifted = Dataset(ds.features, ds.labels, row_ids=[1, 2, 3])
+    with pytest.raises(ValueError, match="ids do not match"):
+        table_oracle_load(path, shifted)
+
+
+def test_table_oracle_rejects_feature_columns(tmp_path):
+    ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]))
+    path = tmp_path / "p.csv"
+    path.write_text("id,x,label\n0,0.0,1\n1,1.0,0\n")
+    with pytest.raises(ValueError, match=r"no feature columns, got \['x'\]"):
+        table_oracle_load(path, ds)
+
+
+def test_table_oracle_missing_id_is_a_value_error():
+    ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="ids do not match"):
+        TableOracle(ds, {0: 1})
+    with pytest.raises(ValueError, match="ids do not match"):
+        TableOracle(ds, {0: 1, 1: 0, 2: 1})
+
+
 def test_predictions_deterministic():
     X, y = two_clusters(n=30, seed=4)
     clf = knn_fit_loo(X, y, k_candidates=(1, 3, 5))

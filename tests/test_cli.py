@@ -335,6 +335,24 @@ def test_explain_without_oracle_rejects_conflicting_duplicates(tmp_path, capsys)
     assert "conflicting labels" in err["error"]
 
 
+def test_explain_sigma_grid_rejects_bad_candidates(triangle_csv, tmp_path, capsys):
+    # a listed width that is not positive and finite is an error, not dropped
+    out = tmp_path / "x.csv"
+    assert main(["explain", "--data", triangle_csv, "--sigma-grid=-1,nan,0.5", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and "positive and finite" in err["error"]
+    assert "-1.0" in err["error"] and "nan" in err["error"] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "morph", "rank", "compare"])
+def test_rows_to_explain_are_required(fitted_model, tmp_path, capsys, command):
+    # without --queries the --data rows are explained, so one of the two must be given
+    argv = [command, "--model", fitted_model, "--feature", "x1", "--group", "x2", "--out", str(tmp_path / "x")]
+    assert main(argv if command == "compare" else argv[:3] + argv[-2:]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"command": command, "error": "missing required option --data", "type": "ValueError"}
+
+
 def test_explain_auto_sigma_grid_needs_two_references(tmp_path, capsys):
     data_path = tmp_path / "one.csv"
     save_csv(Dataset(np.array([[0.0, 1.0]]), np.array([1])), data_path)
@@ -489,6 +507,19 @@ def test_rank_outputs(triangle_csv, fitted_model, tmp_path):
     assert (tmp_path / "rank-hist-x2.csv").exists()
 
 
+def test_rank_rejects_features_that_share_a_histogram_file(tmp_path, capsys):
+    # "a,b" and "a.b" both name the file rank-hist-a_b.csv; nothing is written
+    X = np.random.default_rng(3).normal(size=(12, 2))
+    data_path = tmp_path / "clash.csv"
+    save_csv(Dataset(X, (X[:, 0] > 0).astype(int), ["a,b", "a.b"]), data_path)
+    out = tmp_path / "rank.csv"
+    assert main(["rank", "--data", str(data_path), "--sigma", "0.5", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError"
+    assert "'a,b'" in err["error"] and "'a.b'" in err["error"] and "rank-hist-a_b.csv" in err["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clash.csv"]
+
+
 # ------------------------------------------------------------------ compare
 
 
@@ -565,6 +596,23 @@ def test_compare_outputs(tmp_path):
     assert len(result["hist_in"]) == len(result["hist_out"])
 
 
+def test_compare_explains_the_query_rows(tmp_path):
+    # the --queries rows are explained and grouped; the --data rows are the references
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(60, 2))
+    grp = (np.arange(60) < 20).astype(float)
+    ds = Dataset(np.column_stack([X, grp]), (X[:, 0] > 0).astype(int), ["f1", "f2", "grp"])
+    save_csv(ds, tmp_path / "refs.csv")
+    save_csv(ds.subset(np.arange(15, 45)), tmp_path / "queries.csv")  # 5 of 30 in the group
+    out = tmp_path / "cmp.json"
+    argv = ["compare", "--data", str(tmp_path / "refs.csv"), "--queries", str(tmp_path / "queries.csv"),
+            "--oracle", "knn:3", "--sigma", "0.8", "--feature", "f2", "--group", "grp", "--out", str(out)]
+    assert main(argv) == 0
+    result = json.loads(out.read_text())
+    assert result["group_size"] == 5
+    assert sum(result["hist_in"]) + sum(result["hist_out"]) == 30
+
+
 def test_compare_applies_smooth_window(tmp_path):
     # a window holding every point turns each gradient into the global mean
     smoothed = run_compare(tmp_path, "--smooth-window", "1e9")
@@ -624,6 +672,22 @@ def test_iris_reads_the_bundled_csv_once(tmp_path, monkeypatch):
     count_calls(monkeypatch, datamod, "load_csv", calls)
     assert main(["iris", "--seed", "1", "--out", str(tmp_path / "iris")]) == 0
     assert calls == {"load_csv": 1}
+
+
+@pytest.mark.parametrize("k_grid, ks", [("3.0", [3]), ("2,1e0", [1, 2])])
+def test_iris_k_grid_takes_integral_values(tmp_path, k_grid, ks):
+    assert main(["iris", "--seed", "1", "--k-grid", k_grid, "--out", str(tmp_path / "iris")]) == 0
+    metrics = json.loads((tmp_path / "iris-metrics.json").read_text())
+    assert sorted(map(int, metrics["k_loo_errors"])) == ks and metrics["k"] in ks
+
+
+@pytest.mark.parametrize("k_grid", ["2.7", "3,x", "inf"])
+def test_iris_k_grid_rejects_non_integers(tmp_path, capsys, k_grid):
+    out = tmp_path / "iris"
+    assert main(["iris", "--seed", "1", "--k-grid", k_grid, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and "--k-grid" in err["error"] and k_grid in err["error"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_iris_deterministic(tmp_path):
@@ -742,6 +806,22 @@ def test_config_unknown_key_rejected(fitted_model, tmp_path, capsys):
     assert err["command"] == "vector-field"
     assert err["type"] == "ValueError" and "'gird'" in err["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "vector-field", "morph", "rank", "compare"])
+def test_seed_is_not_a_flag_of_commands_without_randomness(tmp_path, capsys, command):
+    # only fit-gpc and iris draw a split; the other commands take no --seed
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert json.loads(err) == {
+        "command": command, "error": f"config key 'seed' is not a flag of {command}", "type": "ValueError"
+    }
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_true_means_the_bare_flag(tmp_path):

@@ -74,6 +74,21 @@ def test_load_non_integer_label_rejected(tmp_path, label):
         load_csv(p)
 
 
+def test_load_integer_cells_read_exactly_or_from_integral_floats(tmp_path):
+    # integer text goes through int() (no rounding at 2**53 + 1); "1.0" and "4e0" are integral floats
+    p = write(tmp_path / "a.csv", "id,f1,label\n4e0,1.0,9007199254740993\n2,2.0,1.0\n")
+    ds = load_csv(p)
+    assert ds.labels.tolist() == [9007199254740993, 1]
+    assert ds.row_ids.tolist() == [4, 2]
+
+
+@pytest.mark.parametrize("rid", ["1.5", "x", "nan", "inf"])
+def test_load_non_integer_id_names_file_and_row(tmp_path, rid):
+    p = write(tmp_path / "bad.csv", f"id,f1,label\n{rid},1.0,0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: non-integer id '{rid}' at row 0")):
+        load_csv(p)
+
+
 def test_load_missing_label_column(tmp_path):
     p = write(tmp_path / "bad.csv", "f1,f2\n1.0,2.0\n")
     with pytest.raises(ValueError):

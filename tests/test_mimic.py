@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -247,8 +248,13 @@ def test_select_width_single_candidate():
 def test_select_width_rejects_nonpositive():
     X = np.array([[0.0], [1.0]])
     y = np.array([1, 2])
-    with pytest.raises(ValueError, match="no positive sigma"):
+    with pytest.raises(ValueError, match=re.escape("must be positive and finite, got [-1.0, 0.0]")):
         select_width(X, y, [-1.0, 0.0])
+    for bad in (-1.0, 0.0, np.nan, np.inf):  # one bad candidate among good ones is an error too
+        with pytest.raises(ValueError, match=re.escape(f"got [{bad}]")):
+            select_width(X, y, [0.5, bad, 2.0])
+    with pytest.raises(ValueError, match="got none"):
+        select_width(X, y, [])
     with pytest.raises(ValueError, match="at least two references"):  # no other reference to score by
         select_width(X[:1], y[:1], [1.0])
 
