@@ -1,12 +1,12 @@
 """Local explanation vectors: gradients of class-probability functions.
 
-Two routes produce the same kind of object, an :class:`ExplanationVector`:
+Two routes produce one record, :class:`ExplanationVector` (a point or a block):
 
 * analytic — fit a GP classifier with :func:`ep_fit` and differentiate
-  its predictive probability with :func:`explain_gpc`;
+  its predictive probability with :func:`explain_gpc`, at a point or a block;
 * model-agnostic — mimic any label-producing classifier with a Parzen
   window (:class:`ParzenMimic`) and differentiate the mimic's posterior
-  with :func:`explain_estimated`.
+  with :func:`explain_estimated`, at one point.
 """
 
 from .analysis import (

@@ -57,12 +57,11 @@ def default_histogram_spec(values, bin_count: int = 30, epsilon: float = 1.0) ->
 
 
 def rank_features(explanations, names) -> FeatureRanking:
-    """Rank features by the mean of their gradient components, descending;
-    ties go to the lower feature index."""
-    explanations = list(explanations)
-    if not explanations:
+    """Rank features by the mean of their gradient components over the rows
+    of a block record, descending; ties go to the lower feature index."""
+    G = explanations.gradient
+    if not len(G):
         raise ValueError("no explanations to rank")
-    G = np.vstack([ev.gradient for ev in explanations])
     d = G.shape[1]
     if len(names) != d:
         raise ValueError(f"expected {d} feature names")
@@ -137,15 +136,14 @@ class GroupComparison:
 
 
 def compare_groups(explanations, feature: int, group_mask, spec: HistogramSpec) -> GroupComparison:
-    """Compare one feature's gradient components between the points inside
-    and outside a group."""
-    explanations = list(explanations)
+    """Compare one feature's gradient components between the rows of a block
+    record inside and outside a group."""
+    values = explanations.gradient[:, feature]
     mask = np.asarray(group_mask, dtype=bool)
-    if len(mask) != len(explanations):
+    if len(mask) != len(values):
         raise ValueError("mask length must match the number of explanations")
     if mask.all() or not mask.any():
         raise ValueError("group mask must split the set into two nonempty parts")
-    values = np.array([ev.gradient[feature] for ev in explanations])
     hist_in, clip_in = histogram(values[mask], spec)
     hist_out, clip_out = histogram(values[~mask], spec)
     d, p = ks_two_sample(values[mask], values[~mask])

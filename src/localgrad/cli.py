@@ -100,7 +100,10 @@ def _resolve_oracle(spec, dataset):
         if arg in ("", "loo"):
             ks = [k for k in range(1, 11) if k <= dataset.n - 1]
             return classifiers.knn_fit_loo(dataset.features, dataset.labels, ks)
-        return classifiers.KnnClassifier(dataset.features, dataset.labels, int(arg))
+        k = datamod._integral(arg)
+        if k is None:
+            raise ValueError(f"--oracle knn:K takes an integer K, got {text!r}")
+        return classifiers.KnnClassifier(dataset.features, dataset.labels, k)
     return classifiers.table_oracle_load(text, dataset)
 
 
@@ -124,8 +127,8 @@ def _explanations(args, queries):
     """Shared explanation routing: analytic (--model) or mimic, then the
     --smooth-window smoothing when it is given.  The mimic's references are
     the --data rows; without --queries they are the queries, read and
-    labelled once.  Returns the explanations and the route: ("gpc", model)
-    or ("mimic", mimic)."""
+    labelled once.  Returns one block record of the queries' explanations
+    and the route: ("gpc", model) or ("mimic", mimic)."""
     if getattr(args, "model", None):
         for name in ("oracle", "sigma", "sigma_grid", "hessian_fallback"):
             if getattr(args, name, None) is not None:
@@ -144,16 +147,13 @@ def _explanations(args, queries):
         g_refs = oracle.predict(refs.features)
         mm = _fit_mimic(args, refs.features, g_refs)
         pairs = zip(queries.features, g_refs if queries is refs else oracle.predict(queries.features))
-        if threshold is None:
-            evs = [mimicmod.explain_estimated(mm, x, g) for x, g in pairs]
-        else:
-            evs = [mimicmod.explain_with_fallback(mm, x, g, threshold) for x, g in pairs]
+        rows = (mimicmod.explain_estimated(mm, x, g) if threshold is None
+                else mimicmod.explain_with_fallback(mm, x, g, threshold) for x, g in pairs)
+        evs = datamod.ExplanationVector.stack(rows)
         route = ("mimic", mm)
     window = getattr(args, "smooth_window", None)
     if window is not None:
-        G = np.vstack([ev.gradient for ev in evs])
-        S = mimicmod.smooth_gradients(queries.features, G, float(window))
-        evs = [dataclasses.replace(ev, gradient=s) for ev, s in zip(evs, S)]
+        evs.gradient = mimicmod.smooth_gradients(queries.features, evs.gradient, float(window))
     return evs, route
 
 
@@ -249,9 +249,8 @@ def cmd_vector_field(args) -> int:
 
     def grid_rows():  # one explain_gpc call and one block per grid row
         for yv in ys:
-            Q = np.column_stack([xs, np.full(n, yv)])
-            evs = gpc.explain_gpc(model, Q)
-            yield Q, [ev.predicted_probability for ev in evs], [ev.gradient for ev in evs]
+            evs = gpc.explain_gpc(model, np.column_stack([xs, np.full(n, yv)]))
+            yield evs.query, evs.predicted_probability, evs.gradient
 
     datamod._write_table(args.out, ["x1", "x2", "p", "grad_x1", "grad_x2"], grid_rows())
     return 0
@@ -272,15 +271,14 @@ def cmd_morph(args) -> int:
         raise ValueError(f"--step-size must be positive, got {args.step_size}")
     evs, (route, obj) = _explanations(args, queries)
 
-    start, label0 = queries.features, np.array([ev.predicted_label for ev in evs])
-    G = np.vstack([ev.gradient for ev in evs])
+    start, label0, G = queries.features, evs.predicted_label, evs.gradient
     if route == "gpc":
         G[label0 == 1] *= -1.0  # walk away from the predicted class
     norms = np.array([np.linalg.norm(g) for g in G])[:, None]  # axis=1 would round otherwise
     directions = np.divide(G, norms, out=np.zeros_like(G), where=norms > 0)
-    probs = np.empty((steps + 1, len(evs)))  # p of path i at step t
-    last, last_label = np.full(len(evs), steps), label0.copy()  # the first flip, if any
-    live = np.arange(len(evs))
+    probs = np.empty((steps + 1, len(start)))  # p of path i at step t
+    last, last_label = np.full(len(start), steps), label0.copy()  # the first flip, if any
+    live = np.arange(len(start))
     for t in range(steps + 1):
         X = start[live] + (t * step_size) * directions[live]
         if route == "gpc":
@@ -321,10 +319,9 @@ def cmd_rank(args) -> int:
     evs, _route = _explanations(args, queries)
     ranking = analysis.rank_features(evs, queries.feature_names)
     analysis.save_ranking_csv(ranking, args.out)
-    G = np.vstack([ev.gradient for ev in evs])
     for j, path in enumerate(hist_paths):
-        spec = analysis.default_histogram_spec(G[:, j], bin_count=bins)
-        counts, clipped = analysis.histogram(G[:, j], spec)
+        spec = analysis.default_histogram_spec(evs.gradient[:, j], bin_count=bins)
+        counts, clipped = analysis.histogram(evs.gradient[:, j], spec)
         analysis.save_histogram_csv(spec, counts, path, clipped)
     return 0
 
@@ -339,9 +336,8 @@ def cmd_compare(args) -> int:
     bins = _count(args, "bins", 30, least=1)
     evs, _route = _explanations(args, queries)
     j = queries.feature_names.index(args.feature)
-    values = np.array([ev.gradient[j] for ev in evs])
     eps = float(args.epsilon if args.epsilon is not None else 1.0)
-    spec = analysis.default_histogram_spec(values, bin_count=bins, epsilon=eps)
+    spec = analysis.default_histogram_spec(evs.gradient[:, j], bin_count=bins, epsilon=eps)
     cmp_result = analysis.compare_groups(evs, j, mask, spec)
     out = analysis.comparison_to_dict(cmp_result)
     out["feature"] = args.feature
@@ -378,7 +374,8 @@ def cmd_iris(args) -> int:
     mimic_train = mimicmod.mimic_predict(mm, train.features)
     agreement = float(np.mean(mimic_train == g_train))
 
-    evs = [mimicmod.explain_estimated(mm, x, int(g)) for x, g in zip(test.features, g_test)]
+    rows = (mimicmod.explain_estimated(mm, x, int(g)) for x, g in zip(test.features, g_test))
+    evs = datamod.ExplanationVector.stack(rows)
     stem = str(args.out).removesuffix(".csv")
     mimicmod.save_explanations(f"{stem}-explanations.csv", evs, test.feature_names)
     datamod.save_csv(train, f"{stem}-train.csv")

@@ -4,8 +4,8 @@ CSV layout is ``id,<feature...>,label``: an optional leading integer id
 column, numeric feature columns in file order, and one integer class
 column.  Normalization statistics travel with the dataset so a transform
 fitted on a training split can be applied to anything else.  Both
-explanation routes return the ExplanationVector record defined here, and
-model selection and the block query paths share the row blocks defined here.
+explanation routes return the ExplanationVector record defined here, for
+a point or a block, and every block pass uses the row blocks defined here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -25,6 +25,7 @@ from scipy.spatial.distance import cdist
 _BLOCK_ELEMENTS = 2**15
 # _write_table writes at most this many cells per call: about 100 KiB of memory
 _WRITE_CELLS = 2**10
+_INT64 = np.iinfo(np.int64)  # the range of ids and labels
 # cell formats by numpy dtype kind; a column of any other kind is quoted text
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
@@ -88,7 +89,10 @@ class Dataset:
 @dataclass
 class ExplanationVector:
     """A local explanation: the gradient of a class-probability function
-    at a query point, together with the prediction it explains.
+    at a query point, together with the prediction it explains.  A point
+    record has length-d `query` and `gradient` arrays and scalar other
+    fields; a block record holds q queries as columns (q x d `query` and
+    `gradient`, length-q other fields).
 
     A positive component means that increasing the corresponding feature
     increases the explained probability (for the analytic source, the
@@ -98,16 +102,27 @@ class ExplanationVector:
 
     query: np.ndarray
     gradient: np.ndarray
-    predicted_probability: float
-    predicted_label: int
-    source: str  # analytic-gpc | parzen-mimic | hessian-fallback
-    far_field: bool = False
+    predicted_probability: float | np.ndarray
+    predicted_label: int | np.ndarray
+    source: str | np.ndarray  # analytic-gpc | parzen-mimic | hessian-fallback
+    far_field: bool | np.ndarray = False
 
     def __post_init__(self):
         self.query = np.asarray(self.query, dtype=float)
         self.gradient = np.asarray(self.gradient, dtype=float)
         if self.query.shape != self.gradient.shape:
             raise ValueError("gradient dimension must equal query dimension")
+
+    def row(self, i) -> "ExplanationVector":
+        """Row i of a block record, as a point record with Python scalars."""
+        scalars = (self.predicted_probability, self.predicted_label, self.source, self.far_field)
+        return ExplanationVector(self.query[i], self.gradient[i], *(c[i].item() for c in scalars))
+
+    @classmethod
+    def stack(cls, rows) -> "ExplanationVector":
+        """The block record whose rows are the given point records, in order."""
+        rows = list(rows)
+        return cls(*(np.array([getattr(r, f.name) for r in rows]) for f in fields(cls)))
 
 
 def _integral(text):
@@ -167,6 +182,9 @@ def load_csv(path, classes=None) -> Dataset:
             raise ValueError(f"{path}: non-integer label {row[label_pos]!r} at row {i}")
         if rid is None:
             raise ValueError(f"{path}: non-integer id {row[0]!r} at row {i}")
+        for j, value in ((label_pos, lab), (0, rid)):
+            if not _INT64.min <= value <= _INT64.max:
+                raise ValueError(f"{path}: {row[j]!r} at row {i}, column {header[j]!r} is outside the int64 range")
         if classes is not None and lab not in classes:
             raise ValueError(f"{path}: unknown label {lab} at row {i}")
         feats.append(vals)

@@ -244,9 +244,9 @@ def predict_proba(model: GpcModel, x0):
     return float(p[0]) if x0.ndim == 1 else p
 
 
-def explain_gpc(model: GpcModel, x0):
+def explain_gpc(model: GpcModel, x0) -> ExplanationVector:
     """Explanation vector, the gradient of predict_proba, at a point x0;
-    for a q x d block x0, a list of them, one per row."""
+    for a q x d block x0, one block record whose columns hold q rows."""
     x0 = np.asarray(x0, dtype=float)
     X = np.atleast_2d(x0)
     mean, var, grad_mean, grad_var = _predictive(model, X, grad=True)
@@ -255,11 +255,11 @@ def explain_gpc(model: GpcModel, x0):
     gradient = prefactor[:, None] * (
         grad_mean / np.sqrt(s)[:, None] - (0.5 * mean * s**-1.5)[:, None] * grad_var
     )
-    evs = [
-        ExplanationVector(x, g, float(p), 1 if p >= 0.5 else -1, "analytic-gpc")
-        for x, g, p in zip(X, gradient, _probit(mean, var))
-    ]
-    return evs[0] if x0.ndim == 1 else evs
+    p = _probit(mean, var)
+    evs = ExplanationVector(
+        X, gradient, p, np.where(p >= 0.5, 1, -1), np.full(len(X), "analytic-gpc"), np.zeros(len(X), bool)
+    )
+    return evs.row(0) if x0.ndim == 1 else evs
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 from . import data
@@ -333,7 +334,7 @@ def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:
 
     Each output is the mean of all gradients whose query lies within the
     axis-aligned cube of the given halfwidth centered at that query (the
-    point itself always included).
+    point itself always included): a closed max-norm ball, from one k-d tree query.
     """
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
@@ -341,11 +342,8 @@ def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:
         raise ValueError("queries and gradients must be aligned")
     if not window_halfwidth > 0:
         raise ValueError("window halfwidth must be positive")
-    out = np.empty_like(G)
-    for i in range(len(Q)):
-        mask = np.all(np.abs(Q - Q[i]) <= window_halfwidth, axis=1)
-        out[i] = G[mask].mean(axis=0)
-    return out
+    cubes = cKDTree(Q).query_ball_point(Q, window_halfwidth, p=np.inf, return_sorted=True)
+    return np.array([G[rows].mean(axis=0) for rows in cubes]).reshape(G.shape)  # rows in index order, as a mask takes them
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +351,15 @@ def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_explanations(path, explanations, feature_names=None) -> None:
-    """Write explanations as CSV: query coords, gradient coords, predicted
+def save_explanations(path, ev: ExplanationVector, feature_names) -> None:
+    """Write a block record as CSV: query coords, gradient coords, predicted
     probability, label, source, far-field flag, in data's table format."""
-    explanations = list(explanations)
-    if not explanations:
-        raise ValueError("nothing to save")
-    d = explanations[0].query.size
-    if feature_names is None:
-        feature_names = [f"x{j + 1}" for j in range(d)]
+    if ev.query.ndim != 2 or not len(ev.query):
+        raise ValueError("nothing to save: expected a block record with at least one row")
+    d = ev.query.shape[1]
     if len(feature_names) != d:
         raise ValueError(f"expected {d} feature names")
     names = list(feature_names)
     header = names + [f"grad_{name}" for name in names] + ["probability", "label", "source", "far_field"]
-    fields = ("query", "gradient", "predicted_probability", "predicted_label", "source", "far_field")
-    block = [np.array([getattr(ev, name) for ev in explanations]) for name in fields]
+    block = [ev.query, ev.gradient, ev.predicted_probability, ev.predicted_label, ev.source, ev.far_field]
     data._write_table(path, header, [block])

@@ -331,3 +331,28 @@ def load_explanations(path):
         for row in rows[1:]
         if row
     ]
+
+
+def assert_same_point_record(a, b):
+    """Two point ExplanationVectors agree bit for bit, field by field, with
+    scalar fields of the same Python type."""
+    from dataclasses import fields
+
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+def smooth_gradients_bruteforce(queries, gradients, window_halfwidth):
+    """Sliding-cube smoothing by a boolean mask per query: the mean of the
+    gradients whose query lies in the closed cube around each query."""
+    Q = np.atleast_2d(np.asarray(queries, dtype=float))
+    G = np.atleast_2d(np.asarray(gradients, dtype=float))
+    out = np.empty_like(G)
+    for i in range(len(Q)):
+        mask = np.all(np.abs(Q - Q[i]) <= window_halfwidth, axis=1)
+        out[i] = G[mask].mean(axis=0)
+    return out

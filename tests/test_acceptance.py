@@ -363,7 +363,7 @@ def test_07_planted_feature_recovery():
         score = X[:, 0] + X[:, 1] + X[:, 2] - X[:, 3] - X[:, 4]
         y = np.where(score >= 0, 1, -1)
         model = ep_fit(X, y, KernelSpec("rbf", width=0.025))
-        evs = [explain_gpc(model, x) for x in X]
+        evs = explain_gpc(model, X)
         ordered = [name for name, _, _ in rank_features(evs, names).ordered()]
         if {"f0", "f1", "f2"} <= set(ordered[:5]) and {"f3", "f4"} <= set(ordered[-5:]):
             hits += 1
@@ -397,8 +397,8 @@ def test_08_subgroup_immunity():
         # inside the subgroup the label ignores f0; outside it follows f0
         y = np.where(group, 1, np.where(f0 > 0, 1, -1))
         model = ep_fit(X, y, KernelSpec("rbf", width=0.1))
-        evs = [explain_gpc(model, x) for x in X]
-        values = np.array([ev.gradient[0] for ev in evs])
+        evs = explain_gpc(model, X)
+        values = evs.gradient[:, 0]
         spec = default_histogram_spec(values)
         cmp_true = compare_groups(evs, 0, group, spec)
         random_mask = np.zeros(n, dtype=bool)

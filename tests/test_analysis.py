@@ -18,17 +18,17 @@ from oracles import auc_pairwise, ecdf_distance, kld_two_terms, rebin_naive
 
 
 def make_evs(gradients):
+    """A block record with the given q x d gradient column."""
     G = np.asarray(gradients, dtype=float)
-    return [
-        ExplanationVector(
-            query=np.zeros(G.shape[1]),
-            gradient=g,
-            predicted_probability=0.5,
-            predicted_label=1,
-            source="parzen-mimic",
-        )
-        for g in G
-    ]
+    q = len(G)
+    return ExplanationVector(
+        query=np.zeros_like(G),
+        gradient=G,
+        predicted_probability=np.full(q, 0.5),
+        predicted_label=np.ones(q, dtype=int),
+        source=np.full(q, "parzen-mimic"),
+        far_field=np.zeros(q, dtype=bool),
+    )
 
 
 # ------------------------------------------------------------------ ranking
@@ -65,7 +65,7 @@ def test_rank_invariant_under_positive_rescale():
 
 def test_rank_validation():
     with pytest.raises(ValueError):
-        rank_features([], ["a"])
+        rank_features(make_evs(np.zeros((0, 1))), ["a"])
     with pytest.raises(ValueError):
         rank_features(make_evs([[1.0, 2.0]]), ["only-one"])
 

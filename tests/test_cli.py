@@ -205,6 +205,21 @@ def test_explain_mimic_route(triangle_csv, tmp_path):
     assert all(ev.source == "parzen-mimic" for ev in evs)
 
 
+def test_oracle_knn_k_takes_an_integral_float(triangle_csv, tmp_path):
+    base = ["explain", "--data", triangle_csv, "--sigma", "0.4"]
+    assert main(base + ["--oracle", "knn:3", "--out", str(tmp_path / "int.csv")]) == 0
+    assert main(base + ["--oracle", "knn:3.0", "--out", str(tmp_path / "float.csv")]) == 0
+    assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
+
+def test_oracle_knn_k_rejects_a_non_integer(triangle_csv, tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert main(["explain", "--data", triangle_csv, "--oracle", "knn:1.5", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and "--oracle" in err["error"] and "1.5" in err["error"]
+    assert not out.exists()
+
+
 def test_explain_sigma_grid_list_selects_like_fixed_sigma(triangle_csv, tmp_path):
     # an explicit --sigma-grid is searched by leave-one-out on the oracle's
     # reference labels; the mimic it builds is the --sigma mimic of that width
@@ -699,6 +714,55 @@ def test_iris_deterministic(tmp_path):
         assert rc == 0
         blobs.append((out.parent / "iris-metrics.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# ------------------------------------------------------------------ reruns
+
+
+@pytest.fixture(scope="module")
+def clusters_csv(tmp_path_factory):
+    # an odd middle cluster puts one row exactly on its stationary centre
+    path = tmp_path_factory.mktemp("cli-clusters") / "clusters.csv"
+    save_csv(datamod.gen_three_clusters(121, seed=4), path)
+    return str(path)
+
+
+def run_twice(tmp_path, argv, out_name):
+    """Run argv with --out into two fresh directories; per run, the bytes
+    of every file it wrote, by name."""
+    runs = []
+    for sub in ("r1", "r2"):
+        (tmp_path / sub).mkdir()
+        assert main([*argv, "--out", str(tmp_path / sub / out_name)]) == 0
+        runs.append({f.name: f.read_bytes() for f in sorted((tmp_path / sub).iterdir())})
+    return runs
+
+
+def test_explain_mimic_fallback_and_smoothing_rerun_identical(clusters_csv, tmp_path):
+    argv = ["explain", "--data", clusters_csv, "--oracle", "knn:3", "--sigma", "0.6",
+            "--hessian-fallback", "1e-6", "--smooth-window", "0.3"]
+    first, second = run_twice(tmp_path, argv, "e.csv")
+    assert first == second and list(first) == ["e.csv"]
+    sources = [ev.source for ev in load_explanations(tmp_path / "r1" / "e.csv")]
+    assert "hessian-fallback" in sources and "parzen-mimic" in sources
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [("vector-field", ["f.csv"]), ("rank", ["f-hist-x1.csv", "f-hist-x2.csv", "f.csv"])],
+)
+def test_gpc_route_commands_rerun_identical(triangle_csv, fitted_model, tmp_path, command, files):
+    argv = [command, "--model", fitted_model]
+    argv += ["--grid", "6"] if command == "vector-field" else ["--data", triangle_csv]
+    first, second = run_twice(tmp_path, argv, "f.csv")
+    assert first == second and list(first) == files
+
+
+def test_compare_rerun_identical(tmp_path):
+    for sub in ("r1", "r2"):
+        (tmp_path / sub).mkdir()
+        run_compare(tmp_path / sub)
+    assert (tmp_path / "r1" / "cmp0.json").read_bytes() == (tmp_path / "r2" / "cmp0.json").read_bytes()
 
 
 # ------------------------------------------------------------ output format

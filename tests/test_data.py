@@ -89,6 +89,25 @@ def test_load_non_integer_id_names_file_and_row(tmp_path, rid):
         load_csv(p)
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("id,f1,label\n1,1.0,0\n2,2.0,99999999999999999999\n", "label"),
+        ("id,f1,label\n1,1.0,0\n-9223372036854775809,2.0,1\n", "id"),
+    ],
+)
+def test_load_integer_cell_beyond_int64_names_file_row_and_column(tmp_path, text, column):
+    p = write(tmp_path / "big.csv", text)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: ") + f".* at row 1, column '{column}' is outside the int64 range"):
+        load_csv(p)
+
+
+def test_load_integer_cells_at_the_int64_bounds(tmp_path):
+    p = write(tmp_path / "edge.csv", "id,f1,label\n-9223372036854775808,1.0,9223372036854775807\n")
+    ds = load_csv(p)
+    assert ds.row_ids.tolist() == [-(2**63)] and ds.labels.tolist() == [2**63 - 1]
+
+
 def test_load_missing_label_column(tmp_path):
     p = write(tmp_path / "bad.csv", "f1,f2\n1.0,2.0\n")
     with pytest.raises(ValueError):

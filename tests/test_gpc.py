@@ -22,6 +22,7 @@ from localgrad.gpc import (
 )
 from localgrad.kernels import KernelSpec, kernel_gram, kernel_to_dict
 from oracles import (
+    assert_same_point_record,
     ep_posterior_gpml,
     ep_sequential_oracle,
     erfc_oracle,
@@ -401,12 +402,11 @@ def test_block_equals_point_whatever_the_chunk(three_kind_models, monkeypatch, b
     n, d = model.train_x.shape
     monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * n * d)
     probs, evs = predict_proba(model, queries), explain_gpc(model, queries)
-    assert probs.shape == (40,) and len(evs) == 40
-    for p, ev, (p1, ev1) in zip(probs, evs, points):
-        assert p == p1 == ev.predicted_probability == ev1.predicted_probability
-        assert np.array_equal(ev.gradient, ev1.gradient)
-        assert np.array_equal(ev.query, ev1.query)
-        assert ev.predicted_label == ev1.predicted_label
+    assert probs.shape == (40,) and evs.query.shape == evs.gradient.shape == (40, 3)
+    assert np.array_equal(evs.predicted_probability, probs)
+    for i, (p1, ev1) in enumerate(points):
+        assert probs[i] == p1 == ev1.predicted_probability
+        assert_same_point_record(evs.row(i), ev1)
 
 
 @pytest.mark.parametrize("kind", [spec.kind for spec in BLOCK_SPECS])
@@ -434,7 +434,7 @@ def test_explain_block_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(evs) == 2000
+    assert evs.gradient.shape == (2000, 5)
     assert peak < 4e6
 
 

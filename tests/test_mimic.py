@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from localgrad.data import gen_three_clusters
+from localgrad.data import ExplanationVector, gen_three_clusters
 from localgrad.mimic import (
     ParzenMimic,
     default_sigma_grid,
@@ -20,12 +20,14 @@ from localgrad.mimic import (
     smooth_gradients,
 )
 from oracles import (
+    assert_same_point_record,
     fd_gradient,
     fd_hessian,
     load_explanations,
     parzen_explanation_masked,
     parzen_posterior_naive,
     select_width_bruteforce,
+    smooth_gradients_bruteforce,
 )
 
 
@@ -554,6 +556,28 @@ def test_smoothing_global_window_is_mean():
         np.testing.assert_allclose(row, mean, rtol=1e-12)
 
 
+def _smoothing_cases():
+    rng = np.random.default_rng(14)
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+    dup = np.repeat(rng.normal(size=(10, 3)), 3, axis=0)
+    spread = rng.normal(size=(300, 6))
+    return [
+        (grid, 1.0),  # the window reaches the neighbours exactly: ties on the cube faces
+        (grid * 0.1, 0.1),  # the same with steps that are not exact in binary
+        (dup, 1e-12),  # duplicated points, each window holds only its copies
+        (spread, 0.6),
+        (spread[:40, :2], 1e9),  # one window holds everything
+        (rng.uniform(-1, 1, size=(50, 1)), 0.05),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_smoothing_equals_the_mask_oracle_bit_for_bit(case):
+    Q, r = _smoothing_cases()[case]
+    G = np.random.default_rng(case).normal(size=Q.shape)
+    assert np.array_equal(smooth_gradients(Q, G, r), smooth_gradients_bruteforce(Q, G, r))
+
+
 def test_smoothing_damps_single_outlier():
     queries = np.column_stack([np.linspace(0, 1, 11), np.zeros(11)])
     grads = np.tile([1.0, 0.0], (11, 1))
@@ -574,7 +598,7 @@ def test_explanations_csv_round_trip(tmp_path):
     evs = [explain_estimated(mm, rng.normal(size=2), 1) for _ in range(8)]
     evs.append(explain_estimated(mm, np.array([1e5, 1e5]), 1))  # far-field row
     path = tmp_path / "evs.csv"
-    save_explanations(path, evs, feature_names=["u", "v"])
+    save_explanations(path, ExplanationVector.stack(evs), feature_names=["u", "v"])
     back = load_explanations(path)
     assert len(back) == 9
     for orig, loaded in zip(evs, back):
@@ -584,6 +608,30 @@ def test_explanations_csv_round_trip(tmp_path):
         assert orig.predicted_label == loaded.predicted_label
         assert orig.source == loaded.source
         assert orig.far_field == loaded.far_field
+
+
+def test_explanations_csv_needs_a_block_and_its_feature_names(tmp_path):
+    mm = random_mimic(np.random.default_rng(16), m=20, d=2)
+    ev = explain_estimated(mm, np.zeros(2), 1)
+    with pytest.raises(ValueError, match="block record"):
+        save_explanations(tmp_path / "p.csv", ev, ["u", "v"])
+    with pytest.raises(ValueError, match="expected 2 feature names"):
+        save_explanations(tmp_path / "b.csv", ExplanationVector.stack([ev]), ["u"])
+
+
+def test_stacked_estimated_rows_equal_the_point_calls():
+    # a Hessian-fallback row (the stationary centre), two plain rows and a far-field row
+    data = gen_three_clusters(120, seed=4)
+    mm = ParzenMimic(data.features, data.labels, 0.6)
+    Z = np.array([[0.0, 0.0], [1.0, 0.0], [1e4, 1e4], [-2.0, 0.3]])
+    points = [explain_with_fallback(mm, z, c, threshold=1e-6) for z, c in zip(Z, [2, 2, 1, 1])]
+    evs = ExplanationVector.stack(points)
+    assert evs.query.shape == evs.gradient.shape == (4, 2)
+    assert evs.source.tolist() == ["hessian-fallback", "parzen-mimic", "parzen-mimic", "parzen-mimic"]
+    assert evs.far_field.tolist() == [False, False, True, False]
+    for i, point in enumerate(points):
+        assert isinstance(point.far_field, bool) and isinstance(point.source, str)
+        assert_same_point_record(evs.row(i), point)
 
 
 def test_parzen_mimic_validation():
