@@ -210,6 +210,8 @@ def cmd_fit_gpc(args) -> int:
         "ep_iterations": model.ep_iterations,
         "ep_sweep_max_delta": model.sweep_max_delta,
         "ep_sweep_skipped": model.sweep_skipped,
+        "ep_sweep_step": model.sweep_step,
+        "ep_floored_sites": model.floored_sites,
         "train_error": train_error,
         "train_auc": train_auc,
     }

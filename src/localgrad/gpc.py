@@ -61,10 +61,13 @@ class GpcModel:
     ep_iterations: int
     converged: bool
     jitter: float = field(default=0.0)
-    # EP trace, one entry per sweep: largest site change and number of
-    # sites skipped for an improper cavity (empty for loaded models)
+    # EP trace, one entry per sweep: undamped residual, number of sites
+    # skipped for an improper cavity and step set; then the number of site
+    # precisions raised to _TAU_FLOOR (empty and 0 for loaded models)
     sweep_max_delta: list = field(default_factory=list)
     sweep_skipped: list = field(default_factory=list)
+    sweep_step: list = field(default_factory=list)
+    floored_sites: int = 0
 
 
 def _probit_moments(mu_cav, var_cav, y):
@@ -121,20 +124,23 @@ def ep_fit(
     kernel: KernelSpec,
     tol: float = 1e-6,
     max_sweeps: int = 100,
-    damping: float = 0.5,
+    damping: float = 0.0,
 ) -> GpcModel:
     """Fit the EP approximation.
 
-    Every sweep updates all sites at once (parallel EP): the cavities
-    come from the current posterior marginals, every site with a proper
-    cavity takes a damped step (step factor 1 - damping) toward the site
-    that matches its tilted moments, and the posterior is then recomputed
-    once in the stable form of GPML section 3.6.  Sites with an improper
-    cavity keep their values for that sweep.  Convergence means the
-    largest absolute change of any site natural parameter over a sweep
-    fell below `tol`; running out of sweeps is reported by the
-    `converged` flag plus a warning, not an error.  The model keeps the
-    per-sweep largest change and skipped-site count.
+    Every sweep updates all sites at once (parallel EP).  The cavities
+    come from the current posterior marginals; each site with a proper
+    cavity has a target, the site that matches its tilted moments.  The
+    undamped residual, the largest |target - site| over both natural
+    parameters, is tested against `tol` before stepping, so `tol` bounds
+    the distance to the fixed point whatever the step.  Otherwise every
+    such site moves by step * residual and the posterior is recomputed
+    once in the stable form of GPML section 3.6.  `damping` only sets the
+    first step, 1 - damping; the step then halves when the residual grew
+    since the last sweep, and else grows by 1.25x up to 1.  Running out of
+    sweeps is reported by the `converged` flag plus a warning, not an
+    error.  The model keeps the per-sweep residual, improper-cavity count
+    and step, and the number of site precisions floored at _TAU_FLOOR.
     """
     X = np.asarray(train_x, dtype=float)
     y = np.asarray(train_y, dtype=float)
@@ -156,7 +162,7 @@ def ep_fit(
     nu = np.zeros(n)  # site natural parameters: nu = mu_site / var_site
     tau = np.zeros(n)  # tau = 1 / var_site
     post_var, mu = np.diag(K), np.zeros(n)
-    sweep_max_delta, sweep_skipped = [], []
+    sweep_max_delta, sweep_skipped, sweep_step = [], [], []
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
@@ -165,21 +171,24 @@ def ep_fit(
         ok = tau_cav > 1e-12  # an improper cavity leaves its site as is
         tau_cav, nu_cav = tau_cav[ok], nu_cav[ok]
         mu_hat, var_hat = _probit_moments(nu_cav / tau_cav, 1.0 / tau_cav, y[ok])
-        # damped move toward the sites that match the tilted moments
-        dtau = step * (np.maximum(1.0 / var_hat - tau_cav, 0.0) - tau[ok])
-        dnu = step * (mu_hat / var_hat - nu_cav - nu[ok])
-        tau[ok] += dtau
-        nu[ok] += dnu
-        max_delta = float(np.max(np.abs(np.concatenate([dtau, dnu])), initial=0.0))
-        sweep_max_delta.append(max_delta)
+        # undamped residual: the sites that match the tilted moments, less the sites
+        rtau = np.maximum(1.0 / var_hat - tau_cav, 0.0) - tau[ok]
+        rnu = mu_hat / var_hat - nu_cav - nu[ok]
+        residual = float(np.max(np.abs(np.concatenate([rtau, rnu])), initial=0.0))
+        if sweeps > 1:
+            step = step * 0.5 if residual > sweep_max_delta[-1] else min(step * 1.25, 1.0)
+        sweep_max_delta.append(residual)
         sweep_skipped.append(int(n - np.count_nonzero(ok)))
-        post_var, mu = _recompute_posterior(K, tau, nu)
-        if max_delta < tol:
+        sweep_step.append(step)
+        if residual < tol:
             converged = True
             break
+        tau[ok] += step * rtau
+        nu[ok] += step * rnu
+        post_var, mu = _recompute_posterior(K, tau, nu)
     if not converged:
         warnings.warn(
-            f"EP did not converge within {max_sweeps} sweeps (last delta {max_delta:.3g})",
+            f"EP did not converge within {max_sweeps} sweeps (last residual {residual:.3g})",
             stacklevel=2,
         )
 
@@ -199,6 +208,8 @@ def ep_fit(
         jitter=jitter,
         sweep_max_delta=sweep_max_delta,
         sweep_skipped=sweep_skipped,
+        sweep_step=sweep_step,
+        floored_sites=int(np.count_nonzero(tau < _TAU_FLOOR)),
     )
 
 

@@ -106,8 +106,10 @@ def ep_posterior_gpml(K, tau, nu):
 def ep_sequential_oracle(train_x, train_y, kernel, tol=1e-6, max_sweeps=100, damping=0.5):
     """EP with the sequential schedule: one site at a time in index order,
     a rank-1 update of Sigma after every site, and a fresh posterior from
-    the stable B-form after every sweep.  Same jitter, damping, improper-
-    cavity rule, tolerance and site-variance floor as `ep_fit`.
+    the stable B-form after every sweep.  Same jitter, improper-cavity
+    rule and site-variance floor as `ep_fit`; its step stays fixed at
+    1 - damping and it stops on the damped change, so it checks the fixed
+    point that `ep_fit` reaches, not its step rule.
 
     Returns (site_variance, alpha, sweeps, converged), where alpha solves
     (K + jitter*I + diag(site_variance)) alpha = site means by dense solve.

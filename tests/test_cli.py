@@ -63,6 +63,9 @@ def test_fit_gpc_outputs(fitted_model):
     assert len(metrics["ep_sweep_max_delta"]) == metrics["ep_iterations"]
     assert len(metrics["ep_sweep_skipped"]) == metrics["ep_iterations"]
     assert metrics["ep_sweep_max_delta"][-1] < 1e-6
+    assert len(metrics["ep_sweep_step"]) == metrics["ep_iterations"]
+    assert all(0.0 < s <= 1.0 for s in metrics["ep_sweep_step"])
+    assert metrics["ep_floored_sites"] == 0
 
 
 def test_fit_gpc_deterministic_rerun(triangle_csv, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from localgrad import gpc
-from localgrad.data import ExplanationVector, gen_triangle
+from localgrad.data import ExplanationVector, gen_nonlinear, gen_triangle
 from localgrad.gpc import (
     GpcModel,
     _add_jitter,
@@ -336,6 +336,71 @@ def test_ep_non_convergence_reported():
     assert model.converged is False
     assert model.ep_iterations == 1
     assert len(model.sweep_max_delta) == 1
+
+
+def _nonlinear_with_noise(n=250, seed=1):
+    """gen_nonlinear's disk and ring plus three Gaussian noise dimensions."""
+    base = gen_nonlinear(n, seed)
+    noise = np.random.default_rng([seed, 1]).normal(size=(n, 3))
+    return np.hstack([base.features, noise]), base.labels
+
+
+def _separable(scale):
+    """200 standard normal 3-d points, scaled, labelled by the sign of feature 1."""
+    X = np.random.default_rng(0).normal(size=(200, 3)) * scale
+    return X, np.where(X[:, 0] > 0, 1, -1)
+
+
+@pytest.mark.parametrize("scale", [30, 100])
+def test_ep_converges_on_scaled_separable_linear(scale):
+    model = ep_fit(*_separable(scale), KernelSpec("linear"))
+    assert model.converged
+
+
+def test_ep_converges_in_few_sweeps_on_nonlinear_rbf():
+    # a fixed step of 0.5 took 24 sweeps here; the adaptive step takes 9
+    model = ep_fit(*_nonlinear_with_noise(), KernelSpec("rbf", width=0.15))
+    assert model.converged and model.ep_iterations <= 12
+
+
+@pytest.mark.parametrize("case", ["rbf", "rational-quadratic", "linear-x100"])
+def test_ep_tol_bounds_distance_to_fixed_point(case):
+    if case == "rbf":
+        X, y, spec = *_nonlinear_with_noise(), KernelSpec("rbf", width=0.15)
+    elif case == "rational-quadratic":
+        data = gen_triangle(40, seed=7)
+        X, y, spec = data.features, data.labels, KernelSpec("rational-quadratic", rq_alpha=2.0, rq_length=1.0)
+    else:
+        X, y, spec = *_separable(100), KernelSpec("linear")
+    tol = 1e-6
+    ref = ep_fit(X, y, spec, tol=1e-11)
+    assert ref.converged
+    # measured worst case over these fits: |dtau| 1.79e-6, |dalpha| 1.79e-7
+    for damping in (0.0, 0.5):
+        model = ep_fit(X, y, spec, tol=tol, damping=damping)
+        assert model.converged
+        assert np.max(np.abs(1.0 / model.site_variance - 1.0 / ref.site_variance)) < 2.0 * tol
+        assert np.max(np.abs(model.alpha - ref.alpha)) < 0.2 * tol
+
+
+def test_ep_step_trace(triangle_gpc):
+    _, model = triangle_gpc
+    assert len(model.sweep_step) == model.ep_iterations
+    assert model.sweep_step[0] == 1.0  # the default damping 0 starts undamped
+    assert all(0.0 < s <= 1.0 for s in model.sweep_step)
+    halved = ep_fit(*_separable(100), KernelSpec("linear"), damping=0.5)
+    assert halved.sweep_step[0] == 0.5
+    assert min(halved.sweep_step) < 0.5 < max(halved.sweep_step)
+
+
+def test_ep_counts_floored_sites(triangle_gpc):
+    assert triangle_gpc[1].floored_sites == 0
+    # the far point's prior variance (1e14) leaves its cavity improper in every sweep
+    X = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [0.0, -2.0], [1e7, 0.0]])
+    model = ep_fit(X, np.array([1, -1, 1, -1, 1]), KernelSpec("linear"))
+    assert model.converged
+    assert all(k == 1 for k in model.sweep_skipped)
+    assert model.floored_sites == 1
 
 
 @pytest.mark.parametrize("key", ["train_y", "alpha", "site_variance"])
