@@ -6,7 +6,7 @@ Two routes produce one record, :class:`ExplanationVector` (a point or a block):
   its predictive probability with :func:`explain_gpc`, at a point or a block;
 * model-agnostic — mimic any label-producing classifier with a Parzen
   window (:class:`ParzenMimic`) and differentiate the mimic's posterior
-  with :func:`explain_estimated`, at one point.
+  with :func:`explain_mimic`, at a point or a block.
 """
 
 from .analysis import (
@@ -46,8 +46,7 @@ from .gpc import (
 from .kernels import KernelSpec, kernel_from_dict, kernel_to_dict
 from .mimic import (
     ParzenMimic,
-    explain_estimated,
-    explain_with_fallback,
+    explain_mimic,
     hessian_direction,
     mimic_predict,
     parzen_posterior_not,
@@ -70,9 +69,8 @@ __all__ = [
     "TableOracle",
     "compare_groups",
     "ep_fit",
-    "explain_estimated",
     "explain_gpc",
-    "explain_with_fallback",
+    "explain_mimic",
     "gen_nonlinear",
     "gen_three_clusters",
     "gen_triangle",

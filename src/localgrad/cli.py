@@ -124,11 +124,11 @@ def _fit_mimic(args, points, g_labels, *span):
 
 
 def _explanations(args, queries):
-    """Shared explanation routing: analytic (--model) or mimic, then the
-    --smooth-window smoothing when it is given.  The mimic's references are
-    the --data rows; without --queries they are the queries, read and
-    labelled once.  Returns one block record of the queries' explanations
-    and the route: ("gpc", model) or ("mimic", mimic)."""
+    """Shared explanation routing: one explain_gpc (--model) or explain_mimic
+    call for all the queries, then the --smooth-window smoothing when it is
+    given.  The mimic's references are the --data rows; without --queries
+    they are the queries, read and labelled once.  Returns one block record
+    of the queries' explanations and the route: ("gpc", model) or ("mimic", mimic)."""
     if getattr(args, "model", None):
         for name in ("oracle", "sigma", "sigma_grid", "hessian_fallback"):
             if getattr(args, name, None) is not None:
@@ -146,10 +146,8 @@ def _explanations(args, queries):
         oracle = _resolve_oracle(args.oracle, refs)
         g_refs = oracle.predict(refs.features)
         mm = _fit_mimic(args, refs.features, g_refs)
-        pairs = zip(queries.features, g_refs if queries is refs else oracle.predict(queries.features))
-        rows = (mimicmod.explain_estimated(mm, x, g) if threshold is None
-                else mimicmod.explain_with_fallback(mm, x, g, threshold) for x, g in pairs)
-        evs = datamod.ExplanationVector.stack(rows)
+        g = g_refs if queries is refs else oracle.predict(queries.features)
+        evs = mimicmod.explain_mimic(mm, queries.features, g, hessian_threshold=threshold)
         route = ("mimic", mm)
     window = getattr(args, "smooth_window", None)
     if window is not None:
@@ -376,8 +374,7 @@ def cmd_iris(args) -> int:
     mimic_train = mimicmod.mimic_predict(mm, train.features)
     agreement = float(np.mean(mimic_train == g_train))
 
-    rows = (mimicmod.explain_estimated(mm, x, int(g)) for x, g in zip(test.features, g_test))
-    evs = datamod.ExplanationVector.stack(rows)
+    evs = mimicmod.explain_mimic(mm, test.features, g_test)
     stem = str(args.out).removesuffix(".csv")
     mimicmod.save_explanations(f"{stem}-explanations.csv", evs, test.feature_names)
     datamod.save_csv(train, f"{stem}-train.csv")

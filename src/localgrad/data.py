@@ -4,8 +4,9 @@ CSV layout is ``id,<feature...>,label``: an optional leading integer id
 column, numeric feature columns in file order, and one integer class
 column.  Normalization statistics travel with the dataset so a transform
 fitted on a training split can be applied to anything else.  Both
-explanation routes return the ExplanationVector record defined here, for
-a point or a block, and every block pass uses the row blocks defined here.
+explanation routes (gpc.explain_gpc, mimic.explain_mimic) return the
+ExplanationVector record defined here, for a point or a block, and every
+block pass uses the row blocks defined here.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 # Passes that hold a row of m numbers per point (k-NN and mimic labels,
-# width selection), or of n*d for the GP's gradient tensor, work on blocks
-# of rows with at most this many float64 elements (256 KiB) each.
+# width selection), or of n*d for the GP's gradient tensor and m*d for the
+# mimic's differences, work on blocks of rows with at most this many
+# float64 elements (256 KiB) each.
 _BLOCK_ELEMENTS = 2**15
 # _write_table writes at most this many cells per call: about 100 KiB of memory
 _WRITE_CELLS = 2**10
@@ -117,12 +119,6 @@ class ExplanationVector:
         """Row i of a block record, as a point record with Python scalars."""
         scalars = (self.predicted_probability, self.predicted_label, self.source, self.far_field)
         return ExplanationVector(self.query[i], self.gradient[i], *(c[i].item() for c in scalars))
-
-    @classmethod
-    def stack(cls, rows) -> "ExplanationVector":
-        """The block record whose rows are the given point records, in order."""
-        rows = list(rows)
-        return cls(*(np.array([getattr(r, f.name) for r in rows]) for f in fields(cls)))
 
 
 def _integral(text):

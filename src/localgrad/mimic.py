@@ -31,7 +31,7 @@ vectors to zero — all flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -72,12 +72,20 @@ class ParzenMimic:
         return int(self.classes[np.argmax(self.class_counts)])  # ties: lower class id
 
 
-def _point(mimic: ParzenMimic, x) -> np.ndarray:
-    """The query point x as a one-row block."""
+def _queries(mimic: ParzenMimic, x, c=None):
+    """The queries x as a q x d block, whether x was one point, and, given
+    labels c with one per row, each row's position in mimic.classes (else None)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != mimic.ref_x.shape[1]:
-        raise ValueError(f"query must be a point of dimension {mimic.ref_x.shape[1]}, got shape {x.shape}")
-    return x[None]
+    d = mimic.ref_x.shape[1]
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ValueError(f"queries must be a point of dimension {d} or a q x {d} block, got shape {x.shape}")
+    X = np.atleast_2d(x)
+    if c is None:
+        return X, x.ndim == 1, None
+    c = np.asarray(c)
+    if c.size != len(X):
+        raise ValueError(f"expected one label per query, got {c.size} labels for {len(X)} queries")
+    return X, x.ndim == 1, _class_index(mimic, c).reshape(len(X))
 
 
 def _class_index(mimic: ParzenMimic, c):
@@ -130,9 +138,7 @@ def parzen_posterior_not(mimic: ParzenMimic, x, c):
     alike, 1 - the class prior.  A point x gives a float; the rows of a
     q x d block x, with a label each in c, give an array, one row block at
     a time: a row's value does not depend on its block."""
-    x = np.asarray(x, dtype=float)
-    X = x if x.ndim == 2 else _point(mimic, x)
-    j = _class_index(mimic, c).reshape(len(X))
+    X, point, j = _queries(mimic, x, c)
     p = np.empty(len(X))
     for block in data._row_blocks(len(X), len(mimic.ref_x)):
         w, far = _weights(mimic, X[block])
@@ -140,19 +146,18 @@ def parzen_posterior_not(mimic: ParzenMimic, x, c):
         sums = _class_sums(mimic, w)
         total = np.add.accumulate(sums, axis=1)[:, -1]  # in class order, whatever the class count
         p[block] = 1.0 - sums[np.arange(len(w)), j[block]] / total
-    return p if x.ndim == 2 else float(p[0])
+    return float(p[0]) if point else p
 
 
 def mimic_predict(mimic: ParzenMimic, x):
     """Class with maximal posterior at a point x (an int), or at each row
     of a q x d block x (an array), one row block at a time; ties and far
     field go as documented."""
-    x = np.asarray(x, dtype=float)
-    X = _point(mimic, x) if x.ndim == 1 else x
+    X, point, _ = _queries(mimic, x)
     pred = np.empty(len(X), dtype=mimic.classes.dtype)
     for block in data._row_blocks(len(X), len(mimic.ref_x)):
         pred[block] = _decide(mimic, *_weights(mimic, X[block]))
-    return int(pred[0]) if x.ndim == 1 else pred
+    return int(pred[0]) if point else pred
 
 
 def select_width(ref_x, ref_labels, candidate_sigmas) -> float:
@@ -215,66 +220,77 @@ def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
     return med * np.logspace(np.log10(span[0]), np.log10(span[1]), 25)
 
 
-def _quotient_parts(mimic: ParzenMimic, z, c):
-    """What the explanation quotient and the Hessian at z are built from: the
-    rescaled weights, the differences z - x_i, and the rows in class c (its
-    slice of the class-ordered layout) and outside it (one slice too when c
-    is the first or the last class).  None in the far field."""
-    s = mimic.class_slices[_class_index(mimic, c)]
-    w, far = _weights(mimic, _point(mimic, z))
-    if far[0]:
-        return None
-    head, tail = slice(0, s.start), slice(s.stop, len(mimic.ref_x))
-    out = tail if s.start == 0 else head if s.stop == tail.stop else np.r_[head, tail]
-    return w[0], s, out, z - mimic.ref_x
+def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray):
+    """The explanation quotient at each row of X for the class mimic.classes[j]
+    and the far-field mask, from one weight pass; far-field rows are zero.
+    Each class's weighted sum of z - x_i is one einsum over its slice, and
+    a row's result does not depend on the other rows of X."""
+    w, far = _weights(mimic, X)
+    diff = X[:, None, :] - mimic.ref_x
+    sums = _class_sums(mimic, w)
+    v = np.stack([np.einsum("ri,rid->rd", w[:, s], diff[:, s]) for s in mimic.class_slices], axis=1)
+    rows, other = np.arange(len(X)), np.arange(len(mimic.classes)) != j[:, None]
+    s_in, v_in = sums[rows, j], v[rows, j]
+    s_out, v_out = (sums * other).sum(axis=1), (v * other[:, :, None]).sum(axis=1)
+    num = s_out[:, None] * v_in - s_in[:, None] * v_out
+    den = mimic.sigma**2 * (s_in + s_out) ** 2
+    return np.divide(num, den[:, None], out=np.zeros_like(num), where=~far[:, None]), far
 
 
-def explain_estimated(mimic: ParzenMimic, z, g_label) -> ExplanationVector:
-    """Estimated explanation vector at z for the class assigned by g.
+def explain_mimic(mimic: ParzenMimic, z, g_label, hessian_threshold=None) -> ExplanationVector:
+    """Estimated explanation vector at a point z for the class g assigns it;
+    for a q x d block z with one label per row, one block record whose
+    columns hold q rows, one row chunk at a time.  A row's result does not
+    depend on its chunk, so a point is row 0 of the one-row block.
 
     A positive component means increasing that feature increases the
     mimic's probability that the label differs from g_label.  In the far
-    field the gradient is identically zero and flagged.
+    field the gradient is identically zero and flagged.  With a positive
+    hessian_threshold, a row whose gradient norm falls below it takes the
+    Hessian direction instead, with source "hessian-fallback"; far-field
+    rows, and rows whose Hessian is numerically zero, keep their gradient.
     """
-    z = np.asarray(z, dtype=float)
-    c = int(g_label)
-    parts = _quotient_parts(mimic, z, c)
-    if parts is None:
-        gradient = np.zeros_like(z)
-    else:
-        w, inside, out, diff = parts
-        s_in = float(w[inside].sum())
-        s_out = float(w[out].sum())
-        v_in = w[inside] @ diff[inside]
-        v_out = w[out] @ diff[out]
-        gradient = (s_out * v_in - s_in * v_out) / (mimic.sigma**2 * (s_in + s_out) ** 2)
-    return ExplanationVector(
-        query=z,
-        gradient=gradient,
-        predicted_probability=parzen_posterior_not(mimic, z, c),
-        predicted_label=c,
-        source="parzen-mimic",
-        far_field=parts is None,
-    )
+    X, point, j = _queries(mimic, z, g_label)
+    if hessian_threshold is not None and not hessian_threshold > 0:  # NaN too
+        raise ValueError(f"hessian_threshold must be positive, got {hessian_threshold}")
+    gradient, far = np.empty_like(X), np.empty(len(X), dtype=bool)
+    for rows in data._row_blocks(len(X), mimic.ref_x.size):
+        gradient[rows], far[rows] = _explain_rows(mimic, X[rows], j[rows])
+    labels = mimic.classes[j]
+    fallback = np.zeros(len(X), dtype=bool)
+    if hessian_threshold is not None:
+        for i in np.flatnonzero(~far & (np.linalg.norm(gradient, axis=1) < hessian_threshold)):
+            try:
+                gradient[i], _ = hessian_direction(mimic, X[i], labels[i])
+            except ValueError:  # no informative direction: the gradient stays
+                continue
+            fallback[i] = True
+    source = np.where(fallback, "hessian-fallback", "parzen-mimic")
+    evs = ExplanationVector(X, gradient, parzen_posterior_not(mimic, X, labels), labels, source, far)
+    return evs.row(0) if point else evs
 
 
 def parzen_hessian(mimic: ParzenMimic, z, c) -> np.ndarray:
-    """Analytic Hessian of p(y != c | x) at z.
+    """Analytic Hessian of p(y != c | x) at a point z.
 
     With w_i(x) = exp(-|x - x_i|^2 / (2 sigma^2)) the pieces are
     grad w_i = -w_i (x - x_i) / sigma^2 and
     hess w_i = w_i ((x-x_i)(x-x_i)' / sigma^4 - I / sigma^2); the quotient
     rule for O/T (O = outside-class sum, T = total) assembles them.  All
     terms are ratios of equal homogeneity degree, so rescaled weights
-    leave the result unchanged.
+    leave the result unchanged.  Zero in the far field.
     """
-    z = np.asarray(z, dtype=float)
-    parts = _quotient_parts(mimic, z, c)
-    if parts is None:
-        return np.zeros((z.size, z.size))
-    w, _, out, diff = parts
+    X, point, j = _queries(mimic, z, c)  # the label is checked near and far
+    if not point:
+        raise ValueError(f"the Hessian is taken at one point, got shape {X.shape}")
+    w, far = _weights(mimic, X)
+    eye = np.eye(X.shape[1])
+    if far[0]:
+        return np.zeros_like(eye)
+    w, diff = w[0], X[0] - mimic.ref_x
+    out = np.ones(len(w), dtype=bool)
+    out[mimic.class_slices[j[0]]] = False
     s2 = mimic.sigma**2
-    eye = np.eye(z.size)
 
     def grad_of(rows):
         return -(w[rows] @ diff[rows]) / s2
@@ -302,7 +318,6 @@ def hessian_direction(mimic: ParzenMimic, z, g_label):
     z (orientation-free; the first nonzero component is made positive)
     together with its eigenvalue.
     """
-    z = np.asarray(z, dtype=float)
     H = parzen_hessian(mimic, z, g_label)
     if not np.linalg.norm(H) > 0.0:
         raise ValueError("no informative direction: Hessian is numerically zero")
@@ -312,21 +327,6 @@ def hessian_direction(mimic: ParzenMimic, z, g_label):
     if len(nonzero) and vec[nonzero[0]] < 0:
         vec = -vec
     return vec, float(eigvals[-1])
-
-
-def explain_with_fallback(
-    mimic: ParzenMimic, z, g_label, threshold: float = 1e-6
-) -> ExplanationVector:
-    """explain_estimated, switching to the Hessian direction when the
-    gradient norm falls below `threshold` (far-field points stay zero)."""
-    ev = explain_estimated(mimic, z, g_label)
-    if ev.far_field or np.linalg.norm(ev.gradient) >= threshold:
-        return ev
-    try:
-        direction, _ = hessian_direction(mimic, z, g_label)
-    except ValueError:
-        return ev
-    return replace(ev, gradient=direction, source="hessian-fallback")
 
 
 def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:

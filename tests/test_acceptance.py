@@ -34,7 +34,7 @@ from localgrad.kernels import KernelSpec
 from localgrad.mimic import (
     ParzenMimic,
     default_sigma_grid,
-    explain_estimated,
+    explain_mimic,
     hessian_direction,
     mimic_predict,
     parzen_posterior_not,
@@ -126,7 +126,7 @@ def test_02_estimated_gradient_matches_finite_differences():
         i = int(rng.choice(np.flatnonzero(labels == c)))
         j = int(rng.choice(np.flatnonzero(labels != c)))
         z = 0.5 * (refs[i] + refs[j]) + 0.1 * sigma * rng.normal(size=d)
-        grad = explain_estimated(mm, z, c).gradient
+        grad = explain_mimic(mm, z, c).gradient
         want = fd_gradient(lambda x: parzen_posterior_not(mm, x, c), z, step=1e-5)
         worst = max(worst, np.linalg.norm(grad - want) / max(np.linalg.norm(want), 1e-12))
     elapsed = time.perf_counter() - t0
@@ -273,14 +273,14 @@ def test_05_three_cluster_hessian_fallback():
     data = gen_three_clusters(120, seed=3)
     mm = ParzenMimic(data.features, data.labels, 0.6)
     center = np.zeros(2)
-    center_norm = float(np.linalg.norm(explain_estimated(mm, center, 2).gradient))
+    center_norm = float(np.linalg.norm(explain_mimic(mm, center, 2).gradient))
 
     # class boundaries sit near x1 = +-1 (cluster centers at -2, 0, +2)
     boundary = np.array([[x, y] for x in (-1.0, 1.0) for y in (-0.5, 0.0, 0.5)])
     norms = []
     for b in boundary:
         g = mimic_predict(mm, b)
-        norms.append(np.linalg.norm(explain_estimated(mm, b, g).gradient))
+        norms.append(np.linalg.norm(explain_mimic(mm, b, g).gradient))
     boundary_median = float(np.median(norms))
 
     direction, _eig = hessian_direction(mm, center, 2)
@@ -314,7 +314,7 @@ def test_06_width_regime_behavior():
     def grad_field(sigma):
         mm = ParzenMimic(X, y, sigma)
         return np.array(
-            [explain_estimated(mm, x, mimic_predict(mm, x)).gradient for x in X]
+            [explain_mimic(mm, x, mimic_predict(mm, x)).gradient for x in X]
         )
 
     def mean_abs_cos(G):
@@ -431,8 +431,8 @@ def test_09_outlier_smoothing():
     sigma, window = 0.3, 0.5
     mm_clean = ParzenMimic(X, clean.labels, sigma)
     mm_corrupt = ParzenMimic(X, corrupt.labels, sigma)
-    g_clean = np.array([explain_estimated(mm_clean, x, 1).gradient for x in X])
-    g_corrupt = np.array([explain_estimated(mm_corrupt, x, 1).gradient for x in X])
+    g_clean = np.array([explain_mimic(mm_clean, x, 1).gradient for x in X])
+    g_corrupt = np.array([explain_mimic(mm_corrupt, x, 1).gradient for x in X])
     g_smooth = smooth_gradients(X, g_corrupt, window)
 
     cos_raw = _mean_cosine(g_clean[affected], g_corrupt[affected])

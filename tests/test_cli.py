@@ -301,10 +301,10 @@ def test_hessian_fallback_threshold_must_be_positive(
 ):
     # unchecked, no gradient norm falls below a threshold of 0 or less, so the
     # fallback never ran, and every norm fails `>= nan`, so it always ran
-    def explain_with_fallback(*args):
+    def explain_mimic(*args, **kwargs):
         raise AssertionError("an explanation was computed")
 
-    monkeypatch.setattr("localgrad.mimic.explain_with_fallback", explain_with_fallback)
+    monkeypatch.setattr("localgrad.mimic.explain_mimic", explain_mimic)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"hessian_fallback": value}))
     out = tmp_path / "out.csv"

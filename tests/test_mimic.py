@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 import warnings
@@ -5,12 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from localgrad.data import ExplanationVector, gen_three_clusters
+from localgrad.data import gen_three_clusters
 from localgrad.mimic import (
     ParzenMimic,
     default_sigma_grid,
-    explain_estimated,
-    explain_with_fallback,
+    explain_mimic,
     hessian_direction,
     mimic_predict,
     parzen_hessian,
@@ -102,8 +102,8 @@ def far_mimic():
 
 def test_far_field_detection():
     mm = far_mimic()
-    assert not explain_estimated(mm, np.array([0.05, 0.05]), 1).far_field
-    assert explain_estimated(mm, np.array([1e4, 1e4]), 1).far_field
+    assert not explain_mimic(mm, np.array([0.05, 0.05]), 1).far_field
+    assert explain_mimic(mm, np.array([1e4, 1e4]), 1).far_field
 
 
 def test_far_field_posterior_is_prior():
@@ -123,7 +123,7 @@ def test_far_field_predict_is_majority():
 
 def test_far_field_explanation_zero_and_flagged():
     mm = far_mimic()
-    ev = explain_estimated(mm, np.array([1e4, 1e4]), 1)
+    ev = explain_mimic(mm, np.array([1e4, 1e4]), 1)
     assert ev.far_field is True
     assert np.array_equal(ev.gradient, np.zeros(2))
     assert ev.predicted_probability == pytest.approx(2.0 / 3.0)
@@ -197,7 +197,7 @@ def test_explain_middle_class_matches_masked_quotient():
         perm = rng.permutation(len(mm.ref_x))  # the oracle sees the references unsorted
         X, y = mm.ref_x[perm], mm.ref_labels[perm]
         z = rng.normal(scale=0.8, size=3)
-        ev = explain_estimated(mm, z, 2)
+        ev = explain_mimic(mm, z, 2)
         want = parzen_explanation_masked(X, y, mm.sigma, z, 2)
         assert np.allclose(ev.gradient, want, rtol=1e-10, atol=1e-14)
         H = fd_hessian(lambda p: parzen_posterior_not(mm, p, 2), z, step=1e-4)
@@ -220,22 +220,23 @@ def test_reference_order_changes_nothing(seed):
     assert select_width(X, y, grid) == select_width(mm.ref_x, mm.ref_labels, grid)
     for q in queries:
         for c in mm.classes:
-            a, b = explain_estimated(mm, q, c), explain_estimated(shuffled, q, c)
+            a, b = explain_mimic(mm, q, c), explain_mimic(shuffled, q, c)
             assert a.far_field == b.far_field
             assert abs(a.predicted_probability - b.predicted_probability) <= 1e-12
             assert np.allclose(a.gradient, b.gradient, rtol=0, atol=1e-12)
-    assert [explain_estimated(mm, q, 1).far_field for q in queries[-2:]] == [True, True]
+    assert [explain_mimic(mm, q, 1).far_field for q in queries[-2:]] == [True, True]
 
 
 def test_label_no_reference_carries_is_an_error():
     # label 7 has no class sum in a {1, 2} mimic: unchecked, it reads p = 1 with a
     # zero gradient, or a Hessian-fallback direction made of rounding noise
     mm = ParzenMimic(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([1, 2, 2]), 0.7)
+    with_fallback = functools.partial(explain_mimic, hessian_threshold=1e-6)
     for z in (np.array([0.3, 0.2]), np.array([1e4, 1e4])):  # near and far field
-        for call in (parzen_posterior_not, explain_estimated, parzen_hessian, explain_with_fallback):
+        for call in (parzen_posterior_not, explain_mimic, parzen_hessian, with_fallback):
             with pytest.raises(ValueError, match="label 7"):
                 call(mm, z, 7)
-    assert explain_estimated(mm, np.array([0.3, 0.2]), np.int64(2)).predicted_label == 2
+    assert explain_mimic(mm, np.array([0.3, 0.2]), np.int64(2)).predicted_label == 2
 
 
 # ------------------------------------------------------------ width choice
@@ -407,13 +408,13 @@ def test_width_selection_memory_grows_linearly():
 
 def test_explain_two_point_example():
     mm = ParzenMimic(np.array([[-1.0], [1.0]]), np.array([1, 2]), 1.0)
-    ev = explain_estimated(mm, np.array([0.0]), 1)
+    ev = explain_mimic(mm, np.array([0.0]), 1)
     assert ev.gradient.shape == (1,)
     assert ev.gradient[0] > 0.0  # moving right raises p(not class 1)
     assert ev.source == "parzen-mimic"
     assert ev.predicted_label == 1
     # and for the other label the sign flips
-    ev2 = explain_estimated(mm, np.array([0.0]), 2)
+    ev2 = explain_mimic(mm, np.array([0.0]), 2)
     assert ev2.gradient[0] == pytest.approx(-ev.gradient[0], rel=1e-12)
 
 
@@ -424,7 +425,7 @@ def test_explain_matches_finite_differences_many_configs():
         mm = random_mimic(rng, n_classes=n_classes)
         z = rng.normal(size=mm.ref_x.shape[1])
         c = int(rng.integers(1, n_classes + 1))
-        ev = explain_estimated(mm, z, c)
+        ev = explain_mimic(mm, z, c)
         want = fd_gradient(lambda p: parzen_posterior_not(mm, p, c), z, step=1e-5)
         scale = max(np.linalg.norm(want), 1e-12)
         assert np.linalg.norm(ev.gradient - want) / scale < 1e-6
@@ -434,7 +435,7 @@ def test_explain_probability_is_complement_posterior():
     rng = np.random.default_rng(11)
     mm = random_mimic(rng, m=20, d=2)
     z = rng.normal(size=2)
-    ev = explain_estimated(mm, z, 1)
+    ev = explain_mimic(mm, z, 1)
     assert ev.predicted_probability == parzen_posterior_not(mm, z, 1)
 
 
@@ -442,7 +443,7 @@ def test_explain_symmetric_equidistant_is_zero():
     X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     y = np.array([1, 1, 2, 2])
     mm = ParzenMimic(X, y, 0.9)
-    ev = explain_estimated(mm, np.array([0.0, 0.0]), 1)
+    ev = explain_mimic(mm, np.array([0.0, 0.0]), 1)
     assert np.linalg.norm(ev.gradient) < 1e-15
 
 
@@ -453,7 +454,7 @@ def test_explain_rescale_invariance_far_from_mass():
     y = np.array([1, 2, 1, 2])
     mm = ParzenMimic(X, y, 0.05)
     z = np.array([1.7, 1.4])  # log-weights ~ -700: raw weights (sub)normal
-    ev = explain_estimated(mm, z, 1)
+    ev = explain_mimic(mm, z, 1)
     assert not ev.far_field
     assert np.all(np.isfinite(ev.gradient))
     assert np.linalg.norm(ev.gradient) > 0.0
@@ -477,7 +478,7 @@ def test_hessian_direction_three_clusters():
     data = gen_three_clusters(120, seed=3)
     mm = ParzenMimic(data.features, data.labels, 0.6)
     center = np.array([0.0, 0.0])
-    ev = explain_estimated(mm, center, 2)
+    ev = explain_mimic(mm, center, 2)
     assert np.linalg.norm(ev.gradient) < 1e-10  # stationary point
     direction, eigenvalue = hessian_direction(mm, center, 2)
     assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
@@ -516,7 +517,7 @@ def test_hessian_direction_error_when_uninformative():
 def test_fallback_triggers_at_stationary_point():
     data = gen_three_clusters(120, seed=4)
     mm = ParzenMimic(data.features, data.labels, 0.6)
-    ev = explain_with_fallback(mm, np.zeros(2), 2, threshold=1e-6)
+    ev = explain_mimic(mm, np.zeros(2), 2, hessian_threshold=1e-6)
     assert ev.source == "hessian-fallback"
     assert np.linalg.norm(ev.gradient) == pytest.approx(1.0, abs=1e-12)
 
@@ -524,13 +525,13 @@ def test_fallback_triggers_at_stationary_point():
 def test_fallback_leaves_normal_points_alone():
     data = gen_three_clusters(120, seed=4)
     mm = ParzenMimic(data.features, data.labels, 0.6)
-    ev = explain_with_fallback(mm, np.array([1.0, 0.0]), 2, threshold=1e-6)
+    ev = explain_mimic(mm, np.array([1.0, 0.0]), 2, hessian_threshold=1e-6)
     assert ev.source == "parzen-mimic"
 
 
 def test_fallback_respects_far_field():
     mm = far_mimic()
-    ev = explain_with_fallback(mm, np.array([1e4, 1e4]), 1)
+    ev = explain_mimic(mm, np.array([1e4, 1e4]), 1, hessian_threshold=1e-6)
     assert ev.far_field is True
     assert ev.source == "parzen-mimic"
     assert np.array_equal(ev.gradient, np.zeros(2))
@@ -595,13 +596,14 @@ def test_smoothing_damps_single_outlier():
 def test_explanations_csv_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     mm = random_mimic(rng, m=20, d=2)
-    evs = [explain_estimated(mm, rng.normal(size=2), 1) for _ in range(8)]
-    evs.append(explain_estimated(mm, np.array([1e5, 1e5]), 1))  # far-field row
+    Z = np.vstack([rng.normal(size=(8, 2)), [[1e5, 1e5]]])  # and a far-field row
+    evs = explain_mimic(mm, Z, np.ones(9, dtype=int))
     path = tmp_path / "evs.csv"
-    save_explanations(path, ExplanationVector.stack(evs), feature_names=["u", "v"])
+    save_explanations(path, evs, feature_names=["u", "v"])
     back = load_explanations(path)
     assert len(back) == 9
-    for orig, loaded in zip(evs, back):
+    for i, loaded in enumerate(back):
+        orig = evs.row(i)
         assert np.array_equal(orig.query, loaded.query)
         assert np.array_equal(orig.gradient, loaded.gradient)
         assert orig.predicted_probability == loaded.predicted_probability
@@ -612,26 +614,131 @@ def test_explanations_csv_round_trip(tmp_path):
 
 def test_explanations_csv_needs_a_block_and_its_feature_names(tmp_path):
     mm = random_mimic(np.random.default_rng(16), m=20, d=2)
-    ev = explain_estimated(mm, np.zeros(2), 1)
+    ev = explain_mimic(mm, np.zeros(2), 1)
     with pytest.raises(ValueError, match="block record"):
         save_explanations(tmp_path / "p.csv", ev, ["u", "v"])
     with pytest.raises(ValueError, match="expected 2 feature names"):
-        save_explanations(tmp_path / "b.csv", ExplanationVector.stack([ev]), ["u"])
+        save_explanations(tmp_path / "b.csv", explain_mimic(mm, np.zeros((1, 2)), [1]), ["u"])
 
 
-def test_stacked_estimated_rows_equal_the_point_calls():
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_block_rows_equal_the_point_calls(monkeypatch, block_rows):
     # a Hessian-fallback row (the stationary centre), two plain rows and a far-field row
     data = gen_three_clusters(120, seed=4)
     mm = ParzenMimic(data.features, data.labels, 0.6)
     Z = np.array([[0.0, 0.0], [1.0, 0.0], [1e4, 1e4], [-2.0, 0.3]])
-    points = [explain_with_fallback(mm, z, c, threshold=1e-6) for z, c in zip(Z, [2, 2, 1, 1])]
-    evs = ExplanationVector.stack(points)
+    points = [explain_mimic(mm, z, c, hessian_threshold=1e-6) for z, c in zip(Z, [2, 2, 1, 1])]
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
+    evs = explain_mimic(mm, Z, [2, 2, 1, 1], hessian_threshold=1e-6)
     assert evs.query.shape == evs.gradient.shape == (4, 2)
     assert evs.source.tolist() == ["hessian-fallback", "parzen-mimic", "parzen-mimic", "parzen-mimic"]
     assert evs.far_field.tolist() == [False, False, True, False]
     for i, point in enumerate(points):
         assert isinstance(point.far_field, bool) and isinstance(point.source, str)
         assert_same_point_record(evs.row(i), point)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 9])
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_block_equals_point_in_any_chunk(monkeypatch, block_rows, n_classes):
+    # chunks of one row, and of 7 rows, which does not divide the 45 queries; the
+    # threshold sends about a third of the rows to the Hessian, but no far-field row
+    rng = np.random.default_rng(46)
+    mm = random_mimic(rng, m=30, d=3, n_classes=n_classes, sigma=0.6)
+    queries = rng.normal(scale=1.5, size=(45, 3))
+    queries[-3:] += 1e4
+    labels = rng.integers(1, n_classes + 1, size=45)
+    norms = np.linalg.norm(explain_mimic(mm, queries, labels).gradient, axis=1)
+    threshold = float(np.quantile(norms[:-3], 1 / 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = [explain_mimic(mm, q, c, hessian_threshold=threshold) for q, c in zip(queries, labels)]
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
+        evs = explain_mimic(mm, queries, labels, hessian_threshold=threshold)
+    assert evs.far_field.tolist() == [False] * 42 + [True] * 3
+    assert 10 <= np.count_nonzero(evs.source == "hessian-fallback") <= 15
+    assert np.array_equal(evs.gradient[-3:], np.zeros((3, 3)))
+    for i, point in enumerate(points):
+        assert_same_point_record(evs.row(i), point)
+
+
+def test_explanations_far_from_the_origin_match_the_masked_quotient():
+    # direct differences z - x_i: data shifted by 1e4 lose no digits to cancellation
+    rng = np.random.default_rng(47)
+    mm = random_mimic(rng, m=40, d=3, n_classes=3, sigma=0.7)
+    shift = np.full(3, 1e4)
+    shifted = ParzenMimic(mm.ref_x + shift, mm.ref_labels, mm.sigma)
+    queries = rng.normal(scale=0.8, size=(30, 3)) + shift
+    labels = rng.integers(1, 4, size=30)
+    evs = explain_mimic(shifted, queries, labels)
+    for z, c, got in zip(queries, labels, evs.gradient):
+        want = parzen_explanation_masked(shifted.ref_x, shifted.ref_labels, mm.sigma, z, c)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_hessian_is_formed_only_for_the_flagged_rows(monkeypatch):
+    # rows under the threshold, far-field rows excepted, and no other row
+    data = gen_three_clusters(120, seed=4)
+    mm = ParzenMimic(data.features, data.labels, 0.6)
+    Z = np.vstack([np.random.default_rng(48).normal(size=(40, 2)), [[0.0, 0.0], [1e4, 1e4]]])
+    labels = np.full(len(Z), 2)
+    norms = np.linalg.norm(explain_mimic(mm, Z, labels).gradient, axis=1)
+    threshold = float(np.median(norms))
+    flagged = np.flatnonzero(norms < threshold)[:-1].tolist()  # the far-field row has norm 0
+    assert 40 in flagged and 41 not in flagged
+    seen, direction = [], hessian_direction
+
+    def counted(mimic, z, g_label):
+        seen.append(next(i for i, row in enumerate(Z) if np.array_equal(row, z)))
+        return direction(mimic, z, g_label)
+
+    monkeypatch.setattr("localgrad.mimic.hessian_direction", counted)
+    evs = explain_mimic(mm, Z, labels, hessian_threshold=threshold)
+    assert seen == flagged
+    assert np.flatnonzero(evs.source == "hessian-fallback").tolist() == flagged
+
+
+def test_block_explanation_memory_stays_in_chunks():
+    # a 2000 x 800 x 7 difference tensor alone would take 90 MB; the chunked
+    # pass, its 2000-row record included, peaked at 0.90 MB when this bound was set
+    rng = np.random.default_rng(49)
+    mm = ParzenMimic(rng.normal(size=(800, 7)), rng.integers(0, 2, size=800), 0.8)
+    queries = rng.normal(size=(2000, 7))
+    labels = rng.integers(0, 2, size=2000)
+    tracemalloc.start()
+    try:
+        explain_mimic(mm, queries, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+def test_query_shapes_and_label_counts_are_checked():
+    mm = random_mimic(np.random.default_rng(50), m=20, d=2)
+    for call in (mimic_predict, lambda mm, x: parzen_posterior_not(mm, x, 1)):
+        with pytest.raises(ValueError, match=re.escape("dimension 2 or a q x 2 block, got shape ()")):
+            call(mm, 1.0)
+    with pytest.raises(ValueError, match=re.escape("got shape (5, 3)")):
+        mimic_predict(mm, np.zeros((5, 3)))
+    for call in (parzen_posterior_not, explain_mimic):
+        with pytest.raises(ValueError, match="got 3 labels for 5 queries"):
+            call(mm, np.zeros((5, 2)), [1, 2, 1])
+        with pytest.raises(ValueError, match=re.escape("got shape (5, 3)")):
+            call(mm, np.zeros((5, 3)), np.ones(5, dtype=int))
+    with pytest.raises(ValueError, match="at one point, got shape"):
+        parzen_hessian(mm, np.zeros((2, 2)), [1, 1])
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+def test_hessian_threshold_must_be_positive(threshold):
+    # unchecked, a NaN threshold sent this gradient of norm 0.84 to the Hessian
+    data = gen_three_clusters(120, seed=4)
+    mm = ParzenMimic(data.features, data.labels, 0.6)
+    z = np.array([1.0, 0.3])
+    assert np.linalg.norm(explain_mimic(mm, z, 2).gradient) == pytest.approx(0.84, abs=0.01)
+    with pytest.raises(ValueError, match="hessian_threshold must be positive, got"):
+        explain_mimic(mm, z, 2, hessian_threshold=threshold)
 
 
 def test_parzen_mimic_validation():
