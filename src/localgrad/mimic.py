@@ -24,9 +24,9 @@ factor, so it is evaluated with weights scaled by the largest one;
 that keeps T^2 away from underflow without changing any result.
 
 Far field: when even the largest Gaussian weight underflows to zero in
-double precision, densities carry no information.  Posteriors then fall
-back to class priors, predictions to the majority class, and explanation
-vectors to zero — all flagged.
+double precision, densities carry no information.  Such a row weighs every
+reference by 1, so its class sums are the class counts: posteriors are 1 - the
+class priors, predictions the majority class, explanation vectors zero, all flagged.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class ParzenMimic:
 
     def __post_init__(self):
         self.ref_x = np.asarray(self.ref_x, dtype=float)
-        self.ref_labels = np.asarray(self.ref_labels, dtype=int)
+        self.ref_labels = _integer_labels(self.ref_labels)
         if self.ref_x.ndim != 2 or len(self.ref_x) == 0:
             raise ValueError("ref_x must be a nonempty m x d matrix")
         if len(self.ref_labels) != len(self.ref_x):
@@ -68,8 +68,15 @@ class ParzenMimic:
         bounds = [0, *np.cumsum(self.class_counts).tolist()]
         self.class_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
-    def majority_class(self) -> int:
-        return int(self.classes[np.argmax(self.class_counts)])  # ties: lower class id
+
+def _integer_labels(labels) -> np.ndarray:
+    """labels as ints; the first that is not an integer (1.5, NaN, inf, beyond int64) is an error."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range values cast to garbage
+        as_int = labels.astype(int)
+    if (as_int != labels).any():
+        raise ValueError(f"label {labels[as_int != labels][0].item()!r} is not an integer")
+    return as_int
 
 
 def _queries(mimic: ParzenMimic, x, c=None):
@@ -91,7 +98,7 @@ def _queries(mimic: ParzenMimic, x, c=None):
 def _class_index(mimic: ParzenMimic, c):
     """Position in mimic.classes of each label of c, in c's shape; a label
     no reference carries is an error."""
-    c = np.asarray(c, dtype=int)
+    c = _integer_labels(c)
     unknown = set(c.ravel().tolist()).difference(mimic.classes.tolist())
     if unknown:
         raise ValueError(f"label {min(unknown)} is carried by no reference of the mimic")
@@ -100,14 +107,15 @@ def _class_index(mimic: ParzenMimic, c):
 
 def _rescale(sq: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
     """Write into `out` the weights exp(-1/2 * sq / sigma^2) of rows of squared
-    distances, each row divided by its largest one.  Returns the far-field
-    mask: rows whose largest weight underflows, so they carry no information."""
+    distances, each row divided by its largest one.  Returns the far-field mask: rows
+    whose largest weight underflows carry no information and weigh every reference by 1."""
     np.multiply(sq, -0.5, out=out)
     out /= sigma**2
     top = out.max(axis=1)
     far = top < _UNDERFLOW_LOG
-    top[far] = 0.0  # unshifted, far rows underflow to 0; callers fall back on them
+    top[far] = 0.0  # a row of infinite distances would take -inf - (-inf)
     out -= top[:, None]
+    out[far] = 0.0
     np.exp(out, out=out)
     return far
 
@@ -118,59 +126,51 @@ def _weights(mimic: ParzenMimic, X):
     return w, _rescale(w, mimic.sigma, out=w)
 
 
-def _class_sums(mimic: ParzenMimic, w: np.ndarray) -> np.ndarray:
+def _class_sums(class_slices, w: np.ndarray) -> np.ndarray:
     """Each row's class sums, one slice each: a row's sums do not depend on the block."""
-    return np.array([w[:, s].sum(axis=1) for s in mimic.class_slices]).T
+    return np.array([w[:, s].sum(axis=1) for s in class_slices]).T
 
 
-def _decide(mimic: ParzenMimic, w: np.ndarray, far: np.ndarray) -> np.ndarray:
-    """The mimic's decision rule: the class with the largest class sum (ties:
-    lower class id); far-field rows go to the majority class."""
-    pred = mimic.classes[np.argmax(_class_sums(mimic, w), axis=1)]
-    if far.any():
-        pred[far] = mimic.majority_class()
-    return pred
+def _sums(mimic: ParzenMimic, X: np.ndarray) -> np.ndarray:
+    """The q x k class sums of the rows of X, one row block at a time."""
+    sums = np.empty((len(X), len(mimic.classes)))
+    for block in data._row_blocks(len(X), len(mimic.ref_x)):
+        sums[block] = _class_sums(mimic.class_slices, _weights(mimic, X[block])[0])
+    return sums
 
 
 def parzen_posterior_not(mimic: ParzenMimic, x, c):
-    """p(y != c | x) = 1 - p(y = c | x), the share of the class sum _decide
-    compares in the total; in the far field, where every reference weighs
-    alike, 1 - the class prior.  A point x gives a float; the rows of a
-    q x d block x, with a label each in c, give an array, one row block at
-    a time: a row's value does not depend on its block."""
+    """p(y != c | x): 1 - the class sum of c over the total of the class sums that
+    mimic_predict compares, so 1 - the class prior in the far field.  A point x gives
+    a float; the rows of a q x d block x, with a label each in c, give an array, one
+    row block at a time: a row's value does not depend on its block."""
     X, point, j = _queries(mimic, x, c)
-    p = np.empty(len(X))
-    for block in data._row_blocks(len(X), len(mimic.ref_x)):
-        w, far = _weights(mimic, X[block])
-        w[far] = 1.0
-        sums = _class_sums(mimic, w)
-        total = np.add.accumulate(sums, axis=1)[:, -1]  # in class order, whatever the class count
-        p[block] = 1.0 - sums[np.arange(len(w)), j[block]] / total
+    sums = _sums(mimic, X)
+    p = 1.0 - sums[np.arange(len(X)), j] / np.add.accumulate(sums, axis=1)[:, -1]  # total in class order
     return float(p[0]) if point else p
 
 
 def mimic_predict(mimic: ParzenMimic, x):
-    """Class with maximal posterior at a point x (an int), or at each row
-    of a q x d block x (an array), one row block at a time; ties and far
-    field go as documented."""
+    """Class with the largest class sum (ties: lower class id) at a point x
+    (an int), or at each row of a q x d block x (an array), one row block
+    at a time; in the far field, the majority class."""
     X, point, _ = _queries(mimic, x)
-    pred = np.empty(len(X), dtype=mimic.classes.dtype)
-    for block in data._row_blocks(len(X), len(mimic.ref_x)):
-        pred[block] = _decide(mimic, *_weights(mimic, X[block]))
+    pred = mimic.classes[np.argmax(_sums(mimic, X), axis=1)]
     return int(pred[0]) if point else pred
 
 
 def select_width(ref_x, ref_labels, candidate_sigmas) -> float:
     """Pick sigma by leave-one-out agreement with g on the references.
 
-    Each reference is scored by the mimic of the other references, bit for
-    bit (its own weight is left out, or vanishing widths would win
-    trivially).  The score of a candidate is the plain count of references
-    where that mimic's prediction differs from the supplied g label; ties
-    go to the smaller sigma.  The references of one class share the layout
-    of the mimic of the others, so they are scored class by class, one row
-    block at a time, every candidate on each block.
-    """
+    Each reference is scored by the mimic of the other references, bit for bit (its
+    own weight is left out, or vanishing widths would win trivially).  The score of a
+    candidate is the plain count of references where that mimic's prediction differs
+    from the supplied g label; ties go to the smaller sigma.  The references of one
+    class share the class slices of the others (this class's and every later one a row
+    shorter), so they are scored class by class, one row block at a time, every
+    candidate on each block.  A class of one reference has an empty slice there, whose
+    sum of 0 never wins: near rows weigh another reference by 1, and far rows count at
+    least 1 in every other class."""
     sigmas = sorted(map(float, candidate_sigmas))
     bad = [s for s in sigmas if not 0 < s < np.inf]  # NaN too
     if bad or not sigmas:
@@ -180,18 +180,16 @@ def select_width(ref_x, ref_labels, candidate_sigmas) -> float:
     if m < 2:
         raise ValueError(f"leave-one-out width selection needs at least two references, got {m}")
     counts = np.zeros(len(sigmas), dtype=int)
-    for c, sl in zip(mimic.classes, mimic.class_slices):
-        others = ParzenMimic(
-            np.delete(X, sl.start, axis=0), np.delete(mimic.ref_labels, sl.start), sigmas[0]
-        )
+    for k, sl in enumerate(mimic.class_slices):
+        others = [slice(t.start - (t.start > sl.start), t.stop - (t.stop > sl.start)) for t in mimic.class_slices]
         for block in data._row_blocks(sl.stop - sl.start, m):
             rows = np.arange(sl.start + block.start, sl.start + block.stop)
             sq = cdist(X[rows], X, "sqeuclidean")
             sq = sq[np.arange(m) != rows[:, None]].reshape(len(rows), m - 1)  # in the others' order
             w = np.empty_like(sq)  # weights of one candidate; reused
             for i, s in enumerate(sigmas):
-                far = _rescale(sq, s, out=w)
-                counts[i] += np.count_nonzero(_decide(others, w, far) != c)
+                _rescale(sq, s, out=w)
+                counts[i] += np.count_nonzero(np.argmax(_class_sums(others, w), axis=1) != k)
     return sigmas[int(np.argmin(counts))]  # first minimum: the smaller sigma
 
 
@@ -222,12 +220,13 @@ def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
 
 def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray):
     """The explanation quotient at each row of X for the class mimic.classes[j]
-    and the far-field mask, from one weight pass; far-field rows are zero.
-    Each class's weighted sum of z - x_i is one einsum over its slice, and
-    a row's result does not depend on the other rows of X."""
+    and the far-field mask, from one weight pass; far-field rows and their weights
+    are zero, so huge coordinates overflow nothing.  Each class's weighted sum of
+    z - x_i is one einsum over its slice; a row's result does not depend on the other rows."""
     w, far = _weights(mimic, X)
+    w[far] = 0.0
     diff = X[:, None, :] - mimic.ref_x
-    sums = _class_sums(mimic, w)
+    sums = _class_sums(mimic.class_slices, w)
     v = np.stack([np.einsum("ri,rid->rd", w[:, s], diff[:, s]) for s in mimic.class_slices], axis=1)
     rows, other = np.arange(len(X)), np.arange(len(mimic.classes)) != j[:, None]
     s_in, v_in = sums[rows, j], v[rows, j]

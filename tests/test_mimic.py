@@ -129,6 +129,48 @@ def test_far_field_explanation_zero_and_flagged():
     assert ev.predicted_probability == pytest.approx(2.0 / 3.0)
 
 
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_far_field_edge_rows_take_the_one_rule(monkeypatch, block_rows):
+    # every far row weighs each reference by 1, whatever made it far: a largest
+    # weight that exp rounds to the smallest subnormal, squared distances that
+    # overflow to inf, or coordinates near the largest double
+    mm = ParzenMimic(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([1, 2, 2]), 1.0)
+    edge = np.array(
+        [[-np.sqrt(1490.0), 0.0], [1e200, 0.0], [-1e200, -1e200], [1e308, 1e308], [-1.7e308, 0.0]]
+    )
+    top = -0.5 * np.sum(edge[0] ** 2)  # the largest log-weight of the first edge row
+    assert top < np.log(np.finfo(float).smallest_subnormal) and np.exp(top) == 5e-324
+    near = np.random.default_rng(46).uniform(-0.5, 1.5, size=(10, 2))
+    queries = np.vstack([near[:4], edge, near[4:]])  # one block, near rows on both sides
+    far = np.zeros(15, dtype=bool)
+    far[4:9] = True
+    labels = np.array([1, 2] * 7 + [1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = [explain_mimic(mm, q, c) for q, c in zip(queries, labels)]
+        predicted = [mimic_predict(mm, q) for q in queries]
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(mm.ref_x))
+        p = parzen_posterior_not(mm, queries, labels)
+        pred = mimic_predict(mm, queries)
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
+        evs = explain_mimic(mm, queries, labels)
+    assert evs.far_field.tolist() == far.tolist()
+    assert p.tolist() == evs.predicted_probability.tolist() == [ev.predicted_probability for ev in points]
+    assert p[far].tolist() == (1.0 - mm.class_counts[labels[far] - 1] / 3).tolist()  # 1 - the prior
+    assert pred.tolist() == predicted and pred[far].tolist() == [2] * 5  # the majority class
+    assert np.array_equal(evs.gradient, np.array([ev.gradient for ev in points]))
+    assert not evs.gradient[far].any()
+
+
+def test_empty_block_gives_empty_results():
+    mm = far_mimic()
+    Z = np.empty((0, 2))
+    assert mimic_predict(mm, Z).shape == parzen_posterior_not(mm, Z, []).shape == (0,)
+    evs = explain_mimic(mm, Z, np.empty(0, dtype=int))
+    assert evs.query.shape == evs.gradient.shape == (0, 2)
+    assert evs.predicted_probability.shape == evs.far_field.shape == (0,)
+
+
 # --------------------------------------------------------------- prediction
 
 
@@ -162,7 +204,7 @@ def test_mimic_predict_block_equals_point(monkeypatch, block_rows):
     assert all(isinstance(label, int) for label in expected)
     monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(mm.ref_x))
     assert mimic_predict(mm, queries).tolist() == expected
-    assert expected[-1] == mm.majority_class()
+    assert expected[-1] == mm.classes[np.argmax(mm.class_counts)]
 
 
 @pytest.mark.parametrize("n_classes", [3, 9])
@@ -239,6 +281,36 @@ def test_label_no_reference_carries_is_an_error():
     assert explain_mimic(mm, np.array([0.3, 0.2]), np.int64(2)).predicted_label == 2
 
 
+@pytest.mark.parametrize("block", [False, True])
+@pytest.mark.parametrize("bad", [1.5, 1.9, np.nan, np.inf])
+def test_query_label_that_is_not_an_integer_is_an_error(bad, block):
+    # read as int, 1.5 and 1.9 would explain class 1, and NaN or inf would
+    # warn on the cast and then name label -9223372036854775808
+    mm = ParzenMimic(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([1, 2, 2]), 0.7)
+    with_fallback = functools.partial(explain_mimic, hessian_threshold=1e-6)
+    calls = [parzen_posterior_not, explain_mimic, with_fallback]
+    if block:  # a near row and a far row; the bad label is on the far one
+        z, c = np.array([[0.3, 0.2], [1e4, 1e4]]), np.array([2.0, bad])
+    else:
+        z, c = np.array([0.3, 0.2]), bad
+        calls.append(parzen_hessian)
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"label {bad} is not an integer")):
+            call(mm, z, c)
+    ones = np.ones(np.shape(c))  # integral floats stay labels
+    assert np.array_equal(parzen_posterior_not(mm, z, ones), parzen_posterior_not(mm, z, ones.astype(int)))
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.9, np.nan, np.inf])
+def test_reference_label_that_is_not_an_integer_is_an_error(bad):
+    # read as int, labels 1.5, 2.0 and 2.7 would make the classes [1, 2]
+    X = np.array([[0.0], [1.0], [2.0]])
+    for make in (lambda y: ParzenMimic(X, y, 0.7), lambda y: select_width(X, y, [0.3, 1.0])):
+        with pytest.raises(ValueError, match=re.escape(f"label {bad} is not an integer")):
+            make(np.array([2.0, bad, 2.0]))
+    assert ParzenMimic(X, np.array([1.0, 2.0, 2.0]), 0.7).classes.tolist() == [1, 2]
+
+
 # ------------------------------------------------------------ width choice
 
 
@@ -285,6 +357,11 @@ def test_select_width_matches_bruteforce_loo():
     assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid)
     X, y, grid = interleaved_set()
     assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid) == 0.3
+    X, y, grid = singleton_far_set()
+    loo = [ParzenMimic(np.delete(X, i, axis=0), np.delete(y, i), grid[1]) for i in range(len(X))]
+    far = [explain_mimic(mm, x, mm.classes[0]).far_field for mm, x in zip(loo, X)]
+    assert 0 < sum(far) < len(X)  # some leave-one-out rows are far-field at grid[1]
+    assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid) == grid[1]
 
 
 def test_select_width_tie_prefers_smaller():
@@ -304,6 +381,20 @@ def interleaved_set():
     y = np.where(X[:, 0] > 0, 1, 2)
     y[rng.choice(40, 8, replace=False)] ^= 3  # swaps labels 1 and 2
     return X, y, [0.02, 0.3, 1.0, 3.0]
+
+
+def singleton_far_set():
+    """30 noisy references, one of them alone in class 3, on a grid reaching
+    widths at which some or all references, left out, are far from every
+    other: a far row goes to the majority class of the others, and class 3,
+    left out, has no reference to win with.  A class slice of the others off
+    by one row picks 1.5 here."""
+    rng = np.random.default_rng(12)
+    X = rng.uniform(-3, 3, size=(30, 2))
+    y = np.where(X[:, 0] > 0, 1, 2)
+    y[rng.random(30) < 0.2] ^= 3  # swaps labels 1 and 2
+    y[7] = 3
+    return X, y, [0.005, 0.015, 0.05, 0.4, 1.5]
 
 
 def near_tie_set():
@@ -338,7 +429,7 @@ def test_select_width_near_tie_scores_the_mimic_it_returns():
 
 
 @pytest.mark.parametrize("block_rows", [1, 7])
-@pytest.mark.parametrize("make_set", [interleaved_set, near_tie_set, eight_term_tie_set])
+@pytest.mark.parametrize("make_set", [interleaved_set, near_tie_set, eight_term_tie_set, singleton_far_set])
 def test_select_width_block_size_changes_nothing(monkeypatch, block_rows, make_set):
     # blocks of one row, and of 7 rows, which divides none of the sets' sizes
     X, y, grid = make_set()
