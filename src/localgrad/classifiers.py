@@ -37,13 +37,12 @@ class KnnClassifier:
         """Label of a point x (an int), or of each row of a q x d block x
         (an array), one row block at a time: a block's distances, their
         stable neighbor order and one vote per row."""
-        x = np.asarray(x, dtype=float)
-        X = np.atleast_2d(x)
+        X, point = data._query_block(x, self.train_x.shape[1])
         labels = np.empty(len(X), dtype=self.train_y.dtype)
         for block in data._row_blocks(len(X), len(self.train_x)):
             dist = _sq_distances(X[block], self.train_x)
             labels[block] = _vote(self.train_y[_nearest(dist, self.k)])
-        return int(labels[0]) if x.ndim == 1 else labels
+        return int(labels[0]) if point else labels
 
 
 def _sq_distances(A, B) -> np.ndarray:
@@ -131,7 +130,7 @@ class TableOracle:
         equal coordinates must carry equal labels."""
         if set(by_id) != set(dataset.row_ids.tolist()):
             raise ValueError("the labels' ids do not match the companion dataset's row ids")
-        self._by_coords = {}
+        self._d, self._by_coords = dataset.features.shape[1], {}
         for rid, point in zip(dataset.row_ids.tolist(), dataset.features):
             key = np.ascontiguousarray(point, dtype=float).tobytes()
             label = by_id[rid]
@@ -141,12 +140,12 @@ class TableOracle:
     def predict(self, x):
         """Label of a point x (an int), or of each row of a q x d block x
         (an array), one dict lookup per row."""
-        x = np.ascontiguousarray(x, dtype=float)
+        X, point = data._query_block(x, self._d)
         try:
-            labels = np.array([self._by_coords[row.tobytes()] for row in np.atleast_2d(x)], dtype=int)
+            labels = np.array([self._by_coords[row.tobytes()] for row in X], dtype=int)
         except KeyError:
             raise ValueError("query point is not a row of the companion dataset") from None
-        return int(labels[0]) if x.ndim == 1 else labels
+        return int(labels[0]) if point else labels
 
 
 def table_oracle_load(path, dataset) -> TableOracle:

@@ -32,6 +32,14 @@ _INT64 = np.iinfo(np.int64)  # the range of ids and labels
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
 
+def _query_block(x, d: int):
+    """The queries x as a q x d block of floats, and whether x was one point (shape (d,))."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ValueError(f"queries must be a point of dimension {d} or a q x {d} block, got shape {x.shape}")
+    return np.atleast_2d(x), x.ndim == 1
+
+
 def _row_blocks(n_rows: int, row_len: int):
     """Slices covering rows 0..n_rows-1 in order, each holding as many
     rows of row_len elements as _BLOCK_ELEMENTS allows (at least one)."""

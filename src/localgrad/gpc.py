@@ -250,16 +250,15 @@ def _probit(mean, var):
 def predict_proba(model: GpcModel, x0):
     """Probability of the +1 class at a point x0 (a float), or at each row
     of a q x d block x0 (an array)."""
-    x0 = np.asarray(x0, dtype=float)
-    p = _probit(*_predictive(model, np.atleast_2d(x0)))
-    return float(p[0]) if x0.ndim == 1 else p
+    X, point = data._query_block(x0, model.train_x.shape[1])
+    p = _probit(*_predictive(model, X))
+    return float(p[0]) if point else p
 
 
 def explain_gpc(model: GpcModel, x0) -> ExplanationVector:
     """Explanation vector, the gradient of predict_proba, at a point x0;
     for a q x d block x0, one block record whose columns hold q rows."""
-    x0 = np.asarray(x0, dtype=float)
-    X = np.atleast_2d(x0)
+    X, point = data._query_block(x0, model.train_x.shape[1])
     mean, var, grad_mean, grad_var = _predictive(model, X, grad=True)
     s = 1.0 + var
     prefactor = np.exp(-(mean**2) / (2.0 * s)) / np.sqrt(2.0 * np.pi)
@@ -270,7 +269,7 @@ def explain_gpc(model: GpcModel, x0) -> ExplanationVector:
     evs = ExplanationVector(
         X, gradient, p, np.where(p >= 0.5, 1, -1), np.full(len(X), "analytic-gpc"), np.zeros(len(X), bool)
     )
-    return evs.row(0) if x0.ndim == 1 else evs
+    return evs.row(0) if point else evs
 
 
 # ---------------------------------------------------------------------------

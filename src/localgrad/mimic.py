@@ -19,8 +19,15 @@ closed form
 
     zeta(z) = (S_out * V_in - S_in * V_out) / (sigma^2 * T^2),  T = S_in + S_out.
 
-This expression is invariant under rescaling all weights by a common
-factor, so it is evaluated with weights scaled by the largest one;
+Where it vanishes, the explainer may fall back to the top eigenvector of the
+Hessian, from the same weight pass.  With M_in / M_out the weighted sums of
+(z - x_i)(z - x_i)' and V = V_in + V_out, differentiating p T = S_out twice
+gives one identity, in which the quotient rule's I / sigma^2 terms cancel:
+
+    H(z) = [(S_in * M_out - S_out * M_in) / (T * sigma^4) + (zeta V' + V zeta') / sigma^2] / T.
+
+Both are invariant under rescaling all weights by a common
+factor, so they are evaluated with weights scaled by the largest one;
 that keeps T^2 away from underflow without changing any result.
 
 Far field: when even the largest Gaussian weight underflows to zero in
@@ -82,17 +89,13 @@ def _integer_labels(labels) -> np.ndarray:
 def _queries(mimic: ParzenMimic, x, c=None):
     """The queries x as a q x d block, whether x was one point, and, given
     labels c with one per row, each row's position in mimic.classes (else None)."""
-    x = np.asarray(x, dtype=float)
-    d = mimic.ref_x.shape[1]
-    if x.ndim not in (1, 2) or x.shape[-1] != d:
-        raise ValueError(f"queries must be a point of dimension {d} or a q x {d} block, got shape {x.shape}")
-    X = np.atleast_2d(x)
+    X, point = data._query_block(x, mimic.ref_x.shape[1])
     if c is None:
-        return X, x.ndim == 1, None
+        return X, point, None
     c = np.asarray(c)
     if c.size != len(X):
         raise ValueError(f"expected one label per query, got {c.size} labels for {len(X)} queries")
-    return X, x.ndim == 1, _class_index(mimic, c).reshape(len(X))
+    return X, point, _class_index(mimic, c).reshape(len(X))
 
 
 def _class_index(mimic: ParzenMimic, c):
@@ -165,20 +168,24 @@ def select_width(ref_x, ref_labels, candidate_sigmas) -> float:
     Each reference is scored by the mimic of the other references, bit for bit (its
     own weight is left out, or vanishing widths would win trivially).  The score of a
     candidate is the plain count of references where that mimic's prediction differs
-    from the supplied g label; ties go to the smaller sigma.  The references of one
-    class share the class slices of the others (this class's and every later one a row
-    shorter), so they are scored class by class, one row block at a time, every
-    candidate on each block.  A class of one reference has an empty slice there, whose
-    sum of 0 never wins: near rows weigh another reference by 1, and far rows count at
-    least 1 in every other class."""
+    from the supplied g label (_width_counts); ties go to the smaller sigma."""
     sigmas = sorted(map(float, candidate_sigmas))
     bad = [s for s in sigmas if not 0 < s < np.inf]  # NaN too
     if bad or not sigmas:
         raise ValueError(f"sigma candidates must be positive and finite, got {bad or 'none'}")
     mimic = ParzenMimic(ref_x, ref_labels, sigmas[0])  # the decision rule reads only the labels
+    if len(mimic.ref_x) < 2:
+        raise ValueError(f"leave-one-out width selection needs at least two references, got {len(mimic.ref_x)}")
+    return sigmas[int(np.argmin(_width_counts(mimic, sigmas)))]  # first minimum: the smaller sigma
+
+
+def _width_counts(mimic: ParzenMimic, sigmas) -> np.ndarray:
+    """Per width of sigmas, the count of references whose leave-one-out label is not their
+    own.  A class's references share the class slices of the others (this class's and every
+    later one a row shorter): class by class, one row block at a time, every width on each
+    block.  A class of one reference has an empty slice there, whose sum of 0 never wins:
+    near rows weigh another reference by 1, far rows count at least 1 in every other class."""
     X, m = mimic.ref_x, len(mimic.ref_x)
-    if m < 2:
-        raise ValueError(f"leave-one-out width selection needs at least two references, got {m}")
     counts = np.zeros(len(sigmas), dtype=int)
     for k, sl in enumerate(mimic.class_slices):
         others = [slice(t.start - (t.start > sl.start), t.stop - (t.stop > sl.start)) for t in mimic.class_slices]
@@ -190,7 +197,7 @@ def select_width(ref_x, ref_labels, candidate_sigmas) -> float:
             for i, s in enumerate(sigmas):
                 _rescale(sq, s, out=w)
                 counts[i] += np.count_nonzero(np.argmax(_class_sums(others, w), axis=1) != k)
-    return sigmas[int(np.argmin(counts))]  # first minimum: the smaller sigma
+    return counts
 
 
 def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
@@ -218,11 +225,12 @@ def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
     return med * np.logspace(np.log10(span[0]), np.log10(span[1]), 25)
 
 
-def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray):
-    """The explanation quotient at each row of X for the class mimic.classes[j]
-    and the far-field mask, from one weight pass; far-field rows and their weights
-    are zero, so huge coordinates overflow nothing.  Each class's weighted sum of
-    z - x_i is one einsum over its slice; a row's result does not depend on the other rows."""
+def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray, hessian_threshold):
+    """The explanation quotient at each row of X for the class mimic.classes[j], the far-field
+    mask, and given a threshold, the near rows whose quotient's norm is below it and their
+    Hessians (None if there are none), from one weight pass.  Far rows and their weights are
+    zero, so huge coordinates overflow nothing.  Each class's weighted sum of z - x_i is one
+    einsum over its slice; a row's result does not depend on the other rows."""
     w, far = _weights(mimic, X)
     w[far] = 0.0
     diff = X[:, None, :] - mimic.ref_x
@@ -233,7 +241,32 @@ def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray):
     s_out, v_out = (sums * other).sum(axis=1), (v * other[:, :, None]).sum(axis=1)
     num = s_out[:, None] * v_in - s_in[:, None] * v_out
     den = mimic.sigma**2 * (s_in + s_out) ** 2
-    return np.divide(num, den[:, None], out=np.zeros_like(num), where=~far[:, None]), far
+    zeta = np.divide(num, den[:, None], out=np.zeros_like(num), where=~far[:, None])
+    if hessian_threshold is None:
+        return zeta, far, (), None
+    f = np.flatnonzero(~far & (np.linalg.norm(zeta, axis=1) < hessian_threshold))
+    hess = _hessians(mimic, w[f], diff[f], j[f], s_in[f], s_out[f], v[f], zeta[f]) if len(f) else None
+    return zeta, far, f, hess
+
+
+def _hessians(mimic: ParzenMimic, w, diff, j, s_in, s_out, v, zeta) -> np.ndarray:
+    """The module docstring's H at rows of weights w, differences diff, labels j, class sums
+    s_in / s_out, per-class sums v of w_i d_i and gradients zeta; M_c is one einsum per class."""
+    m = np.stack([np.einsum("ri,rid,rie->rde", w[:, s], diff[:, s], diff[:, s]) for s in mimic.class_slices], 1)
+    rows, other = np.arange(len(w)), np.arange(len(mimic.classes)) != j[:, None]
+    m_in, m_out = m[rows, j], (m * other[:, :, None, None]).sum(axis=1)
+    s_in, s_out, s2 = s_in[:, None, None], s_out[:, None, None], mimic.sigma**2
+    zv, t = zeta[:, :, None] * v.sum(axis=1)[:, None, :], s_in + s_out
+    return ((s_in * m_out - s_out * m_in) / (t * s2**2) + (zv + zv.transpose(0, 2, 1)) / s2) / t
+
+
+def _top_directions(hess: np.ndarray):
+    """Top eigenvector (its first component with |v| > 1e-9 made positive) and eigenvalue
+    of each Hessian of a stack, and the mask of those of nonzero norm."""
+    eigvals, eigvecs = np.linalg.eigh(hess)
+    vec = eigvecs[:, :, -1]
+    first = np.take_along_axis(vec, np.argmax(np.abs(vec) > 1e-9, axis=1)[:, None], axis=1)
+    return np.where(first < 0, -vec, vec), eigvals[:, -1], np.linalg.norm(hess, axis=(1, 2)) > 0.0
 
 
 def explain_mimic(mimic: ParzenMimic, z, g_label, hessian_threshold=None) -> ExplanationVector:
@@ -246,86 +279,45 @@ def explain_mimic(mimic: ParzenMimic, z, g_label, hessian_threshold=None) -> Exp
     mimic's probability that the label differs from g_label.  In the far
     field the gradient is identically zero and flagged.  With a positive
     hessian_threshold, a row whose gradient norm falls below it takes the
-    Hessian direction instead, with source "hessian-fallback"; far-field
-    rows, and rows whose Hessian is numerically zero, keep their gradient.
+    Hessian direction instead, from the same weight pass, with source
+    "hessian-fallback"; far-field rows, and rows whose Hessian is zero, keep
+    their gradient.
     """
     X, point, j = _queries(mimic, z, g_label)
     if hessian_threshold is not None and not hessian_threshold > 0:  # NaN too
         raise ValueError(f"hessian_threshold must be positive, got {hessian_threshold}")
-    gradient, far = np.empty_like(X), np.empty(len(X), dtype=bool)
+    gradient, far, fallback = np.empty_like(X), np.empty(len(X), dtype=bool), np.zeros(len(X), dtype=bool)
     for rows in data._row_blocks(len(X), mimic.ref_x.size):
-        gradient[rows], far[rows] = _explain_rows(mimic, X[rows], j[rows])
+        gradient[rows], far[rows], flagged, hess = _explain_rows(mimic, X[rows], j[rows], hessian_threshold)
+        if hess is not None:
+            direction, _, informative = _top_directions(hess)
+            taken = rows.start + flagged[informative]
+            gradient[taken], fallback[taken] = direction[informative], True
     labels = mimic.classes[j]
-    fallback = np.zeros(len(X), dtype=bool)
-    if hessian_threshold is not None:
-        for i in np.flatnonzero(~far & (np.linalg.norm(gradient, axis=1) < hessian_threshold)):
-            try:
-                gradient[i], _ = hessian_direction(mimic, X[i], labels[i])
-            except ValueError:  # no informative direction: the gradient stays
-                continue
-            fallback[i] = True
     source = np.where(fallback, "hessian-fallback", "parzen-mimic")
     evs = ExplanationVector(X, gradient, parzen_posterior_not(mimic, X, labels), labels, source, far)
     return evs.row(0) if point else evs
 
 
 def parzen_hessian(mimic: ParzenMimic, z, c) -> np.ndarray:
-    """Analytic Hessian of p(y != c | x) at a point z.
-
-    With w_i(x) = exp(-|x - x_i|^2 / (2 sigma^2)) the pieces are
-    grad w_i = -w_i (x - x_i) / sigma^2 and
-    hess w_i = w_i ((x-x_i)(x-x_i)' / sigma^4 - I / sigma^2); the quotient
-    rule for O/T (O = outside-class sum, T = total) assembles them.  All
-    terms are ratios of equal homogeneity degree, so rescaled weights
-    leave the result unchanged.  Zero in the far field.
-    """
+    """Analytic Hessian of p(y != c | x) at a point z, by the module docstring's
+    identity; zero in the far field.  A point view of the explainer's row chunk,
+    which forms the Hessians of its flagged rows in its one weight pass."""
     X, point, j = _queries(mimic, z, c)  # the label is checked near and far
     if not point:
         raise ValueError(f"the Hessian is taken at one point, got shape {X.shape}")
-    w, far = _weights(mimic, X)
-    eye = np.eye(X.shape[1])
-    if far[0]:
-        return np.zeros_like(eye)
-    w, diff = w[0], X[0] - mimic.ref_x
-    out = np.ones(len(w), dtype=bool)
-    out[mimic.class_slices[j[0]]] = False
-    s2 = mimic.sigma**2
-
-    def grad_of(rows):
-        return -(w[rows] @ diff[rows]) / s2
-
-    def hess_of(rows):
-        wd = w[rows, None] * diff[rows]
-        return (wd.T @ diff[rows]) / s2**2 - np.sum(w[rows]) / s2 * eye
-
-    T = float(np.sum(w))
-    O = float(np.sum(w[out]))
-    gT, gO = grad_of(slice(None)), grad_of(out)
-    hT, hO = hess_of(slice(None)), hess_of(out)
-    return (
-        hO / T
-        - (np.outer(gO, gT) + np.outer(gT, gO)) / T**2
-        - O * hT / T**2
-        + 2.0 * O * np.outer(gT, gT) / T**3
-    )
+    _, _, _, hess = _explain_rows(mimic, X, j, np.inf)  # flags every near row
+    return np.zeros((X.shape[1], X.shape[1])) if hess is None else hess[0]
 
 
 def hessian_direction(mimic: ParzenMimic, z, g_label):
-    """Fallback direction where the explanation gradient vanishes.
-
-    Returns the top eigenvector of the Hessian of p(y != g_label | x) at
-    z (orientation-free; the first nonzero component is made positive)
-    together with its eigenvalue.
-    """
-    H = parzen_hessian(mimic, z, g_label)
-    if not np.linalg.norm(H) > 0.0:
+    """Fallback direction where the explanation gradient vanishes: the top eigenvector of the
+    Hessian of p(y != g_label | x) at a point z, its first component with |v| > 1e-9 made
+    positive, and its eigenvalue.  A zero Hessian has no informative direction: an error."""
+    direction, eigval, informative = _top_directions(parzen_hessian(mimic, z, g_label)[None])
+    if not informative[0]:
         raise ValueError("no informative direction: Hessian is numerically zero")
-    eigvals, eigvecs = np.linalg.eigh(H)
-    vec = eigvecs[:, -1]
-    nonzero = np.flatnonzero(np.abs(vec) > 1e-9)
-    if len(nonzero) and vec[nonzero[0]] < 0:
-        vec = -vec
-    return vec, float(eigvals[-1])
+    return direction[0], float(eigval[0])
 
 
 def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:

@@ -203,6 +203,28 @@ def parzen_explanation_masked(ref_x, ref_labels, sigma, z, c):
     return (s_out * v_in - s_in * v_out) / (sigma**2 * (s_in + s_out) ** 2)
 
 
+def parzen_hessian_mp(ref_x, ref_labels, sigma, z, c, dps=60):
+    """Hessian of p(y != c | x) at z through mpmath at `dps` digits: the
+    quotient rule for O/T with unscaled weights, summed reference by
+    reference in the order given, from grad w_i = -w_i d_i / sigma^2 and
+    hess w_i = w_i (d_i d_i' / sigma^4 - I / sigma^2), d_i = z - x_i."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        d, s2 = len(z), mpmath.mpf(float(sigma)) ** 2
+        T, gT, hT = mpmath.mpf(0), mpmath.zeros(d, 1), mpmath.zeros(d, d)
+        O, gO, hO = mpmath.mpf(0), mpmath.zeros(d, 1), mpmath.zeros(d, d)
+        for xi, label in zip(ref_x, ref_labels):
+            di = mpmath.matrix([mpmath.mpf(float(a)) - mpmath.mpf(float(b)) for a, b in zip(z, xi)])
+            w = mpmath.exp(-(di.T * di)[0] / (2 * s2))
+            g, h = -w * di / s2, w * (di * di.T / s2**2 - mpmath.eye(d) / s2)
+            T, gT, hT = T + w, gT + g, hT + h
+            if label != c:
+                O, gO, hO = O + w, gO + g, hO + h
+        H = hO / T - (gO * gT.T + gT * gO.T) / T**2 - O * hT / T**2 + 2 * O * gT * gT.T / T**3
+        return np.array(H.tolist(), dtype=float)
+
+
 def knn_loo_errors_bruteforce(train_x, train_y, k):
     """LOO error count, ranking each left-out point's neighbors with a
     full sort on (squared distance, index) and voting by the documented
@@ -224,21 +246,22 @@ def knn_loo_errors_bruteforce(train_x, train_y, k):
 
 
 def select_width_bruteforce(ref_x, ref_labels, sigmas):
-    """Width selection by refitting a leave-one-out mimic per reference."""
+    """Width selection by refitting a leave-one-out mimic per reference:
+    the chosen width, and the disagreement count of each width in
+    ascending order."""
     from localgrad.mimic import ParzenMimic, mimic_predict
 
     X = np.asarray(ref_x, dtype=float)
     y = np.asarray(ref_labels, dtype=int)
-    best, best_count = None, None
+    counts = []
     for s in sorted(float(v) for v in sigmas):
         count = 0
         for i in range(len(X)):
             mm = ParzenMimic(np.delete(X, i, axis=0), np.delete(y, i), s)
             if mimic_predict(mm, X[i]) != y[i]:
                 count += 1
-        if best_count is None or count < best_count:
-            best, best_count = s, count
-    return best
+        counts.append(count)
+    return sorted(float(v) for v in sigmas)[counts.index(min(counts))], counts
 
 
 def ecdf_distance(a, b):

@@ -385,3 +385,25 @@ def test_subset_preserves_row_ids():
     sub = ds.subset(np.array([5, 60, 149]))
     assert list(sub.row_ids) == [5, 60, 149]
     assert np.array_equal(sub.features, ds.features[[5, 60, 149]])
+
+
+def test_zero_d_query_is_refused_by_every_predictor():
+    # on a 1-D model a 0-d query is neither a point nor a q x 1 block: no predictor guesses which
+    from localgrad.classifiers import KnnClassifier, TableOracle
+    from localgrad.gpc import ep_fit, explain_gpc, predict_proba
+    from localgrad.kernels import KernelSpec
+    from localgrad.mimic import ParzenMimic, mimic_predict
+
+    X, y = np.array([[-1.0], [1.0]]), np.array([-1, 1])
+    model = ep_fit(X, y, KernelSpec("rbf", width=1.0))
+    calls = [
+        lambda x: predict_proba(model, x),
+        lambda x: explain_gpc(model, x),
+        KnnClassifier(X, y, k=1).predict,
+        TableOracle(Dataset(X, y), {0: -1, 1: 1}).predict,
+        lambda x: mimic_predict(ParzenMimic(X, y, 1.0), x),
+    ]
+    for call in calls:
+        for x in (1.0, np.float64(1.0), np.array(1.0)):
+            with pytest.raises(ValueError, match=re.escape("point of dimension 1 or a q x 1 block, got shape ()")):
+                call(x)

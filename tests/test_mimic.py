@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from localgrad import mimic as mimicmod
 from localgrad.data import gen_three_clusters
 from localgrad.mimic import (
     ParzenMimic,
+    _width_counts,
     default_sigma_grid,
     explain_mimic,
     hessian_direction,
@@ -25,6 +27,7 @@ from oracles import (
     fd_hessian,
     load_explanations,
     parzen_explanation_masked,
+    parzen_hessian_mp,
     parzen_posterior_naive,
     select_width_bruteforce,
     smooth_gradients_bruteforce,
@@ -347,6 +350,15 @@ def test_select_width_oversmoothed_not_chosen():
     assert picked != 100 * spread
 
 
+def checked_width(X, y, grid):
+    """select_width's width, after checking it and every width's leave-one-out
+    disagreement count against the brute-force oracle."""
+    best, counts = select_width_bruteforce(X, y, grid)
+    assert _width_counts(ParzenMimic(X, y, min(grid)), sorted(grid)).tolist() == counts
+    assert select_width(X, y, grid) == best
+    return best
+
+
 def test_select_width_matches_bruteforce_loo():
     rng = np.random.default_rng(7)
     X = np.vstack(
@@ -354,14 +366,14 @@ def test_select_width_matches_bruteforce_loo():
     )
     y = np.array([1] * 12 + [2] * 12)
     grid = [0.15, 0.4, 0.9, 2.0]
-    assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid)
+    checked_width(X, y, grid)
     X, y, grid = interleaved_set()
-    assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid) == 0.3
+    assert checked_width(X, y, grid) == 0.3
     X, y, grid = singleton_far_set()
     loo = [ParzenMimic(np.delete(X, i, axis=0), np.delete(y, i), grid[1]) for i in range(len(X))]
     far = [explain_mimic(mm, x, mm.classes[0]).far_field for mm, x in zip(loo, X)]
     assert 0 < sum(far) < len(X)  # some leave-one-out rows are far-field at grid[1]
-    assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid) == grid[1]
+    assert checked_width(X, y, grid) == grid[1]
 
 
 def test_select_width_tie_prefers_smaller():
@@ -425,7 +437,7 @@ def test_select_width_near_tie_scores_the_mimic_it_returns():
     for X, y, grid in (near_tie_set(), eight_term_tie_set()):
         loo = [ParzenMimic(np.delete(X, i, axis=0), np.delete(y, i), 1.0) for i in range(len(X))]
         assert [mimic_predict(mm, x) for mm, x in zip(loo, X)] == [1, 1] + [2] * (len(X) - 2)
-        assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid) == 1.001
+        assert checked_width(X, y, grid) == 1.001
 
 
 @pytest.mark.parametrize("block_rows", [1, 7])
@@ -434,7 +446,7 @@ def test_select_width_block_size_changes_nothing(monkeypatch, block_rows, make_s
     # blocks of one row, and of 7 rows, which divides none of the sets' sizes
     X, y, grid = make_set()
     monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(X))
-    assert select_width(X, y, grid) == select_width_bruteforce(X, y, grid)
+    checked_width(X, y, grid)
 
 
 def test_default_sigma_grid_shape_and_span():
@@ -563,6 +575,38 @@ def test_hessian_matches_finite_differences():
         want = fd_hessian(lambda p: parzen_posterior_not(mm, p, 1), z, step=1e-4)
         scale = max(np.linalg.norm(want), 1e-8)
         assert np.linalg.norm(H - want) / scale < 1e-4
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 9])
+def test_hessian_matches_the_high_precision_oracle(n_classes):
+    # every label, the middle classes included, on unsorted references, as drawn and
+    # shifted by 1e4; queries a few widths out meet labels of almost no weight, where
+    # |H| falls to 1e-22 (9 classes), and a quotient rule with terms of order 1 loses every digit
+    rng = np.random.default_rng(51)
+    for _ in range(4):
+        mm = random_mimic(rng, m=12, d=3, n_classes=n_classes, sigma=0.5)
+        perm = rng.permutation(len(mm.ref_x))
+        z = rng.normal(scale=2.0, size=3)
+        for shift in (0.0, 1e4):
+            shifted = ParzenMimic(mm.ref_x + shift, mm.ref_labels, mm.sigma)
+            for c in mm.classes:
+                want = parzen_hessian_mp(shifted.ref_x[perm], shifted.ref_labels[perm], mm.sigma, z + shift, c)
+                got = parzen_hessian(shifted, z + shift, c)
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4])
+def test_hessian_keeps_its_digits_where_it_is_tiny(shift):
+    # near class 1's references, class 2 has almost no weight: p(y != 2) is 1 - 1e-14 or
+    # closer, and |H| is 1e-10 to 1e-14.  A quotient rule whose terms are of order 1 there
+    # cancels to relative errors of 6e-7 to 2e-2; the identity keeps about 1e-15
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [6.0, 5.0], [7.0, 6.0]]) + shift
+    y = np.array([1, 1, 1, 2, 2])
+    mm = ParzenMimic(X, y, 1.0)
+    for z in np.array([[0.3, 0.2], [0.5, 0.5], [-1.0, 0.5]]) + shift:
+        want = parzen_hessian_mp(X, y, 1.0, z, 2)
+        assert 1e-15 < np.linalg.norm(want) < 1e-9
+        assert np.linalg.norm(parzen_hessian(mm, z, 2) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_hessian_direction_three_clusters():
@@ -768,7 +812,8 @@ def test_explanations_far_from_the_origin_match_the_masked_quotient():
 
 
 def test_hessian_is_formed_only_for_the_flagged_rows(monkeypatch):
-    # rows under the threshold, far-field rows excepted, and no other row
+    # rows under the threshold, far-field rows excepted, reach the chunk's Hessian step,
+    # and no other row, in chunks of one row and of 7 rows
     data = gen_three_clusters(120, seed=4)
     mm = ParzenMimic(data.features, data.labels, 0.6)
     Z = np.vstack([np.random.default_rng(48).normal(size=(40, 2)), [[0.0, 0.0], [1e4, 1e4]]])
@@ -777,32 +822,64 @@ def test_hessian_is_formed_only_for_the_flagged_rows(monkeypatch):
     threshold = float(np.median(norms))
     flagged = np.flatnonzero(norms < threshold)[:-1].tolist()  # the far-field row has norm 0
     assert 40 in flagged and 41 not in flagged
-    seen, direction = [], hessian_direction
+    want = [parzen_hessian(mm, Z[i], 2) for i in flagged]
+    formed, hessians = [], mimicmod._hessians
 
-    def counted(mimic, z, g_label):
-        seen.append(next(i for i, row in enumerate(Z) if np.array_equal(row, z)))
-        return direction(mimic, z, g_label)
+    def kept(*args):
+        formed.append(hessians(*args))
+        return formed[-1]
 
-    monkeypatch.setattr("localgrad.mimic.hessian_direction", counted)
-    evs = explain_mimic(mm, Z, labels, hessian_threshold=threshold)
-    assert seen == flagged
-    assert np.flatnonzero(evs.source == "hessian-fallback").tolist() == flagged
+    monkeypatch.setattr("localgrad.mimic._hessians", kept)
+    for block_rows in (1, 7):
+        formed.clear()
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
+        evs = explain_mimic(mm, Z, labels, hessian_threshold=threshold)
+        assert np.array_equal(np.concatenate(formed), want)  # the flagged rows' Hessians, in order
+        assert np.flatnonzero(evs.source == "hessian-fallback").tolist() == flagged
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_flagged_rows_with_a_zero_hessian_keep_their_gradient(monkeypatch, block_rows):
+    # ten class-1 references 50 away from the three clusters: around them every other
+    # weight underflows to exactly 0, so p(y != 1), its gradient and its Hessian are 0
+    data = gen_three_clusters(120, seed=4)
+    lone = np.random.default_rng(53).normal(scale=0.5, size=(10, 2)) + [50.0, 0.0]
+    mm = ParzenMimic(np.vstack([data.features, lone]), np.concatenate([data.labels, [1] * 10]), 0.6)
+    Z = np.array([[0.0, 0.0], [50.1, 0.2], [1.0, 0.0], [49.5, -0.3], [50.0, 0.0], [1e4, 1e4]])
+    labels = [2, 1, 2, 1, 1, 1]
+    for z in Z[[1, 3, 4]]:
+        assert np.array_equal(parzen_hessian(mm, z, 1), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="no informative direction"):
+            hessian_direction(mm, z, 1)
+    points = [explain_mimic(mm, z, c, hessian_threshold=1e-6) for z, c in zip(Z, labels)]
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
+    evs = explain_mimic(mm, Z, labels, hessian_threshold=1e-6)
+    assert evs.source.tolist() == ["hessian-fallback"] + ["parzen-mimic"] * 5
+    assert evs.far_field.tolist() == [False] * 5 + [True]
+    assert np.array_equal(evs.gradient[[1, 3, 4]], np.zeros((3, 2)))
+    assert np.array_equal(evs.predicted_probability[[1, 3, 4]], np.zeros(3))
+    for i, point in enumerate(points):
+        assert_same_point_record(evs.row(i), point)
 
 
 def test_block_explanation_memory_stays_in_chunks():
     # a 2000 x 800 x 7 difference tensor alone would take 90 MB; the chunked
-    # pass, its 2000-row record included, peaked at 0.90 MB when this bound was set
+    # pass, its 2000-row record included, peaked at 0.90 MB when this bound was set.
+    # A threshold that sends half the rows to the Hessian copies no more than a chunk
     rng = np.random.default_rng(49)
     mm = ParzenMimic(rng.normal(size=(800, 7)), rng.integers(0, 2, size=800), 0.8)
     queries = rng.normal(size=(2000, 7))
     labels = rng.integers(0, 2, size=2000)
-    tracemalloc.start()
-    try:
-        explain_mimic(mm, queries, labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5e6
+    median = float(np.median(np.linalg.norm(explain_mimic(mm, queries, labels).gradient, axis=1)))
+    for threshold in (None, median):
+        tracemalloc.start()
+        try:
+            evs = explain_mimic(mm, queries, labels, hessian_threshold=threshold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+    assert np.count_nonzero(evs.source == "hessian-fallback") == 1000
 
 
 def test_query_shapes_and_label_counts_are_checked():
