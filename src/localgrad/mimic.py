@@ -42,13 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from . import data
 from .data import ExplanationVector
 
 # log of the smallest positive double: below this, exp() underflows to 0
 _UNDERFLOW_LOG = float(np.log(np.finfo(float).smallest_subnormal))
+# bit pattern of +inf: nonnegative doubles up to it sort as their uint64 patterns do
+_INF_BITS = int(np.array(np.inf).view(np.uint64))
+# bits of the patterns that one selection pass buckets by
+_RADIX_BITS = 12
 
 
 @dataclass
@@ -200,12 +204,60 @@ def _width_counts(mimic: ParzenMimic, sigmas) -> np.ndarray:
     return counts
 
 
+def _pair_bits(points: np.ndarray):
+    """The squared distances of the pairs i < j of points as uint64 bit patterns, one
+    row block at a time; cdist gives each pair pdist's bits."""
+    m = len(points)
+    for block in data._row_blocks(m - 1, m):
+        upper = np.arange(m - block.start - 1) >= np.arange(block.stop - block.start)[:, None]
+        yield cdist(points[block], points[block.start + 1 :], "sqeuclidean")[upper].view(np.uint64)
+
+
+def _middle_squared_distances(points: np.ndarray) -> np.ndarray:
+    """The squared distances of ranks (N-1)//2 and N//2 among the N pairs i < j of points,
+    selected exactly by radix (bucket) selection on their uint64 bit patterns, in passes
+    over row blocks with no buffer of all N.  Each pass buckets the patterns inside a
+    bracket by their next _RADIX_BITS bits, most significant first, and narrows the
+    bracket to the bucket holding both ranks; once it holds a block's worth, one more pass
+    gathers it for np.partition.  Buckets of single patterns give the values directly, and
+    two adjacent ranks in two buckets are the largest pattern below the upper bucket and
+    the smallest from it on, both found in one more pass."""
+    n = len(points) * (len(points) - 1) // 2
+    ranks = np.array([(n - 1) // 2, n // 2])  # within the bracket [lo, lo + width)
+    lo, width, count = 0, _INF_BITS + 1, n
+    while count > data._BLOCK_ELEMENTS:
+        shift = max(0, (width - 1).bit_length() - _RADIX_BITS)
+        hist = np.zeros(((width - 1) >> shift) + 1, dtype=int)
+        for u in _pair_bits(points):
+            u -= np.uint64(lo)  # patterns below lo wrap past every width
+            u = u[u < width]
+            u >>= shift
+            hist += np.bincount(u.view(np.intp), minlength=len(hist))  # offsets below 2**_RADIX_BITS
+        cum = np.cumsum(hist)
+        b0, b1 = (int(b) for b in np.searchsorted(cum, ranks, side="right"))
+        if shift == 0:
+            return np.array([lo + b0, lo + b1], dtype=np.uint64).view(float)
+        if b0 < b1:
+            cut = np.uint64(lo + (b1 << shift))
+            below, above = 0, _INF_BITS
+            for u in _pair_bits(points):
+                below = max(below, u.max(initial=0, where=u < cut))
+                above = min(above, u.min(initial=_INF_BITS, where=u >= cut))
+            return np.array([below, above], dtype=np.uint64).view(float)
+        ranks -= cum[b0] - hist[b0]
+        lo, width, count = lo + (b0 << shift), min(width - (b0 << shift), 1 << shift), int(hist[b0])
+    inside = np.concatenate([u[u - np.uint64(lo) < width] for u in _pair_bits(points)])
+    return np.partition(inside, ranks)[ranks].view(float)
+
+
 def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
     """25 log-spaced candidate widths over `span` times the median pairwise distance.
 
-    The median is taken in place on the one buffer of pairwise distances.
-    A zero median (more than half of the point pairs coincide) scales no
-    grid and is an error.
+    The median is np.median's, bit for bit, with no buffer of all pairs: sqrt is
+    monotone, so it is the mean of the roots of the two middle squared distances, which
+    _middle_squared_distances selects in row blocks.  Points that are not finite, and
+    a median of 0 (more than half of the point pairs coincide) or of inf (the squared
+    distances overflow), scale no grid and are errors.
     """
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
@@ -213,14 +265,16 @@ def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
             f"the sigma grid is scaled by a median pairwise distance, which needs at "
             f"least two points, got {len(points)}"
         )
-    dist = pdist(points, "sqeuclidean")
-    np.sqrt(dist, out=dist)
-    med = float(np.median(dist, overwrite_input=True))
-    if not med > 0:
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"the sigma grid needs finite points, but point {row} is {points[row].tolist()}")
+    med = float(np.mean(np.sqrt(_middle_squared_distances(points))))
+    if not 0 < med < np.inf:
+        cause = "more than half of the point pairs coincide" if med == 0 else "the squared distances overflow"
         raise ValueError(
-            f"the median pairwise distance is {med:g}, so it cannot scale a sigma grid "
-            f"(it is 0 when more than half of the point pairs coincide); "
-            f"pass --sigma or --sigma-grid"
+            f"the median pairwise distance is {med:g} ({cause}), so it cannot scale a "
+            f"sigma grid; pass --sigma or --sigma-grid"
         )
     return med * np.logspace(np.log10(span[0]), np.log10(span[1]), 25)
 

@@ -264,6 +264,15 @@ def select_width_bruteforce(ref_x, ref_labels, sigmas):
     return sorted(float(v) for v in sigmas)[counts.index(min(counts))], counts
 
 
+def sigma_grid_pdist(points, span=(1e-2, 1e2)):
+    """The auto sigma grid from one buffer of all m(m-1)/2 pairwise distances
+    and np.median over it."""
+    from scipy.spatial.distance import pdist
+
+    med = float(np.median(np.sqrt(pdist(np.asarray(points, dtype=float), "sqeuclidean"))))
+    return med * np.logspace(np.log10(span[0]), np.log10(span[1]), 25)
+
+
 def ecdf_distance(a, b):
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))

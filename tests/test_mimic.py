@@ -10,6 +10,7 @@ from localgrad import mimic as mimicmod
 from localgrad.data import gen_three_clusters
 from localgrad.mimic import (
     ParzenMimic,
+    _middle_squared_distances,
     _width_counts,
     default_sigma_grid,
     explain_mimic,
@@ -30,6 +31,7 @@ from oracles import (
     parzen_hessian_mp,
     parzen_posterior_naive,
     select_width_bruteforce,
+    sigma_grid_pdist,
     smooth_gradients_bruteforce,
 )
 
@@ -409,6 +411,13 @@ def singleton_far_set():
     return X, y, [0.005, 0.015, 0.05, 0.4, 1.5]
 
 
+def top_majority_far_set():
+    """singleton_far_set with labels 1 made 4: the majority class, which far rows go
+    to, is then not the lowest label, which class sums of all zeros would pick."""
+    X, y, grid = singleton_far_set()
+    return X, np.where(y == 1, 4, y), grid
+
+
 def near_tie_set():
     """Three references at 0 (labels 2, 2, 1) and two of class 2 at r = sqrt(106 ln 2).
     At sigma=1 a reference at 0 weighs each other one at 0 by 1 and each at r
@@ -441,7 +450,9 @@ def test_select_width_near_tie_scores_the_mimic_it_returns():
 
 
 @pytest.mark.parametrize("block_rows", [1, 7])
-@pytest.mark.parametrize("make_set", [interleaved_set, near_tie_set, eight_term_tie_set, singleton_far_set])
+@pytest.mark.parametrize(
+    "make_set", [interleaved_set, near_tie_set, eight_term_tie_set, singleton_far_set, top_majority_far_set]
+)
 def test_select_width_block_size_changes_nothing(monkeypatch, block_rows, make_set):
     # blocks of one row, and of 7 rows, which divides none of the sets' sizes
     X, y, grid = make_set()
@@ -471,6 +482,76 @@ def test_default_sigma_grid_rejects_zero_median():
     X = np.vstack([np.zeros((8, 2)), [[1.0, 0.0], [0.0, 2.0]]])
     with pytest.raises(ValueError, match="median pairwise distance is 0.*--sigma"):
         default_sigma_grid(X)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_default_sigma_grid_matches_pdist_median_bit_for_bit(monkeypatch, block_rows):
+    # odd and even pair counts, ties, duplicated points and m = 2, on the default
+    # block and on blocks of 1 and 3 rows, which leave each pass a bracket to narrow
+    rng = np.random.default_rng(51)
+    for m in [2, 3, 4, 5, 17, 40, 81]:
+        if block_rows:
+            monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * m)
+        for X in (
+            rng.normal(size=(m, 3)),
+            np.round(rng.normal(size=(m, 2)), 1),  # many tied distances
+            rng.integers(0, 3, size=(m, 2)).astype(float),
+            rng.normal(size=(m, 2))[rng.integers(0, max(2, m // 2), size=m)],  # duplicated points
+            rng.normal(size=(m, 4)) * 1e150,
+        ):
+            want = sigma_grid_pdist(X)
+            if want[0] > 0:
+                assert default_sigma_grid(X).tobytes() == want.tobytes()
+            else:  # more than half of the pairs coincide
+                with pytest.raises(ValueError, match="median pairwise distance is 0"):
+                    default_sigma_grid(X)
+
+
+@pytest.mark.parametrize("block", [1, None])
+def test_middle_squared_distances_coincident_majority_and_split_ranks(monkeypatch, block):
+    # a block of one number leaves every pass a bracket to narrow, down to single values
+    if block:
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block)
+    # 9 of 12 points coincide: 36 of the 66 pairs are at distance 0
+    X = np.vstack([np.zeros((9, 2)), [[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]]])
+    assert _middle_squared_distances(X).tolist() == [0.0, 0.0]
+    # 0, 1, 2, 3 on a line: squared distances 1, 1, 1, 4, 4, 9, so the two middle
+    # ranks, 2 and 3, fall on two values, 1 and 4
+    X = np.arange(4.0)[:, None]
+    assert _middle_squared_distances(X).tolist() == [1.0, 4.0]
+    # 0.0625, 0.5625, 1, (1 + 2**-52)**2, 1.5625, 4: the middle two are 2 ulps apart
+    X = np.array([[0.0], [1.0], [-1.0 - 2**-52], [0.25]])
+    assert _middle_squared_distances(X).tolist() == [1.0, 1.0 + 2**-51]
+    assert default_sigma_grid(X).tobytes() == sigma_grid_pdist(X).tobytes()
+
+
+def test_default_sigma_grid_rejects_points_that_are_not_finite():
+    X = np.random.default_rng(52).normal(size=(6, 2))
+    for bad in (np.inf, -np.inf, np.nan):
+        X[4, 1] = bad
+        with pytest.raises(ValueError, match=r"finite points, but point 4 is"):
+            default_sigma_grid(X)
+
+
+def test_default_sigma_grid_rejects_an_overflowing_median():
+    # finite coordinates whose squared distances overflow: every pairwise distance is inf
+    X = np.array([[0.0, 1e200], [1e200, 0.0], [-1e200, 0.0], [0.0, -1e200]])
+    with pytest.raises(ValueError, match=r"median pairwise distance is inf \(the squared distances overflow\)"):
+        default_sigma_grid(X)
+
+
+def test_default_sigma_grid_memory_stays_in_blocks():
+    # one buffer of the 1500 * 1499 / 2 pairwise distances alone would take 9 MB; the
+    # selection's passes over row blocks peaked at 0.8 MB when this bound was set
+    X = np.random.default_rng(53).normal(size=(1500, 6))
+    tracemalloc.start()
+    try:
+        grid = default_sigma_grid(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert grid.tobytes() == sigma_grid_pdist(X).tobytes()
 
 
 def test_width_selection_memory_stays_quadratic():
