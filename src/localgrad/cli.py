@@ -180,12 +180,13 @@ def cmd_fit_gpc(args) -> int:
         n_val = max(1, train.n // 4)
         sub_train, val = datamod.split_stratified(train, train.n - n_val, seed)
         y_sub, y_val = _to_pm1(sub_train.labels, label_map), _to_pm1(val.labels, label_map)
-        scores = {}
-        for value in grid:
-            spec = dataclasses.replace(base, **{param: float(value)})
-            model = gpc.ep_fit(sub_train.features, y_sub, spec)
-            preds = np.where(gpc.predict_proba(model, val.features) >= 0.5, 1, -1)
-            scores[float(value)] = float(np.mean(preds == y_val))
+
+        def accuracy(value):
+            # the candidate dies on return: one grid model is alive at a time
+            model = gpc.ep_fit(sub_train.features, y_sub, dataclasses.replace(base, **{param: value}))
+            return float(np.mean(np.where(gpc.predict_proba(model, val.features) >= 0.5, 1, -1) == y_val))
+
+        scores = {value: accuracy(value) for value in grid}
         best = max(sorted(scores), key=lambda v: (scores[v], -v))
         base = dataclasses.replace(base, **{param: best})
         searched = {"parameter": param, "grid": grid, "accuracy": scores, "selected": best}

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,55 +151,60 @@ def load_csv(path, classes=None) -> Dataset:
     ``id`` supplies row ids (otherwise ids are 0..n-1 in file order).  Ids
     and labels are integer cells by _integral's rule.  If `classes` is
     given, every label must belong to it.  A prediction table is such a
-    file with no feature columns.
+    file with no feature columns.  The file is read one record at a time,
+    so the reader holds the table and one row, not every cell.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if "label" not in header:
-        raise ValueError(f"{path}: missing label column 'label'")
-    label_pos = header.index("label")
-    has_id = header[0] == "id"
-    feature_pos = [j for j in range(has_id, len(header)) if j != label_pos]
-    feature_names = [header[j] for j in feature_pos]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        if "label" not in header:
+            raise ValueError(f"{path}: missing label column 'label'")
+        label_pos = header.index("label")
+        has_id = header[0] == "id"
+        feature_pos = [j for j in range(has_id, len(header)) if j != label_pos]
+        feature_names = [header[j] for j in feature_pos]
 
-    feats, labels, ids = [], [], []
-    for i, row in enumerate(rows[1:]):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-        vals = []
-        for j in feature_pos:
-            try:
-                v = float(row[j])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric value {row[j]!r} at row {i}, column {header[j]!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise ValueError(f"{path}: non-finite value at row {i}, column {header[j]!r}")
-            vals.append(v)
-        lab, rid = _integral(row[label_pos]), _integral(row[0]) if has_id else len(ids)
-        if lab is None:
-            raise ValueError(f"{path}: non-integer label {row[label_pos]!r} at row {i}")
-        if rid is None:
-            raise ValueError(f"{path}: non-integer id {row[0]!r} at row {i}")
-        for j, value in ((label_pos, lab), (0, rid)):
-            if not _INT64.min <= value <= _INT64.max:
-                raise ValueError(f"{path}: {row[j]!r} at row {i}, column {header[j]!r} is outside the int64 range")
-        if classes is not None and lab not in classes:
-            raise ValueError(f"{path}: unknown label {lab} at row {i}")
-        feats.append(vals)
-        labels.append(lab)
-        ids.append(rid)
-    if not feats:
+        feats, labels, ids = array("d"), array("q"), array("q")
+        for i, row in enumerate(reader):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+            vals = []
+            for j in feature_pos:
+                try:
+                    v = float(row[j])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: non-numeric value {row[j]!r} at row {i}, column {header[j]!r}"
+                    ) from None
+                if not math.isfinite(v):
+                    raise ValueError(f"{path}: non-finite value at row {i}, column {header[j]!r}")
+                vals.append(v)
+            lab, rid = _integral(row[label_pos]), _integral(row[0]) if has_id else len(ids)
+            if lab is None:
+                raise ValueError(f"{path}: non-integer label {row[label_pos]!r} at row {i}")
+            if rid is None:
+                raise ValueError(f"{path}: non-integer id {row[0]!r} at row {i}")
+            for j, value in ((label_pos, lab), (0, rid)):
+                if not _INT64.min <= value <= _INT64.max:
+                    raise ValueError(f"{path}: {row[j]!r} at row {i}, column {header[j]!r} is outside the int64 range")
+            if classes is not None and lab not in classes:
+                raise ValueError(f"{path}: unknown label {lab} at row {i}")
+            feats.fromlist(vals)
+            labels.append(lab)
+            ids.append(rid)
+    if not labels:
         raise ValueError(f"{path}: no data rows")
-    if len(set(ids)) != len(ids):
+    ids = np.frombuffer(ids, dtype=np.int64)
+    ordered = np.sort(ids)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError(f"{path}: duplicate row ids")
-    return Dataset(np.array(feats), np.array(labels), feature_names, np.array(ids))
+    features = np.frombuffer(feats).reshape(len(labels), len(feature_pos))
+    return Dataset(features, np.frombuffer(labels, dtype=np.int64), feature_names, ids)
 
 
 def _quote(text) -> str:

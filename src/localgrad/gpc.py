@@ -213,6 +213,21 @@ def ep_fit(
     )
 
 
+def _predictive_rows(model: GpcModel, X, grad: bool):
+    """_predictive's moments at the rows of one chunk X.  The chunk's K*,
+    solves and gradient tensor are freed on return, so the next chunk
+    builds its own with none of them alive."""
+    k_star = kernel_vector(model.kernel, X, model.train_x)
+    solved = cho_solve((model.chol_factor, True), k_star.T).T
+    k_self, grad_self = kernel_diag(model.kernel, X)
+    mean = np.einsum("qn,n->q", k_star, model.alpha)
+    var = k_self - np.einsum("qn,qn->q", k_star, solved)
+    if not grad:
+        return mean, var
+    J = kernel_grad_matrix(model.kernel, X, model.train_x)
+    return mean, var, np.einsum("qnd,n->qd", J, model.alpha), grad_self - 2.0 * np.einsum("qnd,qn->qd", J, solved)
+
+
 def _predictive(model: GpcModel, X, grad: bool = False):
     """Latent means and variances at the rows of the q x d block X, and
     with `grad` their q x d gradients: (mean, var[, grad_mean, grad_var]).
@@ -224,22 +239,15 @@ def _predictive(model: GpcModel, X, grad: bool = False):
     to 0 when roundoff takes it slightly negative; anything below -1e-10
     means the stored factorization is unhealthy.
     """
-    mean, var = np.empty(len(X)), np.empty(len(X))
-    grad_mean, grad_var = np.empty_like(X), np.empty_like(X)
+    out = (np.empty(len(X)), np.empty(len(X))) + ((np.empty_like(X), np.empty_like(X)) if grad else ())
     for rows in data._row_blocks(len(X), model.train_x.size):
-        k_star = kernel_vector(model.kernel, X[rows], model.train_x)
-        solved = cho_solve((model.chol_factor, True), k_star.T).T
-        k_self, grad_self = kernel_diag(model.kernel, X[rows])
-        mean[rows] = np.einsum("qn,n->q", k_star, model.alpha)
-        var[rows] = k_self - np.einsum("qn,qn->q", k_star, solved)
-        if grad:
-            J = kernel_grad_matrix(model.kernel, X[rows], model.train_x)
-            grad_mean[rows] = np.einsum("qnd,n->qd", J, model.alpha)
-            grad_var[rows] = grad_self - 2.0 * np.einsum("qnd,qn->qd", J, solved)
+        for whole, part in zip(out, _predictive_rows(model, X[rows], grad)):
+            whole[rows] = part
+    var = out[1]
     if np.any(var < -1e-10):
         raise RuntimeError(f"negative predictive variance {var.min():.3g}: factorization unhealthy")
     np.maximum(var, 0.0, out=var)
-    return (mean, var, grad_mean, grad_var) if grad else (mean, var)
+    return out
 
 
 def _probit(mean, var):

@@ -100,13 +100,23 @@ def _kernel_core(spec: KernelSpec, A: np.ndarray, B: np.ndarray, grad: bool = Fa
         K = np.exp(np.multiply(sq, -spec.width, out=sq), out=sq)  # in sq's buffer
         dK = -spec.width * K if grad else None
     else:
-        base = 1.0 + sq / (2.0 * spec.rq_alpha * spec.rq_length**2)
+        # 1 + sq / (2 alpha l^2), then the derivative -0.5 base^-(alpha + 1) / l^2,
+        # each in sq's buffer by the textbook form's operations in its order
+        base = np.add(np.divide(sq, 2.0 * spec.rq_alpha * spec.rq_length**2, out=sq), 1.0, out=sq)
         K = base**-spec.rq_alpha
-        dK = -0.5 * base ** -(spec.rq_alpha + 1.0) / spec.rq_length**2 if grad else None
+        if grad:
+            dK = base
+            dK **= -(spec.rq_alpha + 1.0)
+            dK *= -0.5
+            dK /= spec.rq_length**2
     if not grad:
         return K, None
-    J = A[:, None, :] - B[None, :, :]
-    J *= (2.0 * dK)[:, :, None]
+    # the differences go into a copy of the query rows: a broadcast
+    # subtraction would also take ufunc buffers beside J
+    J = np.repeat(A[:, None, :], len(B), axis=1)
+    J -= B
+    dK *= 2.0
+    J *= dK[:, :, None]
     return K, J
 
 

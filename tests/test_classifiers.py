@@ -1,5 +1,4 @@
 import csv
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,34 +224,27 @@ def test_fit_loo_selects_minimizer():
     assert clf.k == min(k for k, e in errors.items() if e == best)
 
 
-def test_fit_loo_memory_stays_quadratic():
+def test_fit_loo_memory_stays_quadratic(traced):
     # an m x m x d difference tensor alone would take 69 MB here
     rng = np.random.default_rng(4)
     X = rng.normal(size=(600, 24))
     y = rng.integers(0, 2, size=600)
-    tracemalloc.start()
-    try:
+    with traced() as peak:
         knn_fit_loo(X, y, range(1, 11))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 25e6
+        used = peak()
+    assert used < 25e6
 
 
-def test_knn_memory_grows_linearly():
+def test_knn_memory_grows_linearly(traced):
     # one 2000 x 2000 float64 distance matrix alone would take 32 MB
     rng = np.random.default_rng(5)
     X = rng.normal(size=(2000, 6))
     y = rng.integers(0, 2, size=2000)
-    tracemalloc.start()
-    try:
+    with traced() as peak:
         clf = knn_fit_loo(X, y, range(1, 11))
-        fit_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
+        fit_peak = peak()
         clf.predict(rng.normal(size=(2000, 6)))
-        predict_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        predict_peak = peak()
     assert fit_peak < 8e6
     assert predict_peak < 8e6
 

@@ -10,7 +10,7 @@ import pytest
 from localgrad import classifiers, cli, data as datamod
 from localgrad.classifiers import KnnClassifier
 from localgrad.cli import main
-from localgrad.data import Dataset, gen_triangle, load_csv, save_csv
+from localgrad.data import Dataset, gen_nonlinear, gen_triangle, load_csv, save_csv
 from localgrad.gpc import explain_gpc, load_gpc, predict_proba
 from localgrad.mimic import ParzenMimic, mimic_predict, parzen_posterior_not, select_width
 from oracles import load_explanations
@@ -153,6 +153,22 @@ def test_fit_gpc_grid_search_with_one_minority_row(tmp_path):
     metrics = json.loads((tmp_path / "m-metrics.json").read_text())
     assert metrics["label_map"] == {"0": -1, "1": 1}
     assert metrics["grid_search"]["selected"] in (0.5, 1.0)
+
+
+def test_fit_gpc_grid_holds_one_candidate_at_a_time(tmp_path, traced):
+    # the final n = 250 fit holds three n x n arrays; with the last 188-row grid
+    # candidate also alive the command took 4.0 n^2 float64, and 3.4 n^2 when this
+    # bound was set
+    n = 250
+    base = gen_nonlinear(n, seed=41)
+    X = np.hstack([base.features, np.random.default_rng(42).normal(size=(n, 3))])
+    save_csv(Dataset(X, base.labels), tmp_path / "d.csv")
+    with traced() as peak:
+        rc = main(["fit-gpc", "--data", str(tmp_path / "d.csv"), "--kernel-grid", "0.05,0.15,0.45",
+                   "--out", str(tmp_path / "m.json")])
+        used = peak()
+    assert rc == 0
+    assert used < 3.7 * n * n * 8
 
 
 def test_fit_gpc_rejects_a_test_label_the_training_set_lacks(triangle_csv, tmp_path, capsys):

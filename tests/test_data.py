@@ -114,6 +114,56 @@ def test_load_missing_label_column(tmp_path):
         load_csv(p, classes=(0, 1))
 
 
+@pytest.mark.parametrize("text, message", [("", "empty file"), ("f1,label\r\n", "no data rows")])
+def test_load_empty_and_header_only_files(tmp_path, text, message):
+    p = write(tmp_path / "bare.csv", text)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+        load_csv(p)
+
+
+def test_load_blank_records_are_skipped_but_counted(tmp_path):
+    # the row index counts every record after the header, blank ones too
+    p = write(tmp_path / "gaps.csv", "f1,label\n\n1.0,0\n\n\n2.0,1\n")
+    ds = load_csv(p)
+    assert ds.features.tolist() == [[1.0], [2.0]] and ds.row_ids.tolist() == [0, 1]
+    p = write(tmp_path / "bad.csv", "f1,label\n\n1.0,0\n\n2.0,x\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: non-integer label 'x' at row 3")):
+        load_csv(p)
+
+
+def test_load_ragged_row_names_its_cell_count(tmp_path):
+    p = write(tmp_path / "ragged.csv", "id,f1,f2,label\n1,1.0,2.0,0\n2,1.0,2.0,1\n\n3,1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: row 3 has 2 cells, expected 4")):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+def test_load_non_finite_feature_names_row_and_column(tmp_path, cell):
+    p = write(tmp_path / "big.csv", f"f1,f2,label\n1.0,2.0,0\n3.0,{cell},1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: non-finite value at row 1, column 'f2'")):
+        load_csv(p)
+
+
+def test_load_reads_feature_cells_as_float_does(tmp_path):
+    # float() accepts underscores between digits and surrounding blanks
+    p = write(tmp_path / "a.csv", "f1,f2,label\n1_000, 2.5 ,0\n")
+    assert load_csv(p).features.tolist() == [[1000.0, 2.5]]
+
+
+def test_load_duplicate_ids_rejected(tmp_path):
+    p = write(tmp_path / "dup.csv", "id,f1,label\n4,1.0,0\n2,2.0,1\n4,3.0,1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: duplicate row ids")):
+        load_csv(p)
+
+
+def test_load_table_without_feature_columns(tmp_path):
+    p = write(tmp_path / "pred.csv", "id,label\n5,1\n3,0\n9,1\n")
+    ds = load_csv(p)
+    assert ds.features.shape == (3, 0) and ds.features.dtype == np.float64
+    assert ds.row_ids.tolist() == [5, 3, 9] and ds.labels.tolist() == [1, 0, 1]
+    assert ds.feature_names == []
+
+
 def test_save_load_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     ds = Dataset(
@@ -127,6 +177,22 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
     assert list(back.feature_names) == list(ds.feature_names)
+
+
+def test_load_csv_memory_is_the_table_not_the_cells(tmp_path, traced):
+    # 5000 x 12 features take 0.48 MB as float64; holding every cell as a str and
+    # then a float took 8.6 MB, and the streaming reader peaked at 0.71 MB when
+    # this bound was set
+    rng = np.random.default_rng(61)
+    ds = Dataset(rng.normal(size=(5000, 12)), rng.integers(0, 2, size=5000))
+    path = tmp_path / "wide.csv"
+    save_csv(ds, path)
+    with traced() as peak:
+        back = load_csv(path)
+        used = peak()
+    assert used < 2.5e6
+    assert back.features.flags.c_contiguous and back.features.dtype == np.float64
+    assert np.array_equal(back.features, ds.features) and np.array_equal(back.labels, ds.labels)
 
 
 @pytest.mark.parametrize("cells_per_write", [1, 13, datamod._WRITE_CELLS])

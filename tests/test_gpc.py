@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -425,18 +424,15 @@ def test_model_from_dict_factorization_check(triangle_gpc, monkeypatch, scale, f
         model_from_dict(model_to_dict(model))
 
 
-def test_model_from_dict_memory_stays_small():
+def test_model_from_dict_memory_stays_small(traced):
     # K, its factor and one residual buffer: three n x n float64 arrays
     n = 150
     X = np.random.default_rng(36).normal(size=(n, 5))
     blob = model_to_dict(ep_fit(X, np.where(X[:, 0] > 0, 1, -1), KernelSpec("rbf", width=0.3)))
-    tracemalloc.start()
-    try:
+    with traced() as peak:
         model_from_dict(blob)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * n * n * 8
+        used = peak()
+    assert used < 3.5 * n * n * 8
 
 
 # ------------------------------------------------------------ block queries
@@ -487,36 +483,45 @@ def test_block_gradients_match_dense_inverse_oracle(three_kind_models, kind):
         np.testing.assert_allclose(grad_var[i], want[3], rtol=1e-6, atol=1e-7)
 
 
-def test_explain_block_memory_stays_small():
+def test_explain_block_memory_stays_small(traced):
     # one unchunked 2000 x 300 x 5 gradient tensor alone would take 24 MB
     rng = np.random.default_rng(34)
     X = rng.normal(size=(300, 5))
     model = ep_fit(X, np.where(X[:, 0] > 0, 1, -1), KernelSpec("rbf", width=0.3))
     queries = rng.normal(size=(2000, 5))
-    tracemalloc.start()
-    try:
+    with traced() as peak:
         evs = explain_gpc(model, queries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        used = peak()
     assert evs.gradient.shape == (2000, 5)
-    assert peak < 4e6
+    assert used < 4e6
 
 
-def test_ep_fit_memory_stays_small():
+def test_explain_block_frees_each_chunk_before_the_next(traced):
+    # 47 chunks of 43 rows; a chunk's 43 x 150 x 5 gradient tensor is 0.26 MB. With
+    # the previous chunk's tensor, K* and solves still alive this took 1.05 MB; the
+    # record and one chunk's arrays peaked at 0.74 MB when this bound was set
+    rng = np.random.default_rng(34)
+    X = rng.normal(size=(150, 5))
+    model = ep_fit(X, np.where(X[:, 0] > 0, 1, -1), KernelSpec("rbf", width=0.3))
+    queries = rng.normal(size=(2000, 5))
+    with traced() as peak:
+        evs = explain_gpc(model, queries)
+        used = peak()
+    assert evs.gradient.shape == (2000, 5)
+    assert used < 0.85e6
+
+
+def test_ep_fit_memory_stays_small(traced):
     # a sweep holds K and two n x n LAPACK buffers; four n^2 float64 is the bound
     n = 250
     rng = np.random.default_rng(35)
     X = rng.normal(size=(n, 5))
     y = np.where(X[:, 0] + 0.5 * X[:, 1] > 0, 1, -1)
-    tracemalloc.start()
-    try:
+    with traced() as peak:
         model = ep_fit(X, y, KernelSpec("rbf", width=0.3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        used = peak()
     assert model.converged and model.ep_iterations > 1
-    assert peak < 4 * n * n * 8
+    assert used < 4 * n * n * 8
 
 
 # ----------------------------------------------------------- EP recompute

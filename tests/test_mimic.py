@@ -1,6 +1,5 @@
 import functools
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -540,51 +539,41 @@ def test_default_sigma_grid_rejects_an_overflowing_median():
         default_sigma_grid(X)
 
 
-def test_default_sigma_grid_memory_stays_in_blocks():
+def test_default_sigma_grid_memory_stays_in_blocks(traced):
     # one buffer of the 1500 * 1499 / 2 pairwise distances alone would take 9 MB; the
     # selection's passes over row blocks peaked at 0.8 MB when this bound was set
     X = np.random.default_rng(53).normal(size=(1500, 6))
-    tracemalloc.start()
-    try:
+    with traced() as peak:
         grid = default_sigma_grid(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5e6
+        used = peak()
+    assert used < 1.5e6
     assert grid.tobytes() == sigma_grid_pdist(X).tobytes()
 
 
-def test_width_selection_memory_stays_quadratic():
+def test_width_selection_memory_stays_quadratic(traced):
     # an m x m x d difference tensor alone would take 69 MB here
     rng = np.random.default_rng(10)
     X = rng.normal(size=(600, 24))
     y = rng.integers(0, 2, size=600)
-    tracemalloc.start()
-    try:
+    with traced() as peak:
         grid = default_sigma_grid(X)
-        grid_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
+        grid_peak = peak()
         select_width(X, y, grid)
-        select_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        select_peak = peak()
     assert grid_peak < 25e6
     assert select_peak < 25e6
 
 
-def test_width_selection_memory_grows_linearly():
+def test_width_selection_memory_grows_linearly(traced):
     # two 2000 x 2000 float64 buffers alone would take 64 MB
     rng = np.random.default_rng(13)
     X = rng.normal(size=(2000, 6))
     y = rng.integers(0, 2, size=2000)
     grid = np.logspace(-1, 1, 25)
-    tracemalloc.start()
-    try:
+    with traced() as peak:
         select_width(X, y, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+        used = peak()
+    assert used < 8e6
 
 
 # ------------------------------------------------------------- explanations
@@ -943,7 +932,7 @@ def test_flagged_rows_with_a_zero_hessian_keep_their_gradient(monkeypatch, block
         assert_same_point_record(evs.row(i), point)
 
 
-def test_block_explanation_memory_stays_in_chunks():
+def test_block_explanation_memory_stays_in_chunks(traced):
     # a 2000 x 800 x 7 difference tensor alone would take 90 MB; the chunked
     # pass, its 2000-row record included, peaked at 0.90 MB when this bound was set.
     # A threshold that sends half the rows to the Hessian copies no more than a chunk
@@ -953,13 +942,10 @@ def test_block_explanation_memory_stays_in_chunks():
     labels = rng.integers(0, 2, size=2000)
     median = float(np.median(np.linalg.norm(explain_mimic(mm, queries, labels).gradient, axis=1)))
     for threshold in (None, median):
-        tracemalloc.start()
-        try:
+        with traced() as peak:
             evs = explain_mimic(mm, queries, labels, hessian_threshold=threshold)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5e6
+            used = peak()
+        assert used < 1.5e6
     assert np.count_nonzero(evs.source == "hessian-fallback") == 1000
 
 
