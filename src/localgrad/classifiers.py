@@ -67,7 +67,7 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     exact = np.count_nonzero(within, axis=1) == k
     order = np.empty((len(dist), k), dtype=np.intp)
     cols = np.nonzero(within[exact])[1].reshape(-1, k)
-    near = np.take_along_axis(dist[exact], cols, axis=1)
+    near = dist[np.flatnonzero(exact)[:, None], cols]  # the k columns only, with no copy of whole rows
     order[exact] = np.take_along_axis(cols, np.argsort(near, axis=1, kind="stable"), axis=1)
     order[~exact] = np.argsort(dist[~exact], axis=1, kind="stable")[:, :k]
     return order

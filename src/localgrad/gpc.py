@@ -28,7 +28,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import erfc, log_ndtr
 
 from . import data
@@ -99,20 +100,44 @@ def _site_factor(K, site_variance):
     return cholesky(A, lower=True, overwrite_a=True)
 
 
+def _v_column_norms(L, K_rows, sroot):
+    """Squared norms of the columns of V = L^-1 S^1/2 K at the rows K_rows of
+    the symmetric K, from one Fortran-ordered block that the triangular
+    solve overwrites and that is freed on return."""
+    V = (K_rows * sroot).T  # columns of sroot[:, None] * K bit for bit, as K is exactly symmetric
+    V = dtrtrs(L, V, lower=1, overwrite_b=1)[0]
+    return np.einsum("ij,ij->j", V, V)
+
+
 def _recompute_posterior(K, tau, nu):
-    """Stable recomputation of the EP posterior q(f) = N(mu, Sigma) with
-    Sigma = K - V'V: its marginal variances diag(Sigma) and its mean
-    Sigma @ nu, without forming Sigma.  Besides K it holds two n x n
-    Fortran-ordered buffers, which LAPACK overwrites with V and with the
-    factor of B.  K is finite (`ep_fit` checks it), so the LAPACK calls
-    skip their finiteness scans and a non-finite result raises instead."""
+    """Stable recomputation of the EP posterior q(f) = N(mu, Sigma), Sigma =
+    K - V'V with V = L^-1 S^1/2 K and L the factor of B = I + S^1/2 K S^1/2
+    (GPML Alg. 3.5): its marginal variances and its mean Sigma @ nu, with
+    neither Sigma nor the whole V.  Besides K it holds L, formed and
+    factored in place in one Fortran-ordered buffer, and one block of V's
+    columns from data._row_blocks(n, n) at a time.  The mean is Alg. 3.6's,
+    K (nu - S^1/2 L^-T L^-1 S^1/2 K nu).  A one-column solve takes another
+    BLAS path, so a lone last column is solved beside the one before it;
+    the variances are then the whole V's bit for bit, except with blocks of
+    one column (above n = 16384 by default), which move them by about
+    1e-14 of diag(K).  The solves call LAPACK's trtrs as solve_triangular
+    does, but without its per-call checks, which took over half of a vector
+    solve's time at n = 250; L's diagonal is positive, so no solve is
+    singular.  K is finite (`ep_fit` checks it), so no call scans for
+    non-finite entries and a non-finite result raises instead."""
+    n = len(K)
     sroot = np.sqrt(tau)
-    V = (K * sroot).T  # sroot[:, None] * K bit for bit, as K is exactly symmetric
-    B = V * sroot
+    B = (K * sroot).T
+    B *= sroot
     np.einsum("ii->i", B)[...] += 1.0
     L = cholesky(B, lower=True, overwrite_a=True, check_finite=False)
-    V = solve_triangular(L, V, lower=True, overwrite_b=True, check_finite=False)
-    post_var, mu = np.diag(K) - np.einsum("ij,ij->j", V, V), K @ nu - V.T @ (V @ nu)
+    post_var = np.diag(K).copy()
+    for cols in data._row_blocks(n, n):
+        lo = min(cols.start, n - 2)  # below cols.start only for a lone last column
+        post_var[cols] -= _v_column_norms(L, K[lo : cols.stop], sroot)[cols.start - lo :]
+    w = dtrtrs(L, sroot * (K @ nu), lower=1, overwrite_b=1)[0]
+    w = dtrtrs(L, w, lower=1, trans=1, overwrite_b=1)[0]
+    mu = K @ (nu - sroot * w)
     if not (np.isfinite(post_var).all() and np.isfinite(mu).all()):
         raise np.linalg.LinAlgError("EP posterior is not finite")
     return post_var, mu
@@ -297,6 +322,15 @@ def model_to_dict(model: GpcModel) -> dict:
     }
 
 
+def _residual_sq(L, K, site_variance, rows):
+    """Squared Frobenius norm of the rows `rows` of L L' - K - diag(site_variance),
+    formed in one block that is freed on return."""
+    R = L[rows] @ L.T
+    R -= K[rows]
+    np.einsum("ii->i", R[:, rows])[...] -= site_variance[rows]
+    return np.vdot(R, R)
+
+
 def model_from_dict(obj: dict) -> GpcModel:
     """Rebuild a model; the factorization is recomputed and verified."""
     kernel = kernel_from_dict(obj["kernel"])
@@ -311,11 +345,9 @@ def model_from_dict(obj: dict) -> GpcModel:
         raise ValueError("site_variance entries must be nonnegative")
     K, jitter = _add_jitter(kernel_gram(kernel, X))
     L = _site_factor(K, site_variance)
-    R = L @ L.T  # the residual against K + diag(s), in one n x n buffer
-    R -= K
-    np.einsum("ii->i", R)[...] -= site_variance
     s = site_variance  # |K + diag(s)|^2 = |K|^2 + 2 s.diag(K) + |s|^2
-    err = np.linalg.norm(R) / np.sqrt(np.linalg.norm(K) ** 2 + 2.0 * s @ np.diag(K) + s @ s)
+    sq = sum(_residual_sq(L, K, s, rows) for rows in data._row_blocks(len(K), len(K)))
+    err = np.sqrt(sq) / np.sqrt(np.linalg.norm(K) ** 2 + 2.0 * s @ np.diag(K) + s @ s)
     if not err < 1e-8:
         raise ValueError(f"factorization check failed (relative error {err:.3g})")
     fbar = K @ alpha

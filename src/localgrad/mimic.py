@@ -287,7 +287,10 @@ def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray, hessian_thre
     einsum over its slice; a row's result does not depend on the other rows."""
     w, far = _weights(mimic, X)
     w[far] = 0.0
-    diff = X[:, None, :] - mimic.ref_x
+    # the differences go into a copy of the rows, as in the kernel core: a
+    # broadcast subtraction would also take ufunc buffers beside them
+    diff = np.repeat(X[:, None, :], len(mimic.ref_x), axis=1)
+    diff -= mimic.ref_x
     sums = _class_sums(mimic.class_slices, w)
     v = np.stack([np.einsum("ri,rid->rd", w[:, s], diff[:, s]) for s in mimic.class_slices], axis=1)
     rows, other = np.arange(len(X)), np.arange(len(mimic.classes)) != j[:, None]

@@ -92,7 +92,9 @@ def latent_moments_dense(model, x0):
 def ep_posterior_gpml(K, tau, nu):
     """EP posterior marginal variances and mean from the stable B-form of
     GPML section 3.6, as plain expressions with fresh arrays: B = I +
-    S^1/2 K S^1/2, L = chol(B), V = L^-1 S^1/2 K, Sigma = K - V'V."""
+    S^1/2 K S^1/2, L = chol(B), V = L^-1 S^1/2 K, diag(Sigma) = diag(K -
+    V'V) from the whole V, and the mean Sigma nu in Alg. 3.6's form,
+    K (nu - S^1/2 L^-T L^-1 S^1/2 K nu)."""
     from scipy.linalg import cholesky, solve_triangular
 
     n = K.shape[0]
@@ -100,7 +102,31 @@ def ep_posterior_gpml(K, tau, nu):
     B = np.eye(n) + sroot[:, None] * K * sroot[None, :]
     L = cholesky(B, lower=True)
     V = solve_triangular(L, sroot[:, None] * K, lower=True)
-    return np.diag(K) - np.einsum("ij,ij->j", V, V), K @ nu - V.T @ (V @ nu)
+    w = solve_triangular(L, solve_triangular(L, sroot * (K @ nu), lower=True), lower=True, trans="T")
+    return np.diag(K) - np.einsum("ij,ij->j", V, V), K @ (nu - sroot * w)
+
+
+def ep_posterior_mean_mp(K, tau, nu, dps=50):
+    """The EP posterior mean Sigma nu = K (nu - S^1/2 B^-1 S^1/2 K nu), B =
+    I + S^1/2 K S^1/2, through mpmath at `dps` digits from the float64
+    inputs taken exactly: B x = S^1/2 K nu by Gaussian elimination without
+    pivoting (B is symmetric positive definite), on object arrays of mpf."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = len(K)
+        Km = np.array([[mpmath.mpf(float(v)) for v in row] for row in K], dtype=object)
+        sroot = np.array([mpmath.sqrt(mpmath.mpf(float(t))) for t in tau], dtype=object)
+        num = np.array([mpmath.mpf(float(v)) for v in nu], dtype=object)
+        B = sroot[:, None] * Km * sroot[None, :] + np.eye(n, dtype=int)
+        x = sroot * (Km @ num)
+        for k in range(n):
+            f = B[k + 1 :, k] / B[k, k]
+            B[k + 1 :, k + 1 :] -= np.outer(f, B[k, k + 1 :])
+            x[k + 1 :] -= f * x[k]
+        for k in range(n - 1, -1, -1):
+            x[k] = (x[k] - B[k, k + 1 :] @ x[k + 1 :]) / B[k, k]
+        return np.array([float(v) for v in Km @ (num - sroot * x)])
 
 
 def ep_sequential_oracle(train_x, train_y, kernel, tol=1e-6, max_sweeps=100, damping=0.5):

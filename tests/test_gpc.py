@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
 from localgrad import gpc
 from localgrad.data import ExplanationVector, gen_nonlinear, gen_triangle
@@ -23,6 +24,7 @@ from localgrad.kernels import KernelSpec, kernel_gram, kernel_to_dict
 from oracles import (
     assert_same_point_record,
     ep_posterior_gpml,
+    ep_posterior_mean_mp,
     ep_sequential_oracle,
     erfc_oracle,
     fd_gradient,
@@ -413,19 +415,45 @@ def test_model_from_dict_rejects_length_mismatch(triangle_gpc, key):
 
 @pytest.mark.parametrize("scale, fails", [(1.0 + 1e-6, True), (1.0 + 1e-12, False)])
 def test_model_from_dict_factorization_check(triangle_gpc, monkeypatch, scale, fails):
-    # a factor off by `scale` leaves a relative residual of about 2 (scale - 1)
+    # a factor off by `scale` leaves a relative residual of about 2 (scale - 1); its
+    # norm is summed over one block of all n = 60 rows, then over blocks of 7 rows
     _, model = triangle_gpc
+    n = len(model.train_x)
     site_factor = gpc._site_factor
     monkeypatch.setattr(gpc, "_site_factor", lambda K, s: site_factor(K, s) * scale)
-    if fails:
-        with pytest.raises(ValueError, match="factorization check failed"):
+    messages = []
+    for block_rows in (n, 7):
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * n)
+        if fails:
+            with pytest.raises(ValueError, match="factorization check failed") as info:
+                model_from_dict(model_to_dict(model))
+            messages.append(str(info.value))
+        else:
             model_from_dict(model_to_dict(model))
-    else:
-        model_from_dict(model_to_dict(model))
+    assert messages[:1] == messages[1:]
+
+
+def test_model_from_dict_forms_the_residual_in_row_blocks(traced):
+    # K, its factor and one 81-row block of the residual; the whole residual took
+    # 3.02 n^2 float64 at n = 400, and the blocks 2.22 n^2 when this bound was set
+    n = 400
+    rng = np.random.default_rng(39)
+    X = rng.normal(size=(n, 5))
+    blob = {
+        "kernel": kernel_to_dict(KernelSpec("rbf", width=0.3)),
+        "train_x": X.tolist(),
+        "train_y": np.where(X[:, 0] > 0, 1, -1).tolist(),
+        "site_variance": rng.uniform(0.5, 5.0, n).tolist(),
+        "alpha": rng.normal(size=n).tolist(),
+    }
+    with traced() as peak:
+        model_from_dict(blob)
+        used = peak()
+    assert used < 2.5 * n * n * 8
 
 
 def test_model_from_dict_memory_stays_small(traced):
-    # K, its factor and one residual buffer: three n x n float64 arrays
+    # K, its factor and the residual, whose one block holds all n = 150 rows
     n = 150
     X = np.random.default_rng(36).normal(size=(n, 5))
     blob = model_to_dict(ep_fit(X, np.where(X[:, 0] > 0, 1, -1), KernelSpec("rbf", width=0.3)))
@@ -512,7 +540,8 @@ def test_explain_block_frees_each_chunk_before_the_next(traced):
 
 
 def test_ep_fit_memory_stays_small(traced):
-    # a sweep holds K and two n x n LAPACK buffers; four n^2 float64 is the bound
+    # a sweep holds K, the factor of B and one column block of V: 2.75 n^2 float64
+    # when this bound was set, and 3.22 n^2 with the whole V
     n = 250
     rng = np.random.default_rng(35)
     X = rng.normal(size=(n, 5))
@@ -521,33 +550,103 @@ def test_ep_fit_memory_stays_small(traced):
         model = ep_fit(X, y, KernelSpec("rbf", width=0.3))
         used = peak()
     assert model.converged and model.ep_iterations > 1
-    assert used < 4 * n * n * 8
+    assert used < 3.0 * n * n * 8
 
 
 # ----------------------------------------------------------- EP recompute
 
 
-@pytest.mark.parametrize("tau_case", ["zero", "mixed", "near-1e14"])
-@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=[spec.kind for spec in BLOCK_SPECS])
-def test_recompute_posterior_bytes_equal_gpml_form(spec, tau_case):
+TAU_CASES = ["zero", "mixed", "near-1e14"]
+
+
+def _posterior_case(spec, tau_case, n):
     # exact zeros in the data give the linear Gram zero and negative entries,
     # so the scaled Gram holds -0.0 wherever a zero tau meets a negative entry
     rng = np.random.default_rng(36)
-    X = rng.normal(size=(80, 3))
+    X = rng.normal(size=(n, 3))
     X[rng.random(X.shape) < 0.2] = 0.0
     K, _ = _add_jitter(kernel_gram(spec, X))
-    n = len(K)
     tau = {
         "zero": np.zeros(n),
         "mixed": np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.1, 3.0, n)),
         "near-1e14": rng.uniform(0.5e14, 1e14, n),
     }[tau_case]
     assert np.any(K < 0) == (spec.kind == "linear")
+    return K, tau, rng
+
+
+@pytest.mark.parametrize("tau_case", TAU_CASES)
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=[spec.kind for spec in BLOCK_SPECS])
+def test_recompute_posterior_bytes_equal_gpml_form(spec, tau_case):
+    K, tau, rng = _posterior_case(spec, tau_case, 80)
+    n = len(K)
     for nu in (np.zeros(n), np.where(tau == 0, 0.0, rng.normal(size=n)), rng.normal(size=n)):
         got = _recompute_posterior(K, tau, nu)
         want = ep_posterior_gpml(K, tau, nu)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("cols", [2, 3, 64, 83, 125, 131, 249, 250, 262])
+def test_recompute_posterior_bytes_equal_gpml_form_in_column_blocks(monkeypatch, cols):
+    # n = 250 in blocks of `cols` columns of V (131 is the default budget's); 3, 83
+    # and 249 leave a lone last column, which is solved beside the one before it
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", cols * 250)
+    for spec in BLOCK_SPECS:
+        for tau_case in TAU_CASES:
+            K, tau, rng = _posterior_case(spec, tau_case, 250)
+            nu = rng.normal(size=250)
+            got = _recompute_posterior(K, tau, nu)
+            want = ep_posterior_gpml(K, tau, nu)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("tau_case", TAU_CASES)
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=[spec.kind for spec in BLOCK_SPECS])
+def test_recompute_posterior_one_column_blocks_move_variances_by_roundoff(monkeypatch, spec, tau_case):
+    # a one-column triangular solve takes another BLAS path; the default budget
+    # gives one-column blocks only above n = 16384. The error is taken against
+    # diag(K), the scale of the subtraction: at tau ~ 1e14 the variances are
+    # about 1e-14 and hold no correct digit in either form
+    K, tau, rng = _posterior_case(spec, tau_case, 250)
+    nu = rng.normal(size=250)
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", 250)
+    post_var, mu = _recompute_posterior(K, tau, nu)
+    want_var, want_mu = ep_posterior_gpml(K, tau, nu)
+    assert mu.tobytes() == want_mu.tobytes()
+    assert np.all(np.abs(post_var - want_var) <= 1e-13 * np.diag(K))
+
+
+@pytest.mark.parametrize("tau_case", TAU_CASES)
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=[spec.kind for spec in BLOCK_SPECS])
+def test_recompute_posterior_mean_no_less_accurate_than_v_form(spec, tau_case):
+    # GPML Alg. 3.6's mean against the whole-V form K nu - V'(V nu), both against
+    # a 50-digit reference; at tau ~ 1e14 both keep only about one digit
+    K, tau, rng = _posterior_case(spec, tau_case, 80)
+    nu = rng.normal(size=80)
+    ref = ep_posterior_mean_mp(K, tau, nu)
+    sroot = np.sqrt(tau)
+    L = cholesky(np.eye(80) + sroot[:, None] * K * sroot[None, :], lower=True)
+    V = solve_triangular(L, sroot[:, None] * K, lower=True)
+
+    def err(mu):
+        return np.linalg.norm(mu - ref) / np.linalg.norm(ref)
+
+    assert err(_recompute_posterior(K, tau, nu)[1]) <= err(K @ nu - V.T @ (V @ nu))
+
+
+def test_recompute_posterior_holds_the_factor_and_one_block(traced):
+    # K, built before tracing, the factor of B and one 131-column block of V; with
+    # the whole V this took 2.13 n^2 float64, and 1.66 n^2 when this bound was set
+    n = 250
+    rng = np.random.default_rng(38)
+    K, _ = _add_jitter(kernel_gram(KernelSpec("rbf", width=0.3), rng.normal(size=(n, 5))))
+    tau, nu = rng.uniform(0.1, 3.0, n), rng.normal(size=n)
+    with traced() as peak:
+        _recompute_posterior(K, tau, nu)
+        used = peak()
+    assert used < 1.8 * n * n * 8
 
 
 def test_recompute_posterior_raises_on_non_finite_result():
