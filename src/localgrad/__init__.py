@@ -47,7 +47,6 @@ from .kernels import KernelSpec, kernel_from_dict, kernel_to_dict
 from .mimic import (
     ParzenMimic,
     explain_mimic,
-    hessian_direction,
     mimic_predict,
     parzen_posterior_not,
     select_width,
@@ -74,7 +73,6 @@ __all__ = [
     "gen_nonlinear",
     "gen_three_clusters",
     "gen_triangle",
-    "hessian_direction",
     "histogram",
     "inject_outliers",
     "iris_binary",

@@ -264,12 +264,11 @@ def cmd_morph(args) -> int:
     _require(args, "out", "data" if args.queries is None else "queries")
     queries = datamod.load_csv(args.queries or args.data)
     steps = _count(args, "steps", 50, least=0)
-    if args.step_size is None:
-        step_size = 0.1 * float(np.mean(queries.features.std(axis=0)))
-    elif args.step_size > 0:
-        step_size = args.step_size
-    else:
+    if args.step_size is not None and not args.step_size > 0:
         raise ValueError(f"--step-size must be positive, got {args.step_size}")
+    step_size = args.step_size or 0.1 * float(np.mean(queries.features.std(axis=0)))
+    if not step_size > 0:  # one query, or identical ones, would never move
+        raise ValueError("the queries have no spread to scale the step by; pass --step-size")
     evs, (route, obj) = _explanations(args, queries)
 
     start, label0, G = queries.features, evs.predicted_label, evs.gradient

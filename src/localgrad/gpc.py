@@ -170,6 +170,8 @@ def ep_fit(
     X = np.asarray(train_x, dtype=float)
     y = np.asarray(train_y, dtype=float)
     n = X.shape[0]
+    if len(y) != n:
+        raise ValueError(f"train_y has {len(y)} entries but train_x has {n} rows")
     if n < 2:
         raise ValueError("need at least two training points")
     if not set(np.unique(y)) == {-1.0, 1.0}:
@@ -239,17 +241,19 @@ def ep_fit(
 
 
 def _predictive_rows(model: GpcModel, X, grad: bool):
-    """_predictive's moments at the rows of one chunk X.  The chunk's K*,
-    solves and gradient tensor are freed on return, so the next chunk
-    builds its own with none of them alive."""
-    k_star = kernel_vector(model.kernel, X, model.train_x)
+    """_predictive's moments at the rows of one chunk X, from one kernel pass.
+    The chunk's K*, solves and gradient tensor are freed on return, so the
+    next chunk builds its own with none of them alive."""
+    if grad:
+        k_star, J = kernel_grad_matrix(model.kernel, X, model.train_x)
+    else:
+        k_star = kernel_vector(model.kernel, X, model.train_x)
     solved = cho_solve((model.chol_factor, True), k_star.T).T
     k_self, grad_self = kernel_diag(model.kernel, X)
     mean = np.einsum("qn,n->q", k_star, model.alpha)
     var = k_self - np.einsum("qn,qn->q", k_star, solved)
     if not grad:
         return mean, var
-    J = kernel_grad_matrix(model.kernel, X, model.train_x)
     return mean, var, np.einsum("qnd,n->qd", J, model.alpha), grad_self - 2.0 * np.einsum("qnd,qn->qd", J, solved)
 
 

@@ -120,37 +120,31 @@ def _kernel_core(spec: KernelSpec, A: np.ndarray, B: np.ndarray, grad: bool = Fa
     return K, J
 
 
-def _check_cross(x0, points):
-    """x0 as a block of query rows, points, and whether x0 was one point."""
-    x0 = np.asarray(x0, dtype=float)
-    X = _as_matrix(x0[None] if x0.ndim == 1 else x0, "x0")
-    P = _as_matrix(points, "points")
+def _check_cross(X, points):
+    """The query block X and the points, as 2-d arrays of one width."""
+    X, P = _as_matrix(X, "X"), _as_matrix(points, "points")
     if P.shape[1] != X.shape[1]:
-        raise ValueError(f"dimension mismatch: x0 has {X.shape[1]} components, points have {P.shape[1]}")
-    return X, P, x0.ndim == 1
+        raise ValueError(f"dimension mismatch: X has {X.shape[1]} columns, points have {P.shape[1]}")
+    return X, P
 
 
-def kernel_vector(spec: KernelSpec, x0, points) -> np.ndarray:
-    """Kernel values (k(x0, p_1), ..., k(x0, p_n)) at a point x0, or one
-    such row per row of a q x d block x0."""
-    X, P, point = _check_cross(x0, points)
-    K = _kernel_core(spec, X, P)[0]
-    return K[0] if point else K
+def kernel_vector(spec: KernelSpec, X, points) -> np.ndarray:
+    """Kernel values K[i, j] = k(x_i, p_j) at the rows of a q x d block X."""
+    return _kernel_core(spec, *_check_cross(X, points))[0]
 
 
 def kernel_gram(spec: KernelSpec, points) -> np.ndarray:
     """Gram matrix K_ij = k(p_i, p_j); exactly symmetric, row i equal to
-    kernel_vector(spec, p_i, points)."""
+    kernel_vector(spec, points[i:i + 1], points)[0]."""
     P = _as_matrix(points, "points")
     return _kernel_core(spec, P, P)[0]
 
 
-def kernel_grad_matrix(spec: KernelSpec, x0, points) -> np.ndarray:
-    """Stacked gradients at a point x0: row i is the gradient of k(., p_i)
-    at x0.  A q x d block x0 gives one such n x d matrix per row."""
-    X, P, point = _check_cross(x0, points)
-    J = _kernel_core(spec, X, P, grad=True)[1]
-    return J[0] if point else J
+def kernel_grad_matrix(spec: KernelSpec, X, points):
+    """kernel_vector's K at the rows of a q x d block X, and the q x n x d
+    tensor J whose entry [i, j] is the gradient of k(., p_j) at x_i, from
+    one kernel pass."""
+    return _kernel_core(spec, *_check_cross(X, points), grad=True)
 
 
 def kernel_diag(spec: KernelSpec, X):

@@ -318,12 +318,11 @@ def _hessians(mimic: ParzenMimic, w, diff, j, s_in, s_out, v, zeta) -> np.ndarra
 
 
 def _top_directions(hess: np.ndarray):
-    """Top eigenvector (its first component with |v| > 1e-9 made positive) and eigenvalue
-    of each Hessian of a stack, and the mask of those of nonzero norm."""
-    eigvals, eigvecs = np.linalg.eigh(hess)
-    vec = eigvecs[:, :, -1]
+    """Top eigenvector (its first component with |v| > 1e-9 made positive) of each
+    Hessian of a stack, and the mask of those of nonzero norm."""
+    vec = np.linalg.eigh(hess)[1][:, :, -1]
     first = np.take_along_axis(vec, np.argmax(np.abs(vec) > 1e-9, axis=1)[:, None], axis=1)
-    return np.where(first < 0, -vec, vec), eigvals[:, -1], np.linalg.norm(hess, axis=(1, 2)) > 0.0
+    return np.where(first < 0, -vec, vec), np.linalg.norm(hess, axis=(1, 2)) > 0.0
 
 
 def explain_mimic(mimic: ParzenMimic, z, g_label, hessian_threshold=None) -> ExplanationVector:
@@ -347,34 +346,13 @@ def explain_mimic(mimic: ParzenMimic, z, g_label, hessian_threshold=None) -> Exp
     for rows in data._row_blocks(len(X), mimic.ref_x.size):
         gradient[rows], far[rows], flagged, hess = _explain_rows(mimic, X[rows], j[rows], hessian_threshold)
         if hess is not None:
-            direction, _, informative = _top_directions(hess)
+            direction, informative = _top_directions(hess)
             taken = rows.start + flagged[informative]
             gradient[taken], fallback[taken] = direction[informative], True
     labels = mimic.classes[j]
     source = np.where(fallback, "hessian-fallback", "parzen-mimic")
     evs = ExplanationVector(X, gradient, parzen_posterior_not(mimic, X, labels), labels, source, far)
     return evs.row(0) if point else evs
-
-
-def parzen_hessian(mimic: ParzenMimic, z, c) -> np.ndarray:
-    """Analytic Hessian of p(y != c | x) at a point z, by the module docstring's
-    identity; zero in the far field.  A point view of the explainer's row chunk,
-    which forms the Hessians of its flagged rows in its one weight pass."""
-    X, point, j = _queries(mimic, z, c)  # the label is checked near and far
-    if not point:
-        raise ValueError(f"the Hessian is taken at one point, got shape {X.shape}")
-    _, _, _, hess = _explain_rows(mimic, X, j, np.inf)  # flags every near row
-    return np.zeros((X.shape[1], X.shape[1])) if hess is None else hess[0]
-
-
-def hessian_direction(mimic: ParzenMimic, z, g_label):
-    """Fallback direction where the explanation gradient vanishes: the top eigenvector of the
-    Hessian of p(y != g_label | x) at a point z, its first component with |v| > 1e-9 made
-    positive, and its eigenvalue.  A zero Hessian has no informative direction: an error."""
-    direction, eigval, informative = _top_directions(parzen_hessian(mimic, z, g_label)[None])
-    if not informative[0]:
-        raise ValueError("no informative direction: Hessian is numerically zero")
-    return direction[0], float(eigval[0])
 
 
 def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:
@@ -386,8 +364,8 @@ def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:
     """
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
-    if len(Q) != len(G):
-        raise ValueError("queries and gradients must be aligned")
+    if G.shape != Q.shape:
+        raise ValueError(f"gradients must have the queries' shape {Q.shape}, got {G.shape}")
     if not window_halfwidth > 0:
         raise ValueError("window halfwidth must be positive")
     cubes = cKDTree(Q).query_ball_point(Q, window_halfwidth, p=np.inf, return_sorted=True)

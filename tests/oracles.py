@@ -46,17 +46,17 @@ def erfc_oracle(x, dps=30):
 
 
 def kernel_pair(spec, x, y):
-    """k(x, y) for one pair: kernel_vector at the point x on the one-row points [y]."""
+    """k(x, y) for one pair: kernel_vector at the one-row block [x] on the one-row points [y]."""
     from localgrad.kernels import kernel_vector
 
-    return float(kernel_vector(spec, x, np.asarray(y, dtype=float)[None])[0])
+    return float(kernel_vector(spec, np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None])[0, 0])
 
 
 def kernel_pair_grad(spec, x, y):
-    """Gradient of k(., y) at x: kernel_grad_matrix at the point x on the one-row points [y]."""
+    """Gradient of k(., y) at x: kernel_grad_matrix at the one-row block [x] on the one-row points [y]."""
     from localgrad.kernels import kernel_grad_matrix
 
-    return kernel_grad_matrix(spec, x, np.asarray(y, dtype=float)[None])[0]
+    return kernel_grad_matrix(spec, np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None])[1][0, 0]
 
 
 def latent_variance_dense(model, x0):
@@ -65,7 +65,7 @@ def latent_variance_dense(model, x0):
 
     K = kernel_gram(model.kernel, model.train_x)
     B = K + model.jitter * np.eye(len(K)) + np.diag(model.site_variance)
-    k_star = kernel_vector(model.kernel, x0, model.train_x)
+    k_star = kernel_vector(model.kernel, np.asarray(x0, dtype=float)[None], model.train_x)[0]
     return kernel_pair(model.kernel, x0, x0) - k_star @ np.linalg.inv(B) @ k_star
 
 

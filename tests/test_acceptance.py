@@ -35,7 +35,6 @@ from localgrad.mimic import (
     ParzenMimic,
     default_sigma_grid,
     explain_mimic,
-    hessian_direction,
     mimic_predict,
     parzen_posterior_not,
     select_width,
@@ -283,15 +282,15 @@ def test_05_three_cluster_hessian_fallback():
         norms.append(np.linalg.norm(explain_mimic(mm, b, g).gradient))
     boundary_median = float(np.median(norms))
 
-    direction, _eig = hessian_direction(mm, center, 2)
-    cos_x1 = abs(float(direction[0]))
-    ok = center_norm < 1e-3 * boundary_median and cos_x1 > 0.9
+    fallback = explain_mimic(mm, center, 2, hessian_threshold=1e-6)  # the --hessian-fallback path
+    cos_x1 = abs(float(fallback.gradient[0]))
+    ok = center_norm < 1e-3 * boundary_median and cos_x1 > 0.9 and fallback.source == "hessian-fallback"
     detail = _report(
         5,
         "three-cluster-fallback",
         ok,
         f"center norm {center_norm:.2e} vs 1e-3*boundary median "
-        f"{1e-3 * boundary_median:.2e}, |cos(direction, x1)| = {cos_x1:.4f} (>0.9)",
+        f"{1e-3 * boundary_median:.2e}, |cos(direction, x1)| = {cos_x1:.4f} (>0.9), source {fallback.source}",
     )
     assert ok, detail
 

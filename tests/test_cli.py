@@ -525,6 +525,24 @@ def test_morph_mimic_rows_match_recomputation(triangle_csv, tmp_path):
     assert len({row[0] for row in rows}) == 80 and flips > 0
 
 
+@pytest.mark.parametrize("copies", [1, 3])
+def test_morph_queries_with_no_spread_need_a_step_size(triangle_csv, fitted_model, tmp_path, capsys, copies):
+    # one query, or identical ones, scale the default step to 0: the command exited 0
+    # and wrote steps + 1 copies of each start
+    start = gen_triangle(40, seed=5).features[7]
+    queries = Dataset(np.tile(start, (copies, 1)), np.zeros(copies, int), ["x1", "x2"], np.arange(copies))
+    save_csv(queries, tmp_path / "queries.csv")
+    out = tmp_path / "morph.csv"
+    argv = ["morph", "--data", triangle_csv, "--queries", str(tmp_path / "queries.csv"), "--model", fitted_model]
+    assert main(argv + ["--steps", "5", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and "--step-size" in err["error"]
+    assert not out.exists()
+    assert main(argv + ["--steps", "5", "--step-size", "0.1", "--out", str(out)]) == 0
+    _, written = read_rows(out)
+    assert len({(row[2], row[3]) for row in written}) > 1  # the walk moves
+
+
 # --------------------------------------------------------------------- rank
 
 

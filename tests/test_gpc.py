@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from localgrad import gpc
+from localgrad import gpc, kernels
 from localgrad.data import ExplanationVector, gen_nonlinear, gen_triangle
 from localgrad.gpc import (
     GpcModel,
@@ -413,6 +413,15 @@ def test_model_from_dict_rejects_length_mismatch(triangle_gpc, key):
         model_from_dict(blob)
 
 
+@pytest.mark.parametrize("n_labels", [3, 5])
+def test_ep_fit_rejects_a_label_count_that_differs_from_the_rows(n_labels):
+    # unchecked, the labels met a mask over the rows: IndexError, boolean index did not match
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([-1, 1, -1, 1, -1])[:n_labels]
+    with pytest.raises(ValueError, match=f"train_y has {n_labels} entries but train_x has 4 rows"):
+        ep_fit(X, y, KernelSpec("rbf", width=1.0))
+
+
 @pytest.mark.parametrize("scale, fails", [(1.0 + 1e-6, True), (1.0 + 1e-12, False)])
 def test_model_from_dict_factorization_check(triangle_gpc, monkeypatch, scale, fails):
     # a factor off by `scale` leaves a relative residual of about 2 (scale - 1); its
@@ -496,6 +505,23 @@ def test_block_equals_point_whatever_the_chunk(three_kind_models, monkeypatch, b
     for i, (p1, ev1) in enumerate(points):
         assert probs[i] == p1 == ev1.predicted_probability
         assert_same_point_record(evs.row(i), ev1)
+
+
+@pytest.mark.parametrize("kind", [spec.kind for spec in BLOCK_SPECS])
+def test_a_gradient_chunk_makes_one_kernel_pass(three_kind_models, monkeypatch, kind):
+    # K* comes with the gradient tensor: 40 queries in chunks of 7 rows take 6 passes,
+    # where recomputing K* beside the tensor took 12; a probability chunk takes one too
+    model = next(m for m in three_kind_models if m.kernel.kind == kind)
+    queries = np.random.default_rng(35).normal(scale=2.0, size=(40, 3))
+    n, d = model.train_x.shape
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", 7 * n * d)
+    passes, core = [], kernels._kernel_core
+    monkeypatch.setattr(kernels, "_kernel_core", lambda *args, **kw: passes.append(len(args[1])) or core(*args, **kw))
+    explain_gpc(model, queries)
+    assert passes == [7] * 5 + [5]
+    passes.clear()
+    predict_proba(model, queries)
+    assert passes == [7] * 5 + [5]
 
 
 @pytest.mark.parametrize("kind", [spec.kind for spec in BLOCK_SPECS])

@@ -158,7 +158,7 @@ def test_gram_exactly_symmetric_with_rows_equal_to_kernel_vector(d):
         K = kernel_gram(spec, pts)
         assert np.array_equal(K, K.T)
         for i in range(len(pts)):
-            assert np.array_equal(K[i], kernel_vector(spec, pts[i], pts))
+            assert np.array_equal(K[i], kernel_vector(spec, pts[i : i + 1], pts)[0])
 
 
 def test_rbf_gram_in_one_buffer_bit_equal_to_textbook_form(traced):
@@ -185,7 +185,7 @@ def test_grad_matrix_in_place_bit_equal_to_textbook_form(traced, spec):
     rng = np.random.default_rng(14)
     A, B = rng.normal(scale=2.0, size=(q, d)), rng.normal(scale=2.0, size=(n, d))
     with traced() as peak:
-        J = kernel_grad_matrix(spec, A, B)
+        K_pass, J = kernel_grad_matrix(spec, A, B)
         used = peak()
     sq = cdist(A, B, "sqeuclidean")
     if spec.kind == "rbf":
@@ -195,7 +195,7 @@ def test_grad_matrix_in_place_bit_equal_to_textbook_form(traced, spec):
         base = 1.0 + sq / (2.0 * spec.rq_alpha * spec.rq_length**2)
         K = base**-spec.rq_alpha
         dK = -0.5 * base ** -(spec.rq_alpha + 1.0) / spec.rq_length**2
-    assert np.array_equal(kernel_vector(spec, A, B), K)
+    assert np.array_equal(K_pass, K) and np.array_equal(kernel_vector(spec, A, B), K)
     assert np.array_equal(J, (A[:, None, :] - B[None, :, :]) * (2.0 * dK)[:, :, None])
     assert used < (d + 2.5) * q * n * 8
 
@@ -218,8 +218,8 @@ def test_kernel_vector_and_grad_matrix_consistency():
     pts = rng.normal(size=(8, 3))
     x0 = rng.normal(size=3)
     for spec in all_specs():
-        kv = kernel_vector(spec, x0, pts)
-        J = kernel_grad_matrix(spec, x0, pts)
+        kv = kernel_vector(spec, x0[None], pts)[0]
+        J = kernel_grad_matrix(spec, x0[None], pts)[1][0]
         assert kv.shape == (8,)
         assert J.shape == (8, 3)
         for i in range(8):
@@ -229,21 +229,20 @@ def test_kernel_vector_and_grad_matrix_consistency():
 
 @pytest.mark.parametrize("block_rows", [1, 7])
 def test_block_rows_equal_point_calls(block_rows):
-    # blocks of one row, and of 7 rows, which does not divide the 30 queries
+    # blocks of one row, each a point's call, and of 7 rows, which does not divide the 30 queries
     rng = np.random.default_rng(41)
     pts = rng.normal(size=(25, 4))
     queries = rng.normal(scale=2.0, size=(30, 4))
     for spec in all_specs():
         K = kernel_vector(spec, queries, pts)
-        J = kernel_grad_matrix(spec, queries, pts)
+        K_pass, J = kernel_grad_matrix(spec, queries, pts)
         assert K.shape == (30, 25) and J.shape == (30, 25, 4)
+        assert np.array_equal(K_pass, K)
         for lo in range(0, len(queries), block_rows):
             rows = slice(lo, lo + block_rows)
             assert np.array_equal(kernel_vector(spec, queries[rows], pts), K[rows])
-            assert np.array_equal(kernel_grad_matrix(spec, queries[rows], pts), J[rows])
-        for i, q in enumerate(queries):
-            assert np.array_equal(kernel_vector(spec, q, pts), K[i])
-            assert np.array_equal(kernel_grad_matrix(spec, q, pts), J[i])
+            for got, want in zip(kernel_grad_matrix(spec, queries[rows], pts), (K[rows], J[rows])):
+                assert np.array_equal(got, want)
 
 
 def test_kernel_diag_matches_pair_eval_and_finite_differences():
@@ -261,11 +260,14 @@ def test_dimension_mismatch_errors():
     spec = KernelSpec("rbf", width=1.0)
     for call in (kernel_vector, kernel_grad_matrix):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            call(spec, np.array([1.0]), np.array([[1.0, 2.0]]))
+            call(spec, np.array([[1.0]]), np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            call(spec, np.array([1.0, 2.0, 3.0]), np.array([[1.0, 2.0]]))
+            call(spec, np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError, match="points must be a 2-d array"):
-            call(spec, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+            call(spec, np.array([[1.0, 2.0]]), np.array([1.0, 2.0]))
+        # the queries are a q x d block: a point is a block of one row
+        with pytest.raises(ValueError, match="X must be a 2-d array"):
+            call(spec, np.array([1.0, 2.0]), np.array([[1.0, 2.0]]))
 
 
 def test_invalid_parameters_rejected_at_construction():

@@ -13,9 +13,7 @@ from localgrad.mimic import (
     _width_counts,
     default_sigma_grid,
     explain_mimic,
-    hessian_direction,
     mimic_predict,
-    parzen_hessian,
     parzen_posterior_not,
     save_explanations,
     select_width,
@@ -33,6 +31,11 @@ from oracles import (
     sigma_grid_pdist,
     smooth_gradients_bruteforce,
 )
+
+
+def chunk_hessian(mm, z, c):
+    """The Hessian of p(y != c | x) at a near point z, as the explainer's row chunk forms it."""
+    return mimicmod._explain_rows(mm, z[None], mm.classes.searchsorted([c]), np.inf)[3][0]
 
 
 def random_mimic(rng, m=None, d=None, n_classes=2, sigma=None):
@@ -247,7 +250,7 @@ def test_explain_middle_class_matches_masked_quotient():
         want = parzen_explanation_masked(X, y, mm.sigma, z, 2)
         assert np.allclose(ev.gradient, want, rtol=1e-10, atol=1e-14)
         H = fd_hessian(lambda p: parzen_posterior_not(mm, p, 2), z, step=1e-4)
-        assert np.linalg.norm(parzen_hessian(mm, z, 2) - H) / max(np.linalg.norm(H), 1e-8) < 1e-4
+        assert np.linalg.norm(chunk_hessian(mm, z, 2) - H) / max(np.linalg.norm(H), 1e-8) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -279,7 +282,7 @@ def test_label_no_reference_carries_is_an_error():
     mm = ParzenMimic(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([1, 2, 2]), 0.7)
     with_fallback = functools.partial(explain_mimic, hessian_threshold=1e-6)
     for z in (np.array([0.3, 0.2]), np.array([1e4, 1e4])):  # near and far field
-        for call in (parzen_posterior_not, explain_mimic, parzen_hessian, with_fallback):
+        for call in (parzen_posterior_not, explain_mimic, with_fallback):
             with pytest.raises(ValueError, match="label 7"):
                 call(mm, z, 7)
     assert explain_mimic(mm, np.array([0.3, 0.2]), np.int64(2)).predicted_label == 2
@@ -297,7 +300,6 @@ def test_query_label_that_is_not_an_integer_is_an_error(bad, block):
         z, c = np.array([[0.3, 0.2], [1e4, 1e4]]), np.array([2.0, bad])
     else:
         z, c = np.array([0.3, 0.2]), bad
-        calls.append(parzen_hessian)
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"label {bad} is not an integer")):
             call(mm, z, c)
@@ -641,7 +643,7 @@ def test_hessian_matches_finite_differences():
     for _ in range(25):
         mm = random_mimic(rng, m=15, d=int(rng.integers(1, 4)), sigma=1.0)
         z = rng.normal(scale=0.8, size=mm.ref_x.shape[1])
-        H = parzen_hessian(mm, z, 1)
+        H = chunk_hessian(mm, z, 1)
         want = fd_hessian(lambda p: parzen_posterior_not(mm, p, 1), z, step=1e-4)
         scale = max(np.linalg.norm(want), 1e-8)
         assert np.linalg.norm(H - want) / scale < 1e-4
@@ -661,7 +663,7 @@ def test_hessian_matches_the_high_precision_oracle(n_classes):
             shifted = ParzenMimic(mm.ref_x + shift, mm.ref_labels, mm.sigma)
             for c in mm.classes:
                 want = parzen_hessian_mp(shifted.ref_x[perm], shifted.ref_labels[perm], mm.sigma, z + shift, c)
-                got = parzen_hessian(shifted, z + shift, c)
+                got = chunk_hessian(shifted, z + shift, c)
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -676,7 +678,7 @@ def test_hessian_keeps_its_digits_where_it_is_tiny(shift):
     for z in np.array([[0.3, 0.2], [0.5, 0.5], [-1.0, 0.5]]) + shift:
         want = parzen_hessian_mp(X, y, 1.0, z, 2)
         assert 1e-15 < np.linalg.norm(want) < 1e-9
-        assert np.linalg.norm(parzen_hessian(mm, z, 2) - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.linalg.norm(chunk_hessian(mm, z, 2) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_hessian_direction_three_clusters():
@@ -685,16 +687,18 @@ def test_hessian_direction_three_clusters():
     center = np.array([0.0, 0.0])
     ev = explain_mimic(mm, center, 2)
     assert np.linalg.norm(ev.gradient) < 1e-10  # stationary point
-    direction, eigenvalue = hessian_direction(mm, center, 2)
+    ev = explain_mimic(mm, center, 2, hessian_threshold=1e-6)
+    direction = ev.gradient
+    assert ev.source == "hessian-fallback"
     assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
     assert abs(direction @ np.array([1.0, 0.0])) > 0.9
-    assert eigenvalue > 0.0
+    assert direction @ chunk_hessian(mm, center, 2) @ direction > 0.0  # its eigenvalue
 
 
 def test_hessian_direction_canonical_orientation():
     data = gen_three_clusters(120, seed=3)
     mm = ParzenMimic(data.features, data.labels, 0.6)
-    direction, _ = hessian_direction(mm, np.zeros(2), 2)
+    direction = explain_mimic(mm, np.zeros(2), 2, hessian_threshold=1e-6).gradient
     nonzero = np.flatnonzero(np.abs(direction) > 1e-9)
     assert direction[nonzero[0]] > 0
 
@@ -708,15 +712,9 @@ def test_hessian_degenerate_spectrum_isotropic_ring():
     X = np.vstack([[0.0, 0.0], ring])
     y = np.array([1] + [2] * 8)
     mm = ParzenMimic(X, y, 0.8)
-    H = parzen_hessian(mm, np.zeros(2), 1)
+    H = chunk_hessian(mm, np.zeros(2), 1)
     eigvals = np.linalg.eigvalsh(H)
     assert abs(eigvals[-1] - eigvals[-2]) < 1e-8 * max(abs(eigvals[-1]), 1e-30)
-
-
-def test_hessian_direction_error_when_uninformative():
-    mm = ParzenMimic(np.array([[0.0], [1.0]]), np.array([1, 1]), 1.0)
-    with pytest.raises(ValueError, match="no informative direction"):
-        hessian_direction(mm, np.array([0.5]), 1)
 
 
 def test_fallback_triggers_at_stationary_point():
@@ -782,6 +780,14 @@ def test_smoothing_equals_the_mask_oracle_bit_for_bit(case):
     Q, r = _smoothing_cases()[case]
     G = np.random.default_rng(case).normal(size=Q.shape)
     assert np.array_equal(smooth_gradients(Q, G, r), smooth_gradients_bruteforce(Q, G, r))
+
+
+def test_smoothing_rejects_gradients_of_another_shape():
+    # unchecked, 6 x 1 gradients of 6 x 2 queries were smoothed into a 6 x 1 field
+    queries = np.random.default_rng(15).normal(size=(6, 2))
+    for grads in (np.ones((6, 1)), np.ones((6, 3)), np.ones((5, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"queries' shape (6, 2), got {grads.shape}")):
+            smooth_gradients(queries, grads, 0.5)
 
 
 def test_smoothing_damps_single_outlier():
@@ -892,7 +898,7 @@ def test_hessian_is_formed_only_for_the_flagged_rows(monkeypatch):
     threshold = float(np.median(norms))
     flagged = np.flatnonzero(norms < threshold)[:-1].tolist()  # the far-field row has norm 0
     assert 40 in flagged and 41 not in flagged
-    want = [parzen_hessian(mm, Z[i], 2) for i in flagged]
+    want = [chunk_hessian(mm, Z[i], 2) for i in flagged]
     formed, hessians = [], mimicmod._hessians
 
     def kept(*args):
@@ -918,9 +924,7 @@ def test_flagged_rows_with_a_zero_hessian_keep_their_gradient(monkeypatch, block
     Z = np.array([[0.0, 0.0], [50.1, 0.2], [1.0, 0.0], [49.5, -0.3], [50.0, 0.0], [1e4, 1e4]])
     labels = [2, 1, 2, 1, 1, 1]
     for z in Z[[1, 3, 4]]:
-        assert np.array_equal(parzen_hessian(mm, z, 1), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="no informative direction"):
-            hessian_direction(mm, z, 1)
+        assert np.array_equal(chunk_hessian(mm, z, 1), np.zeros((2, 2)))
     points = [explain_mimic(mm, z, c, hessian_threshold=1e-6) for z, c in zip(Z, labels)]
     monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
     evs = explain_mimic(mm, Z, labels, hessian_threshold=1e-6)
@@ -961,8 +965,6 @@ def test_query_shapes_and_label_counts_are_checked():
             call(mm, np.zeros((5, 2)), [1, 2, 1])
         with pytest.raises(ValueError, match=re.escape("got shape (5, 3)")):
             call(mm, np.zeros((5, 3)), np.ones(5, dtype=int))
-    with pytest.raises(ValueError, match="at one point, got shape"):
-        parzen_hessian(mm, np.zeros((2, 2)), [1, 1])
 
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
