@@ -174,6 +174,8 @@ def cmd_fit_gpc(args) -> int:
     searched = None
     if args.kernel_grid is not None:
         grid = _parse_floats(args.kernel_grid)
+        if not grid:
+            raise ValueError(f"--kernel-grid lists no candidates, got {args.kernel_grid!r}")
         if base.kind == "linear":
             raise ValueError("the linear kernel has no parameter to grid-search")
         param = "width" if base.kind == "rbf" else "rq_length"

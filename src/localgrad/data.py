@@ -34,10 +34,13 @@ _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
 
 def _query_block(x, d: int):
-    """The queries x as a q x d block of floats, and whether x was one point (shape (d,))."""
+    """The queries x as a q x d block of finite floats, and whether x was one point (shape (d,))."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != d:
         raise ValueError(f"queries must be a point of dimension {d} or a q x {d} block, got shape {x.shape}")
+    # min and max carry a NaN or an inf through, with no q x d temporary
+    if not (math.isfinite(x.min(initial=0.0)) and math.isfinite(x.max(initial=0.0))):
+        raise ValueError("queries must be finite")
     return np.atleast_2d(x), x.ndim == 1
 
 

@@ -143,6 +143,19 @@ def _recompute_posterior(K, tau, nu):
     return post_var, mu
 
 
+def _training_set(train_x, train_y):
+    """A GP training set, fitted or loaded: train_x an n x d float matrix, and
+    train_y of shape (n,) holding both -1 and +1 and nothing else, as floats."""
+    X, y = np.asarray(train_x, dtype=float), np.asarray(train_y, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"train_x must be an n x d matrix, got shape {X.shape}")
+    if y.shape != (len(X),):
+        raise ValueError(f"train_y has shape {y.shape} but train_x has {len(X)} rows")
+    if set(np.unique(y)) != {-1.0, 1.0}:
+        raise ValueError("train_y must contain both -1 and +1 and nothing else")
+    return X, y
+
+
 def ep_fit(
     train_x,
     train_y,
@@ -167,15 +180,8 @@ def ep_fit(
     error.  The model keeps the per-sweep residual, improper-cavity count
     and step, and the number of site precisions floored at _TAU_FLOOR.
     """
-    X = np.asarray(train_x, dtype=float)
-    y = np.asarray(train_y, dtype=float)
-    n = X.shape[0]
-    if len(y) != n:
-        raise ValueError(f"train_y has {len(y)} entries but train_x has {n} rows")
-    if n < 2:
-        raise ValueError("need at least two training points")
-    if not set(np.unique(y)) == {-1.0, 1.0}:
-        raise ValueError("training labels must contain both -1 and +1 and nothing else")
+    X, y = _training_set(train_x, train_y)
+    n = len(X)
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {damping}")
 
@@ -226,7 +232,7 @@ def ep_fit(
     return GpcModel(
         kernel=kernel,
         train_x=X,
-        train_y=np.asarray(train_y, dtype=int),
+        train_y=y.astype(int),
         site_variance=site_variance,
         alpha=alpha,
         chol_factor=L,
@@ -338,11 +344,10 @@ def _residual_sq(L, K, site_variance, rows):
 def model_from_dict(obj: dict) -> GpcModel:
     """Rebuild a model; the factorization is recomputed and verified."""
     kernel = kernel_from_dict(obj["kernel"])
-    X = np.asarray(obj["train_x"], dtype=float)
-    train_y = np.asarray(obj["train_y"], dtype=int)
+    X, train_y = _training_set(obj["train_x"], obj["train_y"])
     site_variance = np.asarray(obj["site_variance"], dtype=float)
     alpha = np.asarray(obj["alpha"], dtype=float)
-    for name, arr in (("train_y", train_y), ("alpha", alpha), ("site_variance", site_variance)):
+    for name, arr in (("alpha", alpha), ("site_variance", site_variance)):
         if len(arr) != len(X):
             raise ValueError(f"{name} has {len(arr)} entries but train_x has {len(X)} rows")
     if np.any(site_variance < 0):
@@ -360,7 +365,7 @@ def model_from_dict(obj: dict) -> GpcModel:
     return GpcModel(
         kernel=kernel,
         train_x=X,
-        train_y=train_y,
+        train_y=train_y.astype(int),
         site_variance=site_variance,
         alpha=alpha,
         chol_factor=L,

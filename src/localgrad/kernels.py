@@ -12,7 +12,9 @@ Three kinds are supported:
     k(x, y) = (1 + ||x - y||^2 / (2 * alpha * length^2))^(-alpha).
 
 All evaluation routines are pure functions of immutable inputs and safe
-for concurrent use.
+for concurrent use.  They check no input: callers pass 2-d float arrays
+of one width, as the query rule (``data._query_block``) and the GP
+training-set rule (``gpc._training_set``) give them.
 """
 
 from __future__ import annotations
@@ -63,20 +65,16 @@ def kernel_to_dict(spec: KernelSpec) -> dict:
 
 
 def kernel_from_dict(obj: dict) -> KernelSpec:
-    """Inverse of :func:`kernel_to_dict`; missing parameters default to 1."""
+    """Inverse of :func:`kernel_to_dict`; missing parameters default to 1,
+    and a missing kind or a key kernel_to_dict does not write is an error."""
+    if "kind" not in obj or not set(obj) <= {"kind", "w", "alpha", "length"}:
+        raise ValueError(f"kernel JSON takes 'kind' and optionally 'w', 'alpha', 'length'; got keys {sorted(obj)}")
     return KernelSpec(
         kind=obj["kind"],
         width=float(obj.get("w", 1.0)),
         rq_alpha=float(obj.get("alpha", 1.0)),
         rq_length=float(obj.get("length", 1.0)),
     )
-
-
-def _as_matrix(X, name: str) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got shape {X.shape}")
-    return X
 
 
 def _kernel_core(spec: KernelSpec, A: np.ndarray, B: np.ndarray, grad: bool = False):
@@ -120,31 +118,22 @@ def _kernel_core(spec: KernelSpec, A: np.ndarray, B: np.ndarray, grad: bool = Fa
     return K, J
 
 
-def _check_cross(X, points):
-    """The query block X and the points, as 2-d arrays of one width."""
-    X, P = _as_matrix(X, "X"), _as_matrix(points, "points")
-    if P.shape[1] != X.shape[1]:
-        raise ValueError(f"dimension mismatch: X has {X.shape[1]} columns, points have {P.shape[1]}")
-    return X, P
-
-
 def kernel_vector(spec: KernelSpec, X, points) -> np.ndarray:
     """Kernel values K[i, j] = k(x_i, p_j) at the rows of a q x d block X."""
-    return _kernel_core(spec, *_check_cross(X, points))[0]
+    return _kernel_core(spec, X, points)[0]
 
 
 def kernel_gram(spec: KernelSpec, points) -> np.ndarray:
     """Gram matrix K_ij = k(p_i, p_j); exactly symmetric, row i equal to
     kernel_vector(spec, points[i:i + 1], points)[0]."""
-    P = _as_matrix(points, "points")
-    return _kernel_core(spec, P, P)[0]
+    return _kernel_core(spec, points, points)[0]
 
 
 def kernel_grad_matrix(spec: KernelSpec, X, points):
     """kernel_vector's K at the rows of a q x d block X, and the q x n x d
     tensor J whose entry [i, j] is the gradient of k(., p_j) at x_i, from
     one kernel pass."""
-    return _kernel_core(spec, *_check_cross(X, points), grad=True)
+    return _kernel_core(spec, X, points, grad=True)
 
 
 def kernel_diag(spec: KernelSpec, X):

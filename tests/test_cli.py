@@ -872,6 +872,25 @@ def test_fit_gpc_rejects_non_finite_kernel_parameter(triangle_csv, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        # an unknown key was ignored, so this fitted width 1 and exited 0
+        (["--kernel", '{"kind": "rbf", "width": 5.0}'], "'width'"),
+        (["--kernel", '{"w": 5}'], "'kind'"),  # was a KeyError whose message read 'kind'
+        (["--kernel-grid", ","], "--kernel-grid"),  # was "max() arg is an empty sequence"
+        (["--kernel-grid", ""], "--kernel-grid"),
+    ],
+)
+def test_fit_gpc_kernel_flags_fail_naming_what_is_wrong(triangle_csv, tmp_path, capsys, flags, named):
+    out = tmp_path / "m.json"
+    rc = main(["fit-gpc", "--data", triangle_csv, *flags, "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and named in err["error"]
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- config
 
 

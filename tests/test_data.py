@@ -454,22 +454,33 @@ def test_subset_preserves_row_ids():
 
 
 def test_zero_d_query_is_refused_by_every_predictor():
-    # on a 1-D model a 0-d query is neither a point nor a q x 1 block: no predictor guesses which
+    # on a 1-D model a 0-d query is neither a point nor a q x 1 block: no predictor guesses which.
+    # A block of another width is refused too, and so is a query that is not finite (a NaN
+    # query got class 0 from mimic_predict, scipy's error or a NaN gradient from the GP route)
     from localgrad.classifiers import KnnClassifier, TableOracle
     from localgrad.gpc import ep_fit, explain_gpc, predict_proba
     from localgrad.kernels import KernelSpec
-    from localgrad.mimic import ParzenMimic, mimic_predict
+    from localgrad.mimic import ParzenMimic, explain_mimic, mimic_predict, parzen_posterior_not
 
     X, y = np.array([[-1.0], [1.0]]), np.array([-1, 1])
     model = ep_fit(X, y, KernelSpec("rbf", width=1.0))
+    mm = ParzenMimic(X, y, 1.0)
     calls = [
         lambda x: predict_proba(model, x),
         lambda x: explain_gpc(model, x),
         KnnClassifier(X, y, k=1).predict,
         TableOracle(Dataset(X, y), {0: -1, 1: 1}).predict,
-        lambda x: mimic_predict(ParzenMimic(X, y, 1.0), x),
+        lambda x: mimic_predict(mm, x),
+        lambda x: parzen_posterior_not(mm, x, np.ones(np.size(x), int)),
+        lambda x: explain_mimic(mm, x, np.ones(np.size(x), int)),
     ]
     for call in calls:
         for x in (1.0, np.float64(1.0), np.array(1.0)):
             with pytest.raises(ValueError, match=re.escape("point of dimension 1 or a q x 1 block, got shape ()")):
                 call(x)
+        with pytest.raises(ValueError, match=re.escape("point of dimension 1 or a q x 1 block, got shape (2, 2)")):
+            call(np.zeros((2, 2)))
+        for bad in (np.nan, np.inf, -np.inf):
+            for x in ([bad], [[0.5], [bad]]):
+                with pytest.raises(ValueError, match="queries must be finite"):
+                    call(np.array(x))

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -413,13 +414,42 @@ def test_model_from_dict_rejects_length_mismatch(triangle_gpc, key):
         model_from_dict(blob)
 
 
-@pytest.mark.parametrize("n_labels", [3, 5])
-def test_ep_fit_rejects_a_label_count_that_differs_from_the_rows(n_labels):
-    # unchecked, the labels met a mask over the rows: IndexError, boolean index did not match
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1)], ids=["3", "5", "4x1"])
+def test_ep_fit_rejects_a_label_count_that_differs_from_the_rows(shape):
+    # unchecked, the labels met a mask over the rows (IndexError: boolean index did
+    # not match), and (4, 1) labels a broadcast naming neither argument
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    y = np.array([-1, 1, -1, 1, -1])[:n_labels]
-    with pytest.raises(ValueError, match=f"train_y has {n_labels} entries but train_x has 4 rows"):
+    y = np.resize([-1, 1], shape)
+    with pytest.raises(ValueError, match=re.escape(f"train_y has shape {shape} but train_x has 4 rows")):
         ep_fit(X, y, KernelSpec("rbf", width=1.0))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("train_x", [0.0, 1.0, 2.0, 3.0], "train_x must be an n x d matrix, got shape (4,)"),
+        ("train_y", [0.5, 1.7, -1, 9], "train_y must contain both -1 and +1 and nothing else"),
+        ("train_y", [1, 1, 1, 1], "train_y must contain both -1 and +1 and nothing else"),
+        ("train_y", [[-1], [1], [-1], [1]], "train_y has shape (4, 1) but train_x has 4 rows"),
+    ],
+)
+def test_model_from_dict_checks_the_training_set_as_ep_fit_does(key, value, message):
+    # a model file's training set meets ep_fit's rule: these labels once loaded,
+    # cast to int, as [0, 1, -1, 9]
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    blob = model_to_dict(ep_fit(X, np.array([-1, 1, -1, 1]), KernelSpec("rbf")))
+    blob[key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_dict(blob)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ep_fit(blob["train_x"], blob["train_y"], KernelSpec("rbf"))
+
+
+def test_ep_fit_refuses_a_gram_matrix_that_is_not_positive_definite(monkeypatch):
+    # symmetric with eigenvalues 3 and -1: the jitter cannot make it definite
+    monkeypatch.setattr(gpc, "kernel_gram", lambda spec, X: np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="Gram matrix is not positive definite after jitter"):
+        ep_fit(np.array([[0.0], [1.0]]), np.array([-1, 1]), KernelSpec("rbf"))
 
 
 @pytest.mark.parametrize("scale, fails", [(1.0 + 1e-6, True), (1.0 + 1e-12, False)])

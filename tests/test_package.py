@@ -1,7 +1,9 @@
 import re
+import shlex
 from pathlib import Path
 
 import localgrad
+from localgrad import cli
 
 
 def test_exports_resolve_once_and_star_import():
@@ -22,3 +24,17 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_cli_examples_parse():
+    # the README's CLI block is the commands' usage example; a renamed or
+    # removed flag must fail here. The commands are parsed, not run.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", cli_section, re.S)
+    assert len(blocks) == 1
+    commands = [line for line in blocks[0].replace("\\\n", " ").splitlines() if line.startswith("localgrad ")]
+    assert len(commands) == 8
+    parser = cli.build_parser()
+    for command in commands:
+        assert parser.parse_args(shlex.split(command)[1:]).command == shlex.split(command)[1]
