@@ -37,4 +37,5 @@ def test_readme_cli_examples_parse():
     assert len(commands) == 8
     parser = cli.build_parser()
     for command in commands:
-        assert parser.parse_args(shlex.split(command)[1:]).command == shlex.split(command)[1]
+        words = shlex.split(command)
+        assert parser.parse_args(words[1:]).command == words[1]
