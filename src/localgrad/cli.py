@@ -118,6 +118,8 @@ def _fit_mimic(args, points, g_labels, *span):
             grid = mimicmod.default_sigma_grid(points, *span)
         else:
             grid = _parse_floats(args.sigma_grid)
+            if not grid:
+                raise ValueError(f"--sigma-grid lists no candidates, got {args.sigma_grid!r}")
         # by keyword: perfbench's tracer counts the candidates from it
         sigma = mimicmod.select_width(points, g_labels, candidate_sigmas=grid)
     return mimicmod.ParzenMimic(points, g_labels, sigma)
@@ -168,6 +170,8 @@ def cmd_fit_gpc(args) -> int:
         raise ValueError(f"need exactly two classes, got {classes}")
     label_map = {classes[0]: -1, classes[1]: 1}  # lower id -> -1
     kernel_dict = json.loads(args.kernel) if args.kernel else {"kind": "rbf"}
+    if not isinstance(kernel_dict, dict):
+        raise ValueError(f'--kernel must be a JSON object such as {{"kind": "rbf", "w": 2.0}}, got {args.kernel!r}')
     base = kernel_from_dict(kernel_dict)
     seed = int(args.seed or 0)
 

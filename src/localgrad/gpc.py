@@ -144,11 +144,14 @@ def _recompute_posterior(K, tau, nu):
 
 
 def _training_set(train_x, train_y):
-    """A GP training set, fitted or loaded: train_x an n x d float matrix, and
-    train_y of shape (n,) holding both -1 and +1 and nothing else, as floats."""
+    """A GP training set, fitted or loaded: train_x an n x d matrix of finite floats,
+    and train_y of shape (n,) holding both -1 and +1 and nothing else, as floats."""
     X, y = np.asarray(train_x, dtype=float), np.asarray(train_y, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"train_x must be an n x d matrix, got shape {X.shape}")
+    # min and max carry a NaN or an inf through, as the query rule reads them
+    if not (np.isfinite(X.min(initial=0.0)) and np.isfinite(X.max(initial=0.0))):
+        raise ValueError("train_x must be finite")
     if y.shape != (len(X),):
         raise ValueError(f"train_y has shape {y.shape} but train_x has {len(X)} rows")
     if set(np.unique(y)) != {-1.0, 1.0}:

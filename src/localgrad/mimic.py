@@ -112,16 +112,20 @@ def _class_index(mimic: ParzenMimic, c):
     return mimic.classes.searchsorted(c)
 
 
-def _rescale(sq: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
+def _rescale(sq: np.ndarray, sigma, out: np.ndarray) -> np.ndarray:
     """Write into `out` the weights exp(-1/2 * sq / sigma^2) of rows of squared
     distances, each row divided by its largest one.  Returns the far-field mask: rows
-    whose largest weight underflows carry no information and weigh every reference by 1."""
+    whose largest weight underflows carry no information and weigh every reference by 1.
+    sigma is one width, or an array of widths broadcast on out's leading axes; each
+    width's rows are then the bits of the call with that width alone."""
     np.multiply(sq, -0.5, out=out)
-    out /= sigma**2
-    top = out.max(axis=1)
+    # one width is squared by C's pow, as float ** does; ** on an array would
+    # multiply, which rounds about one width in 1000 to another last bit
+    out /= np.float_power(sigma, 2) if isinstance(sigma, np.ndarray) else sigma**2
+    top = out.max(axis=-1)
     far = top < _UNDERFLOW_LOG
     top[far] = 0.0  # a row of infinite distances would take -inf - (-inf)
-    out -= top[:, None]
+    out -= top[..., None]
     out[far] = 0.0
     np.exp(out, out=out)
     return far
@@ -172,7 +176,9 @@ def select_width(ref_x, ref_labels, candidate_sigmas) -> float:
     Each reference is scored by the mimic of the other references, bit for bit (its
     own weight is left out, or vanishing widths would win trivially).  The score of a
     candidate is the plain count of references where that mimic's prediction differs
-    from the supplied g label (_width_counts); ties go to the smaller sigma."""
+    from the supplied g label (_width_counts); ties go to the smaller sigma.  Most
+    scores at very small and very large widths are settled by bounds on the class sums
+    that prove what that one rule decides, before a row's weights are formed."""
     sigmas = sorted(map(float, candidate_sigmas))
     bad = [s for s in sigmas if not 0 < s < np.inf]  # NaN too
     if bad or not sigmas:
@@ -187,21 +193,73 @@ def _width_counts(mimic: ParzenMimic, sigmas) -> np.ndarray:
     """Per width of sigmas, the count of references whose leave-one-out label is not their
     own.  A class's references share the class slices of the others (this class's and every
     later one a row shorter): class by class, one row block at a time, every width on each
-    block.  A class of one reference has an empty slice there, whose sum of 0 never wins:
-    near rows weigh another reference by 1, far rows count at least 1 in every other class."""
-    X, m = mimic.ref_x, len(mimic.ref_x)
+    block (_block_counts).  A class of one reference has an empty slice there, whose sum of
+    0 never wins: near rows weigh another reference by 1, far rows count at least 1 in
+    every other class."""
+    X, m, sigmas = mimic.ref_x, len(mimic.ref_x), np.asarray(sigmas, dtype=float)
     counts = np.zeros(len(sigmas), dtype=int)
     for k, sl in enumerate(mimic.class_slices):
         others = [slice(t.start - (t.start > sl.start), t.stop - (t.stop > sl.start)) for t in mimic.class_slices]
         for block in data._row_blocks(sl.stop - sl.start, m):
             rows = np.arange(sl.start + block.start, sl.start + block.stop)
-            sq = cdist(X[rows], X, "sqeuclidean")
-            sq = sq[np.arange(m) != rows[:, None]].reshape(len(rows), m - 1)  # in the others' order
-            w = np.empty_like(sq)  # weights of one candidate; reused
-            for i, s in enumerate(sigmas):
-                _rescale(sq, s, out=w)
-                counts[i] += np.count_nonzero(np.argmax(_class_sums(others, w), axis=1) != k)
+            counts += _block_counts(X, rows, others, k, sigmas)
     return counts
+
+
+def _block_counts(X, rows, others, k, sigmas) -> np.ndarray:
+    """Per width, the count of the rows of X, all of class k, whose leave-one-out label
+    is not k.  Each class's nearest and farthest reference bound its class sum
+    (_proven_labels); the (width, row) pairs whose label that proves are counted so, and
+    the others are gathered, a block's worth at a time, into one buffer, rescaled with a
+    width per row and labelled by the class sums as the mimic does, bit for bit.  Nothing
+    of the block outlives the call."""
+    m, n = len(X), np.array([t.stop - t.start for t in others])
+    sq = cdist(X[rows], X, "sqeuclidean")
+    sq = sq[np.arange(m) != rows[:, None]].reshape(len(rows), m - 1)  # in the others' order
+    ext = np.empty((len(rows), 2, len(n)))
+    for c, t in enumerate(others):
+        part = sq[:, t] if n[c] else sq  # an empty class takes the row's: they keep its top
+        part.min(axis=1, out=ext[:, 0, c])
+        part.max(axis=1, out=ext[:, 1, c])
+    counts = np.zeros(len(sigmas), dtype=int)
+    for ws in data._row_blocks(len(sigmas), ext.size):
+        label = _proven_labels(ext, n, sigmas[ws], m)
+        counts[ws] += np.count_nonzero((label >= 0) & (label != k), axis=1)
+        wi, ri = np.nonzero(label < 0)
+        wi += ws.start
+        chunks = data._row_blocks(len(ri), m - 1)
+        buf = np.empty((chunks[0].stop if chunks else 0, m - 1))
+        for p in chunks:
+            w = np.take(sq, ri[p], axis=0, out=buf[: p.stop - p.start], mode="clip")  # "raise" would buffer a copy
+            _rescale(w, sigmas[wi[p], None], out=w)
+            wrong = np.argmax(_class_sums(others, w), axis=1) != k
+            counts += np.bincount(wi[p][wrong], minlength=len(sigmas))
+    return counts
+
+
+def _proven_labels(ext, n, sigmas, m) -> np.ndarray:
+    """Per width of sigmas (rows) and row of ext (columns), the class position that the
+    mimic's argmax of the class sums must give, or -1 where the bounds prove none.
+
+    ext holds each row's smallest and largest squared distance to each class's n_c
+    references, so one _rescale gives every width's weights hi_c and lo_c of each class's
+    nearest and farthest reference; the row's nearest reference is among them, so these
+    are the bits of the row's full pass.  With delta = 4 m eps, which covers the rounding
+    of a sum of m - 1 nonnegative terms (Higham 2002, section 4.2) and ulp-level
+    non-monotonicity of exp, and tiny the smallest normal double, which covers subnormal
+    terms, a class sum lies within
+        lower_c = max(n_c lo_c, 1 if hi_c == 1) (1 - delta)  (a sum is at least its top weight, 1)
+        upper_c = n_c (hi_c (1 + delta) + tiny),
+    both 0 for an empty class.  A class whose lower bound exceeds every other's upper bound
+    has the largest sum, which the argmax picks."""
+    delta = 4 * m * np.finfo(float).eps
+    w = np.empty((len(sigmas), *ext.shape))
+    _rescale(ext.reshape(len(ext), -1), sigmas[:, None, None], out=w.reshape(len(sigmas), len(ext), -1))
+    hi, lo = w[:, :, 0], w[:, :, 1]
+    lower = np.maximum(n * lo, (hi == 1) & (n > 0)) * (1 - delta)
+    upper = n * (hi * (1 + delta) + np.finfo(float).tiny)
+    beaten = np.count_nonzero(lower.max(axis=2, keepdims=True) > upper, axis=2)  # never the top class itself
+    return np.where(beaten == len(n) - 1, lower.argmax(axis=2), -1)
 
 
 def _pair_bits(points: np.ndarray):

@@ -378,6 +378,18 @@ def test_explain_sigma_grid_rejects_bad_candidates(triangle_csv, tmp_path, capsy
     assert "-1.0" in err["error"] and "nan" in err["error"] and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["explain", "iris"])
+@pytest.mark.parametrize("grid", [",", ""])
+def test_sigma_grid_listing_no_candidate_fails_naming_the_flag(triangle_csv, tmp_path, capsys, command, grid):
+    # was "sigma candidates must be positive and finite, got none", naming no flag
+    out = tmp_path / "x.csv"
+    data = ["--data", triangle_csv] if command == "explain" else ["--seed", "1"]
+    assert main([command, *data, "--sigma-grid", grid, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and "--sigma-grid lists no candidates" in err["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["explain", "morph", "rank", "compare"])
 def test_rows_to_explain_are_required(fitted_model, tmp_path, capsys, command):
     # without --queries the --data rows are explained, so one of the two must be given
@@ -880,6 +892,8 @@ def test_fit_gpc_rejects_non_finite_kernel_parameter(triangle_csv, tmp_path, cap
         (["--kernel", '{"w": 5}'], "'kind'"),  # was a KeyError whose message read 'kind'
         (["--kernel-grid", ","], "--kernel-grid"),  # was "max() arg is an empty sequence"
         (["--kernel-grid", ""], "--kernel-grid"),
+        (["--kernel", "5"], "--kernel must be a JSON object"),  # was a TypeError
+        (["--kernel", '"rbf"'], "--kernel must be a JSON object"),  # listed the letters as keys
     ],
 )
 def test_fit_gpc_kernel_flags_fail_naming_what_is_wrong(triangle_csv, tmp_path, capsys, flags, named):

@@ -431,6 +431,10 @@ def test_ep_fit_rejects_a_label_count_that_differs_from_the_rows(shape):
         ("train_y", [0.5, 1.7, -1, 9], "train_y must contain both -1 and +1 and nothing else"),
         ("train_y", [1, 1, 1, 1], "train_y must contain both -1 and +1 and nothing else"),
         ("train_y", [[-1], [1], [-1], [1]], "train_y has shape (4, 1) but train_x has 4 rows"),
+        # a model file's NaN token reached the Gram matrix's cholesky, whose error named nothing
+        ("train_x", [[0.0], [1.0], [float("nan")], [3.0]], "train_x must be finite"),
+        ("train_x", [[0.0], [float("inf")], [2.0], [3.0]], "train_x must be finite"),
+        ("train_x", [[0.0], [1.0], [2.0], [-float("inf")]], "train_x must be finite"),
     ],
 )
 def test_model_from_dict_checks_the_training_set_as_ep_fit_does(key, value, message):

@@ -461,6 +461,102 @@ def test_select_width_block_size_changes_nothing(monkeypatch, block_rows, make_s
     checked_width(X, y, grid)
 
 
+def bound_tally(monkeypatch, sizes=None):
+    """Wrap _proven_labels to count the (width, row) pairs it settles and leaves, and
+    to record each call's bound-array size (widths x ext entries) in `sizes`."""
+    tally = {"settled": 0, "left": 0}
+    proven = mimicmod._proven_labels
+
+    def counted(ext, n, sigmas, m):
+        label = proven(ext, n, sigmas, m)
+        tally["settled"] += int(np.count_nonzero(label >= 0))
+        tally["left"] += int(np.count_nonzero(label < 0))
+        if sizes is not None:
+            sizes.append(len(sigmas) * ext.size)
+        return label
+
+    monkeypatch.setattr(mimicmod, "_proven_labels", counted)
+    return tally
+
+
+def rounding_tie_set():
+    """A class-1 probe at 0, a class-2 reference at 0 and 22 of class 1 at a, each of
+    which weighs w, just over 1/22, at sigma=1.  Added as the mimic adds them, the 22
+    weights sum to 1 - 2^-53, so class 2's weight of 1 wins; but 22 w rounds to
+    1 + 2^-52, so a bound without delta's margin would give the probe to class 1."""
+    a = 2.48637987980852
+    return np.array([[0.0], [0.0]] + [[a]] * 22), np.array([1, 2] + [1] * 22), [1.0, 4.0]
+
+
+def test_width_counts_leave_a_rounding_tie_to_the_class_sums(monkeypatch):
+    X, y, grid = rounding_tie_set()
+    w = float(np.exp(-0.5 * X[2, 0] ** 2))
+    assert np.full((1, 22), w).sum(axis=1)[0] < 1.0 < 22 * w
+    assert mimic_predict(ParzenMimic(X[1:], y[1:], 1.0), X[0]) == 2
+    tally = bound_tally(monkeypatch)
+    checked_width(X, y, grid)
+    assert tally["settled"] > 0 and tally["left"] > 0
+
+
+def random_loo_set(rng):
+    """2-4 classes, one of them a single reference, in 1-3 rounded dimensions (so the
+    nearest distances tie across classes), some references far from the rest, and
+    widths from 1e-3 to 1e3 times the spread."""
+    m, d, k = int(rng.integers(6, 25)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
+    X = np.round(rng.normal(size=(m, d)) * 2, int(rng.integers(0, 2)))
+    y = rng.integers(0, k - 1, size=m)
+    y[int(rng.integers(m))] = k - 1
+    X[rng.random(m) < 0.15] += 1e3
+    spread = float(np.median(np.abs(X - np.median(X, axis=0)).sum(axis=1))) + 0.1
+    return X, y, (spread * 10 ** rng.uniform(-3, 3, size=6)).tolist()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+def test_width_counts_match_bruteforce_on_random_sets(monkeypatch, block_rows):
+    # the bounds only prove what the argmax of the class sums decides: every count is the
+    # brute-force leave-one-out count, on blocks of one row, of 7 rows and the default
+    rng = np.random.default_rng(61)
+    tally = bound_tally(monkeypatch)
+    for _ in range(25):
+        X, y, grid = random_loo_set(rng)
+        if block_rows:
+            monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(X))
+        checked_width(X, y, grid)
+    assert tally["settled"] > 0 and tally["left"] > 0
+
+
+def test_width_counts_keep_the_bound_arrays_within_a_block(monkeypatch):
+    # 400 widths on blocks of 7 rows: the bounds take the widths in chunks
+    rng = np.random.default_rng(62)
+    X, y, _ = random_loo_set(rng)
+    grid = np.geomspace(1e-3, 1e3, 400).tolist()
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", 7 * len(X))
+    sizes = []
+    tally = bound_tally(monkeypatch, sizes)
+    checked_width(X, y, grid)
+    assert max(sizes) <= 7 * len(X) < sum(sizes)
+    assert tally["settled"] > 0 and tally["left"] > 0
+
+
+def test_rescale_on_a_column_of_widths_gives_each_widths_bits():
+    # one width is squared as float ** squares it; ** on an array would round some
+    # widths' squares to another last bit, and this grid holds one of them
+    rng = np.random.default_rng(63)
+    widths = rng.uniform(0.1, 10.0, size=5000)
+    odd = next(s for s in widths.tolist() if np.square(s) != s**2)
+    sigmas = np.array([1e-3, 0.5, odd, 3.0, 1e3])
+    sq = rng.uniform(0.0, 50.0, size=(6, 9))
+    sq[1] += 1e7  # far at the small widths
+    sq[2, 4] = np.inf
+    out = np.empty((len(sigmas), *sq.shape))
+    far = mimicmod._rescale(sq, sigmas[:, None, None], out=out)
+    for i, s in enumerate(sigmas.tolist()):
+        w = np.empty_like(sq)
+        assert far[i].tolist() == mimicmod._rescale(sq, s, out=w).tolist()
+        assert out[i].tobytes() == w.tobytes()
+    assert far[:, 1].tolist() == [True, True, True, True, False]
+
+
 def test_default_sigma_grid_shape_and_span():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(20, 3))
@@ -576,6 +672,20 @@ def test_width_selection_memory_grows_linearly(traced):
         select_width(X, y, grid)
         used = peak()
     assert used < 8e6
+
+
+def test_width_selection_memory_at_the_mimic_select_shape(traced):
+    # 900 references in 6-d, the benchmark's width selection: a block's distances, its
+    # copy without the left-out column and one weight buffer; 0.66 MB when this bound
+    # was set, where the previous block's buffers, still alive, made it 0.87 MB
+    rng = np.random.default_rng(64)
+    X = rng.normal(size=(900, 6))
+    y = (X[:, 0] + 0.5 * X[:, 1] ** 2 > 0.5).astype(int)
+    grid = default_sigma_grid(X)
+    with traced() as peak:
+        select_width(X, y, grid)
+        used = peak()
+    assert used < 0.7e6
 
 
 # ------------------------------------------------------------- explanations
