@@ -380,8 +380,7 @@ def model_from_dict(obj: dict) -> GpcModel:
 
 def save_gpc(model: GpcModel, path) -> None:
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(model_to_dict(model), sort_keys=True) + "\n")  # the C encoder, same bytes
 
 
 def load_gpc(path) -> GpcModel:

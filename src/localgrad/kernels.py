@@ -66,7 +66,9 @@ def kernel_to_dict(spec: KernelSpec) -> dict:
 
 def kernel_from_dict(obj: dict) -> KernelSpec:
     """Inverse of :func:`kernel_to_dict`; missing parameters default to 1,
-    and a missing kind or a key kernel_to_dict does not write is an error."""
+    and a missing kind, a key kernel_to_dict does not write, or obj not a dict is an error."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"kernel JSON must be an object, got {type(obj).__name__}")
     if "kind" not in obj or not set(obj) <= {"kind", "w", "alpha", "length"}:
         raise ValueError(f"kernel JSON takes 'kind' and optionally 'w', 'alpha', 'length'; got keys {sorted(obj)}")
     return KernelSpec(

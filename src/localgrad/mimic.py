@@ -19,6 +19,16 @@ closed form
 
     zeta(z) = (S_out * V_in - S_in * V_out) / (sigma^2 * T^2),  T = S_in + S_out.
 
+With xbar the mean of the references and P_in / P_out the weighted sums of
+(x_i - xbar), V_c = S_c (z - xbar) - P_c, so z cancels between the classes:
+
+    zeta(z) = (S_in * P_out - S_out * P_in) / (sigma^2 * T^2),
+
+which needs no z - x_i.  Centring keeps the terms on the scale of the references'
+spread, so a common shift of the data loses no digits; the two products cancel to
+the scale of sigma, so the relative error grows as about eps times that spread over
+sigma.  The Hessian below is formed only for flagged rows, from the differences z - x_i.
+
 Where it vanishes, the explainer may fall back to the top eigenvector of the
 Hessian, from the same weight pass.  With M_in / M_out the weighted sums of
 (z - x_i)(z - x_i)' and V = V_in + V_out, differentiating p T = S_out twice
@@ -70,8 +80,12 @@ class ParzenMimic:
             raise ValueError("ref_x must be a nonempty m x d matrix")
         if len(self.ref_labels) != len(self.ref_x):
             raise ValueError("ref_x and ref_labels must have equal length")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:  # NaN too
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        # min and max carry a NaN or an inf through, as data._query_block reads queries
+        if not (np.isfinite(self.ref_x.min(initial=0.0)) and np.isfinite(self.ref_x.max(initial=0.0))):
+            row = int(np.argmin(np.isfinite(self.ref_x).all(axis=1)))
+            raise ValueError(f"references must be finite, but reference {row} is {self.ref_x[row].tolist()}")
         # grouped by class, stably: the rows of class classes[j] are class_slices[j]
         order = np.argsort(self.ref_labels, kind="stable")
         self.ref_x, self.ref_labels = self.ref_x[order], self.ref_labels[order]
@@ -337,41 +351,50 @@ def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
     return med * np.logspace(np.log10(span[0]), np.log10(span[1]), 25)
 
 
-def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray, hessian_threshold):
+def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray, centred: np.ndarray, hessian_threshold):
     """The explanation quotient at each row of X for the class mimic.classes[j], the far-field
     mask, and given a threshold, the near rows whose quotient's norm is below it and their
-    Hessians (None if there are none), from one weight pass.  Far rows and their weights are
-    zero, so huge coordinates overflow nothing.  Each class's weighted sum of z - x_i is one
-    einsum over its slice; a row's result does not depend on the other rows."""
+    Hessians (None if there are none), from one weight pass.  centred holds the references
+    less their mean, transposed (d x m); each class's P_c is one einsum of the weights of its
+    slice with it, so the chunk holds no differences.  Far rows and their weights are zero,
+    so huge coordinates overflow nothing.  A row's result does not depend on the other rows."""
     w, far = _weights(mimic, X)
     w[far] = 0.0
-    # the differences go into a copy of the rows, as in the kernel core: a
-    # broadcast subtraction would also take ufunc buffers beside them
-    diff = np.repeat(X[:, None, :], len(mimic.ref_x), axis=1)
-    diff -= mimic.ref_x
     sums = _class_sums(mimic.class_slices, w)
-    v = np.stack([np.einsum("ri,rid->rd", w[:, s], diff[:, s]) for s in mimic.class_slices], axis=1)
+    p = np.stack([np.einsum("ri,di->rd", w[:, s], centred[:, s]) for s in mimic.class_slices], axis=1)
     rows, other = np.arange(len(X)), np.arange(len(mimic.classes)) != j[:, None]
-    s_in, v_in = sums[rows, j], v[rows, j]
-    s_out, v_out = (sums * other).sum(axis=1), (v * other[:, :, None]).sum(axis=1)
-    num = s_out[:, None] * v_in - s_in[:, None] * v_out
+    s_in, p_in = sums[rows, j], p[rows, j]
+    s_out, p_out = (sums * other).sum(axis=1), (p * other[:, :, None]).sum(axis=1)
+    num = s_in[:, None] * p_out - s_out[:, None] * p_in
     den = mimic.sigma**2 * (s_in + s_out) ** 2
     zeta = np.divide(num, den[:, None], out=np.zeros_like(num), where=~far[:, None])
     if hessian_threshold is None:
         return zeta, far, (), None
     f = np.flatnonzero(~far & (np.linalg.norm(zeta, axis=1) < hessian_threshold))
-    hess = _hessians(mimic, w[f], diff[f], j[f], s_in[f], s_out[f], v[f], zeta[f]) if len(f) else None
+    # the flagged rows go in blocks of their own, each holding their differences and
+    # weighted differences (2 m d numbers a row), freed before the next block's
+    blocks = data._row_blocks(len(f), 2 * mimic.ref_x.size)
+    hess = np.concatenate([_hessians(mimic, f[b], X, w, j, s_in, s_out, zeta) for b in blocks]) if len(f) else None
     return zeta, far, f, hess
 
 
-def _hessians(mimic: ParzenMimic, w, diff, j, s_in, s_out, v, zeta) -> np.ndarray:
-    """The module docstring's H at rows of weights w, differences diff, labels j, class sums
-    s_in / s_out, per-class sums v of w_i d_i and gradients zeta; M_c is one einsum per class."""
-    m = np.stack([np.einsum("ri,rid,rie->rde", w[:, s], diff[:, s], diff[:, s]) for s in mimic.class_slices], 1)
-    rows, other = np.arange(len(w)), np.arange(len(mimic.classes)) != j[:, None]
-    m_in, m_out = m[rows, j], (m * other[:, :, None, None]).sum(axis=1)
-    s_in, s_out, s2 = s_in[:, None, None], s_out[:, None, None], mimic.sigma**2
-    zv, t = zeta[:, :, None] * v.sum(axis=1)[:, None, :], s_in + s_out
+def _hessians(mimic: ParzenMimic, rows, X, w, j, s_in, s_out, zeta) -> np.ndarray:
+    """The module docstring's H at the given rows of a chunk of rows X, weights w, labels j,
+    class sums s_in / s_out and gradients zeta.  The differences d_i = z - x_i are direct,
+    formed for these rows only; M_c is one batched matmul of the weighted w_i d_i with the
+    d_i per class slice, and V the sum of the weighted differences."""
+    m, dim = mimic.ref_x.shape
+    # copies, then in-place operations: a product broadcast along the last axis
+    # would also take ufunc buffers beside the differences
+    diff = np.repeat(X[rows, None, :], m, axis=1)
+    diff -= mimic.ref_x
+    wd = np.repeat(w[rows, :, None], dim, axis=2)
+    wd *= diff
+    mc = np.stack([np.matmul(wd[:, s].transpose(0, 2, 1), diff[:, s]) for s in mimic.class_slices], 1)
+    other = np.arange(len(mimic.classes)) != j[rows, None]
+    m_in, m_out = mc[np.arange(len(rows)), j[rows]], (mc * other[:, :, None, None]).sum(axis=1)
+    s_in, s_out, s2 = s_in[rows, None, None], s_out[rows, None, None], mimic.sigma**2
+    zv, t = zeta[rows, :, None] * wd.sum(axis=1)[:, None, :], s_in + s_out
     return ((s_in * m_out - s_out * m_in) / (t * s2**2) + (zv + zv.transpose(0, 2, 1)) / s2) / t
 
 
@@ -401,8 +424,9 @@ def explain_mimic(mimic: ParzenMimic, z, g_label, hessian_threshold=None) -> Exp
     if hessian_threshold is not None and not hessian_threshold > 0:  # NaN too
         raise ValueError(f"hessian_threshold must be positive, got {hessian_threshold}")
     gradient, far, fallback = np.empty_like(X), np.empty(len(X), dtype=bool), np.zeros(len(X), dtype=bool)
-    for rows in data._row_blocks(len(X), mimic.ref_x.size):
-        gradient[rows], far[rows], flagged, hess = _explain_rows(mimic, X[rows], j[rows], hessian_threshold)
+    centred = (mimic.ref_x - mimic.ref_x.mean(axis=0)).T.copy()
+    for rows in data._row_blocks(len(X), len(mimic.ref_x)):
+        gradient[rows], far[rows], flagged, hess = _explain_rows(mimic, X[rows], j[rows], centred, hessian_threshold)
         if hess is not None:
             direction, informative = _top_directions(hess)
             taken = rows.start + flagged[informative]

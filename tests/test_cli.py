@@ -254,6 +254,16 @@ def test_explain_sigma_grid_list_selects_like_fixed_sigma(triangle_csv, tmp_path
     assert listed.read_bytes() == fixed.read_bytes()
 
 
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_explain_rejects_a_width_that_is_not_finite(triangle_csv, tmp_path, capsys, sigma):
+    # --sigma inf wrote zero gradients that were not flagged far-field
+    out = tmp_path / "x.csv"
+    assert main(["explain", "--data", triangle_csv, "--sigma", sigma, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and f"sigma must be positive and finite, got {sigma}" in err["error"]
+    assert not out.exists()
+
+
 def test_explain_rejects_both_routes(triangle_csv, fitted_model, tmp_path, capsys):
     rc = main(
         [

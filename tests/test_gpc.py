@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import warnings
@@ -271,6 +272,26 @@ def test_serialization_round_trip(tmp_path, triangle_gpc):
         np.testing.assert_array_equal(
             explain_gpc(back, x0).gradient, explain_gpc(model, x0).gradient
         )
+
+
+def test_saved_model_is_the_streamed_json(tmp_path, triangle_gpc):
+    # one json.dumps (the C encoder) writes the bytes that json.dump streams
+    _, model = triangle_gpc
+    path = tmp_path / "model.json"
+    save_gpc(model, path)
+    streamed = io.StringIO()
+    json.dump(model_to_dict(model), streamed, sort_keys=True)
+    assert path.read_text() == streamed.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("kernel", ["rbf", 5, None, ["rbf"]])
+def test_model_from_dict_rejects_a_kernel_that_is_not_an_object(triangle_gpc, kernel):
+    # "rbf" was read as its letters ['b', 'f', 'r'], and 5 or None raised a TypeError
+    _, model = triangle_gpc
+    blob = model_to_dict(model)
+    blob["kernel"] = kernel
+    with pytest.raises(ValueError, match=f"kernel JSON must be an object, got {type(kernel).__name__}$"):
+        model_from_dict(blob)
 
 
 def test_serialization_detects_tampering(tmp_path, triangle_gpc):

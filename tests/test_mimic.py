@@ -34,8 +34,10 @@ from oracles import (
 
 
 def chunk_hessian(mm, z, c):
-    """The Hessian of p(y != c | x) at a near point z, as the explainer's row chunk forms it."""
-    return mimicmod._explain_rows(mm, z[None], mm.classes.searchsorted([c]), np.inf)[3][0]
+    """The Hessian of p(y != c | x) at a near point z, as the explainer's row chunk forms it
+    (its references centred and transposed, as explain_mimic hands them to each chunk)."""
+    centred = (mm.ref_x - mm.ref_x.mean(axis=0)).T.copy()
+    return mimicmod._explain_rows(mm, z[None], mm.classes.searchsorted([c]), centred, np.inf)[3][0]
 
 
 def random_mimic(rng, m=None, d=None, n_classes=2, sigma=None):
@@ -305,6 +307,24 @@ def test_query_label_that_is_not_an_integer_is_an_error(bad, block):
             call(mm, z, c)
     ones = np.ones(np.shape(c))  # integral floats stay labels
     assert np.array_equal(parzen_posterior_not(mm, z, ones), parzen_posterior_not(mm, z, ones.astype(int)))
+
+
+def test_references_and_width_that_are_not_finite_are_errors():
+    # a NaN reference made every class sum NaN (so every label the first class), an
+    # inf reference let select_width pick any width, and an infinite width gave zero
+    # gradients that were not flagged far-field; the mean the explainer centres on
+    # would carry one such reference into every row
+    X, y = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]]), np.array([1, 0, 1, 0])
+    for row, bad in ((0, np.nan), (2, np.inf), (3, -np.inf)):
+        refs = X.copy()
+        refs[row, 1] = bad
+        message = f"references must be finite, but reference {row} is {refs[row].tolist()}"
+        for make in (lambda: ParzenMimic(refs, y, 1.0), lambda: select_width(refs, y, [0.5, 1.0])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make()
+    for sigma in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=re.escape(f"sigma must be positive and finite, got {sigma}")):
+            ParzenMimic(X, y, sigma)
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.9, np.nan, np.inf])
@@ -984,7 +1004,7 @@ def test_block_equals_point_in_any_chunk(monkeypatch, block_rows, n_classes):
 
 
 def test_explanations_far_from_the_origin_match_the_masked_quotient():
-    # direct differences z - x_i: data shifted by 1e4 lose no digits to cancellation
+    # the references are centred on their mean, so data shifted by 1e4 lose no digits
     rng = np.random.default_rng(47)
     mm = random_mimic(rng, m=40, d=3, n_classes=3, sigma=0.7)
     shift = np.full(3, 1e4)
@@ -995,6 +1015,45 @@ def test_explanations_far_from_the_origin_match_the_masked_quotient():
     for z, c, got in zip(queries, labels, evs.gradient):
         want = parzen_explanation_masked(shifted.ref_x, shifted.ref_labels, mm.sigma, z, c)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_centred_sums_match_the_masked_quotient_at_any_shift_scale_and_width():
+    # 300 sets of 2-4 classes: shifts up to 3e5, scales 1e-3 to 1e3, widths 0.003 to 10
+    # times the scale, and queries within a few widths of a reference.  The centred form
+    # cancels the query between the classes; where it reads 0, so does the oracle
+    rng = np.random.default_rng(49)
+    for _ in range(300):
+        k, d = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        m, scale = int(rng.integers(k, 40)), 10 ** rng.uniform(-3, 3)
+        X = rng.normal(size=(m, d)) * scale + rng.uniform(-3e5, 3e5, size=d)
+        y = rng.integers(0, k, size=m)
+        y[:k] = np.arange(k)
+        sigma = scale * 10 ** rng.uniform(np.log10(0.003), 1)
+        queries = X[rng.integers(0, m, size=5)] + rng.normal(size=(5, d)) * sigma
+        labels = rng.integers(0, k, size=5)
+        evs = explain_mimic(ParzenMimic(X, y, sigma), queries, labels)
+        for z, c, got in zip(queries, labels, evs.gradient):
+            want = parzen_explanation_masked(X, y, sigma, z, c)
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m", [7, 800, 5000])
+def test_gradient_pass_weighs_a_block_of_rows_per_weight_call(monkeypatch, m):
+    # the gradient chunk holds the weights alone, 2**15 // m rows; the probability
+    # column's parzen_posterior_not makes the other calls, with the same blocks
+    rng = np.random.default_rng(50)
+    mm = ParzenMimic(rng.normal(size=(m, 7)), rng.integers(0, 2, size=m), 0.8)
+    queries = rng.normal(size=(300, 7))
+    labels = mimic_predict(mm, queries)
+    median = float(np.median(np.linalg.norm(explain_mimic(mm, queries, labels).gradient, axis=1)))
+    calls, weights = [], mimicmod._weights
+    monkeypatch.setattr("localgrad.mimic._weights", lambda *args: calls.append(len(args[1])) or weights(*args))
+    step = 2**15 // m
+    for threshold in (None, median):  # the Hessian rows reuse their chunk's weights
+        calls.clear()
+        evs = explain_mimic(mm, queries, labels, hessian_threshold=threshold)
+        assert calls == 2 * ([step] * (300 // step) + [300 % step] * (300 % step > 0))
+    assert 100 < np.count_nonzero(evs.source == "hessian-fallback") <= 150
 
 
 def test_hessian_is_formed_only_for_the_flagged_rows(monkeypatch):
