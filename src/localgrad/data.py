@@ -22,9 +22,10 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 # Passes that hold a row of m numbers per point (k-NN and mimic labels, mimic
-# gradients, width selection), or of n*d for the GP's gradient tensor and 2*m*d
-# for the differences and weighted differences of the mimic's Hessian rows, work
-# on blocks of rows with at most this many float64 elements (256 KiB) each.
+# gradients, width selection), or of n*d for the GP's gradient tensor, m*d for the
+# differences of the mimic's rows redone from them and 2*m*d for the differences
+# and weighted differences of its Hessian rows, work on blocks of rows with at most
+# this many float64 elements (256 KiB) each.
 _BLOCK_ELEMENTS = 2**15
 # _write_table writes at most this many cells per call: about 100 KiB of memory
 _WRITE_CELLS = 2**10

@@ -19,15 +19,16 @@ closed form
 
     zeta(z) = (S_out * V_in - S_in * V_out) / (sigma^2 * T^2),  T = S_in + S_out.
 
-With xbar the mean of the references and P_in / P_out the weighted sums of
-(x_i - xbar), V_c = S_c (z - xbar) - P_c, so z cancels between the classes:
+With c the centre of the references' bounding box and P_in / P_out the weighted
+sums of (x_i - c), V_c = S_c (z - c) - P_c, so z cancels between the classes:
 
     zeta(z) = (S_in * P_out - S_out * P_in) / (sigma^2 * T^2),
 
 which needs no z - x_i.  Centring keeps the terms on the scale of the references'
-spread, so a common shift of the data loses no digits; the two products cancel to
-the scale of sigma, so the relative error grows as about eps times that spread over
-sigma.  The Hessian below is formed only for flagged rows, from the differences z - x_i.
+spread, so a common shift of the data loses no digits.  But each product carries
+about S_in * S_out * |z - c| and rounds at eps times that, while the two cancel to
+the numerator: a row where that ratio exceeds 64, or whose numerator overflows, is
+redone from the differences z - x_i, as the Hessian below is formed for flagged rows.
 
 Where it vanishes, the explainer may fall back to the top eigenvector of the
 Hessian, from the same weight pass.  With M_in / M_out the weighted sums of
@@ -63,6 +64,10 @@ _UNDERFLOW_LOG = float(np.log(np.finfo(float).smallest_subnormal))
 _INF_BITS = int(np.array(np.inf).view(np.uint64))
 # bits of the patterns that one selection pass buckets by
 _RADIX_BITS = 12
+# the explainer redoes a row from direct differences where its centred products exceed
+# its numerator by more than this; below it their rounding costs a few eps times it,
+# about 2e-14 relative at worst on sets made to reach it
+_CANCEL_RATIO = 2.0**6
 
 
 @dataclass
@@ -80,8 +85,8 @@ class ParzenMimic:
             raise ValueError("ref_x must be a nonempty m x d matrix")
         if len(self.ref_labels) != len(self.ref_x):
             raise ValueError("ref_x and ref_labels must have equal length")
-        if not 0 < self.sigma < np.inf:  # NaN too
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not _usable_width(self.sigma):
+            raise ValueError(f"sigma and its square must be positive and finite, got {self.sigma}")
         # min and max carry a NaN or an inf through, as data._query_block reads queries
         if not (np.isfinite(self.ref_x.min(initial=0.0)) and np.isfinite(self.ref_x.max(initial=0.0))):
             row = int(np.argmin(np.isfinite(self.ref_x).all(axis=1)))
@@ -92,6 +97,13 @@ class ParzenMimic:
         self.classes, self.class_counts = np.unique(self.ref_labels, return_counts=True)
         bounds = [0, *np.cumsum(self.class_counts).tolist()]
         self.class_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _usable_width(sigma) -> bool:
+    """Whether sigma and its square, which the weights divide by, are positive and finite
+    (NaN is neither): 1e200 squares to inf and 1e-170 to 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        return bool(0 < sigma < np.inf and 0 < sigma * sigma < np.inf)
 
 
 def _integer_labels(labels) -> np.ndarray:
@@ -194,9 +206,9 @@ def select_width(ref_x, ref_labels, candidate_sigmas) -> float:
     scores at very small and very large widths are settled by bounds on the class sums
     that prove what that one rule decides, before a row's weights are formed."""
     sigmas = sorted(map(float, candidate_sigmas))
-    bad = [s for s in sigmas if not 0 < s < np.inf]  # NaN too
+    bad = [s for s in sigmas if not _usable_width(s)]
     if bad or not sigmas:
-        raise ValueError(f"sigma candidates must be positive and finite, got {bad or 'none'}")
+        raise ValueError(f"sigma candidates and their squares must be positive and finite, got {bad or 'none'}")
     mimic = ParzenMimic(ref_x, ref_labels, sigmas[0])  # the decision rule reads only the labels
     if len(mimic.ref_x) < 2:
         raise ValueError(f"leave-one-out width selection needs at least two references, got {len(mimic.ref_x)}")
@@ -351,21 +363,38 @@ def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
     return med * np.logspace(np.log10(span[0]), np.log10(span[1]), 25)
 
 
-def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray, centred: np.ndarray, hessian_threshold):
+def _centred(mimic: ParzenMimic):
+    """The centre of the references' bounding box, halved before adding so that no sum
+    overflows, and the references less it, transposed (d x m); no difference overflows."""
+    centre = mimic.ref_x.min(axis=0) / 2 + mimic.ref_x.max(axis=0) / 2
+    return centre, (mimic.ref_x - centre).T.copy()
+
+
+def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray, centre, centred, hessian_threshold):
     """The explanation quotient at each row of X for the class mimic.classes[j], the far-field
     mask, and given a threshold, the near rows whose quotient's norm is below it and their
     Hessians (None if there are none), from one weight pass.  centred holds the references
-    less their mean, transposed (d x m); each class's P_c is one einsum of the weights of its
-    slice with it, so the chunk holds no differences.  Far rows and their weights are zero,
-    so huge coordinates overflow nothing.  A row's result does not depend on the other rows."""
+    less centre, transposed (d x m), as _centred makes them; each class's P_c is one einsum
+    of the weights of its slice with it, so the chunk holds no differences.  Rows whose
+    quotient the centring could blur are redone from their direct differences.  Far rows and
+    their weights are zero, so huge coordinates overflow nothing.  A row's result does not
+    depend on the others."""
     w, far = _weights(mimic, X)
     w[far] = 0.0
     sums = _class_sums(mimic.class_slices, w)
-    p = np.stack([np.einsum("ri,di->rd", w[:, s], centred[:, s]) for s in mimic.class_slices], axis=1)
     rows, other = np.arange(len(X)), np.arange(len(mimic.classes)) != j[:, None]
-    s_in, p_in = sums[rows, j], p[rows, j]
-    s_out, p_out = (sums * other).sum(axis=1), (p * other[:, :, None]).sum(axis=1)
-    num = s_in[:, None] * p_out - s_out[:, None] * p_in
+    s_in, s_out = sums[rows, j], (sums * other).sum(axis=1)
+    # each product carries about S_in S_out |z - centre| and rounds at eps times that, while
+    # they cancel to |num|: a row whose ratio exceeds _CANCEL_RATIO, or whose numerator
+    # overflowed, is redone from z - x_i (and then has the bits of that direct form)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.stack([np.einsum("ri,di->rd", w[:, s], centred[:, s]) for s in mimic.class_slices], axis=1)
+        num = s_in[:, None] * (p * other[:, :, None]).sum(axis=1) - s_out[:, None] * p[rows, j]
+        size = np.abs(num).max(axis=1)
+        kept = (s_in * s_out * np.abs(X - centre).max(axis=1) <= _CANCEL_RATIO * size) & (size < np.inf)
+    redo = np.flatnonzero(~far & ~kept)
+    for b in data._row_blocks(len(redo), mimic.ref_x.size):
+        num[redo[b]] = _direct_numerators(mimic, redo[b], X, w, j, s_in, s_out)
     den = mimic.sigma**2 * (s_in + s_out) ** 2
     zeta = np.divide(num, den[:, None], out=np.zeros_like(num), where=~far[:, None])
     if hessian_threshold is None:
@@ -378,17 +407,33 @@ def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray, centred: np.
     return zeta, far, f, hess
 
 
+def _differences(mimic: ParzenMimic, Z: np.ndarray) -> np.ndarray:
+    """The r x m x d differences z - x_i, a copy of the rows operated on in place: a
+    broadcast subtraction would also take ufunc buffers beside them."""
+    diff = np.repeat(Z[:, None, :], len(mimic.ref_x), axis=1)
+    diff -= mimic.ref_x
+    return diff
+
+
+def _direct_numerators(mimic: ParzenMimic, rows, X, w, j, s_in, s_out) -> np.ndarray:
+    """S_out V_in - S_in V_out at the given rows of a chunk of rows X, from their direct
+    differences; each class's V_c is one einsum over its slice."""
+    diff, w = _differences(mimic, X[rows]), w[rows]
+    v = np.stack([np.einsum("ri,rid->rd", w[:, s], diff[:, s]) for s in mimic.class_slices], axis=1)
+    other = np.arange(len(mimic.classes)) != j[rows, None]
+    v_in, v_out = v[np.arange(len(rows)), j[rows]], (v * other[:, :, None]).sum(axis=1)
+    return s_out[rows, None] * v_in - s_in[rows, None] * v_out
+
+
 def _hessians(mimic: ParzenMimic, rows, X, w, j, s_in, s_out, zeta) -> np.ndarray:
     """The module docstring's H at the given rows of a chunk of rows X, weights w, labels j,
-    class sums s_in / s_out and gradients zeta.  The differences d_i = z - x_i are direct,
-    formed for these rows only; M_c is one batched matmul of the weighted w_i d_i with the
-    d_i per class slice, and V the sum of the weighted differences."""
-    m, dim = mimic.ref_x.shape
-    # copies, then in-place operations: a product broadcast along the last axis
+    class sums s_in / s_out and gradients zeta, from their direct differences d_i = z - x_i.
+    M_c is one batched matmul of the weighted w_i d_i with the d_i per class slice, and V
+    the sum of the weighted differences."""
+    diff = _differences(mimic, X[rows])
+    # a copy multiplied in place: a product broadcast along the last axis
     # would also take ufunc buffers beside the differences
-    diff = np.repeat(X[rows, None, :], m, axis=1)
-    diff -= mimic.ref_x
-    wd = np.repeat(w[rows, :, None], dim, axis=2)
+    wd = np.repeat(w[rows, :, None], mimic.ref_x.shape[1], axis=2)
     wd *= diff
     mc = np.stack([np.matmul(wd[:, s].transpose(0, 2, 1), diff[:, s]) for s in mimic.class_slices], 1)
     other = np.arange(len(mimic.classes)) != j[rows, None]
@@ -424,9 +469,11 @@ def explain_mimic(mimic: ParzenMimic, z, g_label, hessian_threshold=None) -> Exp
     if hessian_threshold is not None and not hessian_threshold > 0:  # NaN too
         raise ValueError(f"hessian_threshold must be positive, got {hessian_threshold}")
     gradient, far, fallback = np.empty_like(X), np.empty(len(X), dtype=bool), np.zeros(len(X), dtype=bool)
-    centred = (mimic.ref_x - mimic.ref_x.mean(axis=0)).T.copy()
+    centre, centred = _centred(mimic)
     for rows in data._row_blocks(len(X), len(mimic.ref_x)):
-        gradient[rows], far[rows], flagged, hess = _explain_rows(mimic, X[rows], j[rows], centred, hessian_threshold)
+        gradient[rows], far[rows], flagged, hess = _explain_rows(
+            mimic, X[rows], j[rows], centre, centred, hessian_threshold
+        )
         if hess is not None:
             direction, informative = _top_directions(hess)
             taken = rows.start + flagged[informative]

@@ -254,13 +254,16 @@ def test_explain_sigma_grid_list_selects_like_fixed_sigma(triangle_csv, tmp_path
     assert listed.read_bytes() == fixed.read_bytes()
 
 
-@pytest.mark.parametrize("sigma", ["inf", "nan"])
+@pytest.mark.parametrize("sigma", ["inf", "nan", "1e200", "1e-170"])
 def test_explain_rejects_a_width_that_is_not_finite(triangle_csv, tmp_path, capsys, sigma):
-    # --sigma inf wrote zero gradients that were not flagged far-field
+    # --sigma inf wrote zero gradients that were not flagged far-field; 1e200, whose
+    # square overflows, failed with an OverflowError naming nothing, and 1e-170, whose
+    # square underflows to 0, wrote NaN gradients
     out = tmp_path / "x.csv"
     assert main(["explain", "--data", triangle_csv, "--sigma", sigma, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["type"] == "ValueError" and f"sigma must be positive and finite, got {sigma}" in err["error"]
+    message = f"sigma and its square must be positive and finite, got {float(sigma)}"
+    assert err["type"] == "ValueError" and message in err["error"]
     assert not out.exists()
 
 

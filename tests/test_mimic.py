@@ -36,8 +36,7 @@ from oracles import (
 def chunk_hessian(mm, z, c):
     """The Hessian of p(y != c | x) at a near point z, as the explainer's row chunk forms it
     (its references centred and transposed, as explain_mimic hands them to each chunk)."""
-    centred = (mm.ref_x - mm.ref_x.mean(axis=0)).T.copy()
-    return mimicmod._explain_rows(mm, z[None], mm.classes.searchsorted([c]), centred, np.inf)[3][0]
+    return mimicmod._explain_rows(mm, z[None], mm.classes.searchsorted([c]), *mimicmod._centred(mm), np.inf)[3][0]
 
 
 def random_mimic(rng, m=None, d=None, n_classes=2, sigma=None):
@@ -48,6 +47,13 @@ def random_mimic(rng, m=None, d=None, n_classes=2, sigma=None):
     y[: n_classes] = np.arange(1, n_classes + 1)  # every class present
     sigma = sigma or float(rng.uniform(0.3, 2.0))
     return ParzenMimic(X, y, sigma)
+
+
+def chunkings(mm, block_rows):
+    """_BLOCK_ELEMENTS settings under which explain_mimic takes gradient chunks of block_rows
+    rows, and then Hessian blocks of block_rows rows (direct-difference blocks of twice as
+    many, gradient chunks of 2 d block_rows rows)."""
+    return block_rows * len(mm.ref_x), 2 * block_rows * mm.ref_x.size
 
 
 # ---------------------------------------------------------------- densities
@@ -161,7 +167,6 @@ def test_far_field_edge_rows_take_the_one_rule(monkeypatch, block_rows):
         monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(mm.ref_x))
         p = parzen_posterior_not(mm, queries, labels)
         pred = mimic_predict(mm, queries)
-        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
         evs = explain_mimic(mm, queries, labels)
     assert evs.far_field.tolist() == far.tolist()
     assert p.tolist() == evs.predicted_probability.tolist() == [ev.predicted_probability for ev in points]
@@ -322,9 +327,12 @@ def test_references_and_width_that_are_not_finite_are_errors():
         for make in (lambda: ParzenMimic(refs, y, 1.0), lambda: select_width(refs, y, [0.5, 1.0])):
             with pytest.raises(ValueError, match=re.escape(message)):
                 make()
-    for sigma in (np.inf, np.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match=re.escape(f"sigma must be positive and finite, got {sigma}")):
+    for sigma in (np.inf, np.nan, 0.0, -1.0, 1e200, 1e-170, np.float64(1e200)):
+        message = f"sigma and its square must be positive and finite, got {sigma}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ParzenMimic(X, y, sigma)
+    with pytest.raises(ValueError, match=re.escape("squares must be positive and finite, got [1e-170, 1e+200]")):
+        select_width(X, y, [1e-170, 1.0, 1e200])
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.9, np.nan, np.inf])
@@ -969,21 +977,23 @@ def test_block_rows_equal_the_point_calls(monkeypatch, block_rows):
     mm = ParzenMimic(data.features, data.labels, 0.6)
     Z = np.array([[0.0, 0.0], [1.0, 0.0], [1e4, 1e4], [-2.0, 0.3]])
     points = [explain_mimic(mm, z, c, hessian_threshold=1e-6) for z, c in zip(Z, [2, 2, 1, 1])]
-    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
-    evs = explain_mimic(mm, Z, [2, 2, 1, 1], hessian_threshold=1e-6)
-    assert evs.query.shape == evs.gradient.shape == (4, 2)
-    assert evs.source.tolist() == ["hessian-fallback", "parzen-mimic", "parzen-mimic", "parzen-mimic"]
-    assert evs.far_field.tolist() == [False, False, True, False]
-    for i, point in enumerate(points):
-        assert isinstance(point.far_field, bool) and isinstance(point.source, str)
-        assert_same_point_record(evs.row(i), point)
+    for elements in chunkings(mm, block_rows):
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", elements)
+        evs = explain_mimic(mm, Z, [2, 2, 1, 1], hessian_threshold=1e-6)
+        assert evs.query.shape == evs.gradient.shape == (4, 2)
+        assert evs.source.tolist() == ["hessian-fallback", "parzen-mimic", "parzen-mimic", "parzen-mimic"]
+        assert evs.far_field.tolist() == [False, False, True, False]
+        for i, point in enumerate(points):
+            assert isinstance(point.far_field, bool) and isinstance(point.source, str)
+            assert_same_point_record(evs.row(i), point)
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 9])
 @pytest.mark.parametrize("block_rows", [1, 7])
 def test_block_equals_point_in_any_chunk(monkeypatch, block_rows, n_classes):
-    # chunks of one row, and of 7 rows, which does not divide the 45 queries; the
-    # threshold sends about a third of the rows to the Hessian, but no far-field row
+    # chunks of one row, and of 7 rows, which does not divide the 45 queries, then Hessian
+    # blocks of as many rows; the threshold sends about a third of the rows to the
+    # Hessian, but no far-field row
     rng = np.random.default_rng(46)
     mm = random_mimic(rng, m=30, d=3, n_classes=n_classes, sigma=0.6)
     queries = rng.normal(scale=1.5, size=(45, 3))
@@ -994,17 +1004,18 @@ def test_block_equals_point_in_any_chunk(monkeypatch, block_rows, n_classes):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         points = [explain_mimic(mm, q, c, hessian_threshold=threshold) for q, c in zip(queries, labels)]
-        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
-        evs = explain_mimic(mm, queries, labels, hessian_threshold=threshold)
-    assert evs.far_field.tolist() == [False] * 42 + [True] * 3
-    assert 10 <= np.count_nonzero(evs.source == "hessian-fallback") <= 15
-    assert np.array_equal(evs.gradient[-3:], np.zeros((3, 3)))
-    for i, point in enumerate(points):
-        assert_same_point_record(evs.row(i), point)
+        for elements in chunkings(mm, block_rows):
+            monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", elements)
+            evs = explain_mimic(mm, queries, labels, hessian_threshold=threshold)
+            assert evs.far_field.tolist() == [False] * 42 + [True] * 3
+            assert 10 <= np.count_nonzero(evs.source == "hessian-fallback") <= 15
+            assert np.array_equal(evs.gradient[-3:], np.zeros((3, 3)))
+            for i, point in enumerate(points):
+                assert_same_point_record(evs.row(i), point)
 
 
 def test_explanations_far_from_the_origin_match_the_masked_quotient():
-    # the references are centred on their mean, so data shifted by 1e4 lose no digits
+    # the references are centred on their bounding box, so data shifted by 1e4 lose no digits
     rng = np.random.default_rng(47)
     mm = random_mimic(rng, m=40, d=3, n_classes=3, sigma=0.7)
     shift = np.full(3, 1e4)
@@ -1037,6 +1048,69 @@ def test_centred_sums_match_the_masked_quotient_at_any_shift_scale_and_width():
             assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
+def redone_rows(monkeypatch):
+    """The chunk rows explain_mimic redoes from direct differences, as calls record them."""
+    rows, direct = [], mimicmod._direct_numerators
+    monkeypatch.setattr(
+        "localgrad.mimic._direct_numerators", lambda mimic, r, *args: rows.extend(r) or direct(mimic, r, *args)
+    )
+    return rows
+
+
+@pytest.mark.parametrize("far", [[[1e200, 0.0]], [[1.7e308, 1.0], [1.6e308, -1.0]]], ids=["1e200", "1e308"])
+def test_far_references_leave_near_explanations_exact(monkeypatch, far):
+    # one reference at 1e200, or two near the largest double (whose mean overflows), put
+    # the centre 1e199 or more from every near query: the centred products would cancel
+    # to rounding, so each near row is redone from z - x_i, and matches the oracle
+    rng = np.random.default_rng(54)
+    near = random_mimic(rng, m=30, d=2, n_classes=2, sigma=1.0)
+    mm = ParzenMimic(np.vstack([near.ref_x, far]), np.concatenate([near.ref_labels, [1] * len(far)]), 1.0)
+    queries, labels = rng.normal(size=(20, 2)), rng.integers(1, 3, size=20)
+    redone = redone_rows(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evs = explain_mimic(mm, queries, labels)
+    assert redone == list(range(20)) and not evs.far_field.any()
+    with np.errstate(over="ignore"):  # the oracle squares the far differences
+        for z, c, got in zip(queries, labels, evs.gradient):
+            want = parzen_explanation_masked(mm.ref_x, mm.ref_labels, mm.sigma, z, c)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_rows_the_centring_would_blur_are_redone_in_any_chunk(monkeypatch, block_rows):
+    # two clusters 1e6 apart, sigma 0.5: about either, the centred products carry 5e5 and
+    # cancel to about sigma, which cost 2e-9 relative before such rows were redone.  A
+    # gap of 10 keeps them: the products exceed the numerator by less than the bound
+    rng = np.random.default_rng(55)
+    X = np.vstack([rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 1e6])
+    y = rng.integers(0, 2, size=80)
+    queries = np.vstack([X[:20] + rng.normal(scale=0.3, size=(20, 3)), X[40:50], [[-1e4, 0.0, 0.0]]])
+    labels = rng.integers(0, 2, size=31)
+    for gap, want_redone in ((1e6, list(range(30))), (10.0, [])):
+        shifted = X.copy()
+        shifted[40:] += gap - 1e6
+        mm = ParzenMimic(shifted, y, 0.5)
+        Z = queries.copy()
+        Z[20:30] += gap - 1e6
+        redone = redone_rows(monkeypatch)
+        evs = explain_mimic(mm, Z, labels)
+        assert sorted(redone) == want_redone and evs.far_field.tolist() == [False] * 30 + [True]
+        for z, c, got in zip(Z[:30], labels, evs.gradient):
+            want = parzen_explanation_masked(mm.ref_x, mm.ref_labels, mm.sigma, z, c)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # the redone rows, some of them Hessian rows too, are the point calls' in any chunk
+    mm = ParzenMimic(X, y, 0.5)
+    threshold = float(np.quantile(np.linalg.norm(evs.gradient[:30], axis=1), 1 / 3))
+    points = [explain_mimic(mm, z, c, hessian_threshold=threshold) for z, c in zip(queries, labels)]
+    for elements in chunkings(mm, block_rows):
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", elements)
+        evs = explain_mimic(mm, queries, labels, hessian_threshold=threshold)
+        assert np.count_nonzero(evs.source == "hessian-fallback") >= 5
+        for i, point in enumerate(points):
+            assert_same_point_record(evs.row(i), point)
+
+
 @pytest.mark.parametrize("m", [7, 800, 5000])
 def test_gradient_pass_weighs_a_block_of_rows_per_weight_call(monkeypatch, m):
     # the gradient chunk holds the weights alone, 2**15 // m rows; the probability
@@ -1058,7 +1132,7 @@ def test_gradient_pass_weighs_a_block_of_rows_per_weight_call(monkeypatch, m):
 
 def test_hessian_is_formed_only_for_the_flagged_rows(monkeypatch):
     # rows under the threshold, far-field rows excepted, reach the chunk's Hessian step,
-    # and no other row, in chunks of one row and of 7 rows
+    # and no other row, in chunks of one row and of 7 rows, and in Hessian blocks of as many
     data = gen_three_clusters(120, seed=4)
     mm = ParzenMimic(data.features, data.labels, 0.6)
     Z = np.vstack([np.random.default_rng(48).normal(size=(40, 2)), [[0.0, 0.0], [1e4, 1e4]]])
@@ -1075,9 +1149,9 @@ def test_hessian_is_formed_only_for_the_flagged_rows(monkeypatch):
         return formed[-1]
 
     monkeypatch.setattr("localgrad.mimic._hessians", kept)
-    for block_rows in (1, 7):
+    for elements in [*chunkings(mm, 1), *chunkings(mm, 7)]:
         formed.clear()
-        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", elements)
         evs = explain_mimic(mm, Z, labels, hessian_threshold=threshold)
         assert np.array_equal(np.concatenate(formed), want)  # the flagged rows' Hessians, in order
         assert np.flatnonzero(evs.source == "hessian-fallback").tolist() == flagged
@@ -1095,14 +1169,15 @@ def test_flagged_rows_with_a_zero_hessian_keep_their_gradient(monkeypatch, block
     for z in Z[[1, 3, 4]]:
         assert np.array_equal(chunk_hessian(mm, z, 1), np.zeros((2, 2)))
     points = [explain_mimic(mm, z, c, hessian_threshold=1e-6) for z, c in zip(Z, labels)]
-    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * mm.ref_x.size)
-    evs = explain_mimic(mm, Z, labels, hessian_threshold=1e-6)
-    assert evs.source.tolist() == ["hessian-fallback"] + ["parzen-mimic"] * 5
-    assert evs.far_field.tolist() == [False] * 5 + [True]
-    assert np.array_equal(evs.gradient[[1, 3, 4]], np.zeros((3, 2)))
-    assert np.array_equal(evs.predicted_probability[[1, 3, 4]], np.zeros(3))
-    for i, point in enumerate(points):
-        assert_same_point_record(evs.row(i), point)
+    for elements in chunkings(mm, block_rows):
+        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", elements)
+        evs = explain_mimic(mm, Z, labels, hessian_threshold=1e-6)
+        assert evs.source.tolist() == ["hessian-fallback"] + ["parzen-mimic"] * 5
+        assert evs.far_field.tolist() == [False] * 5 + [True]
+        assert np.array_equal(evs.gradient[[1, 3, 4]], np.zeros((3, 2)))
+        assert np.array_equal(evs.predicted_probability[[1, 3, 4]], np.zeros(3))
+        for i, point in enumerate(points):
+            assert_same_point_record(evs.row(i), point)
 
 
 def test_block_explanation_memory_stays_in_chunks(traced):
