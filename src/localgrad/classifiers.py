@@ -24,10 +24,12 @@ class KnnClassifier:
 
     def __init__(self, train_x, train_y, k: int):
         self.train_x = np.asarray(train_x, dtype=float)
-        self.train_y = np.asarray(train_y, dtype=int)
+        self.train_y = data._integer_labels(train_y)
         n = len(self.train_x)
-        if n == 0:
-            raise ValueError("empty training set")
+        if self.train_x.ndim != 2 or n == 0:
+            raise ValueError(f"train_x must be a nonempty n x d matrix, got shape {self.train_x.shape}")
+        if self.train_y.shape != (n,):
+            raise ValueError(f"train_y has shape {self.train_y.shape} but train_x has {n} rows")
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
         self.k = int(k)
@@ -95,11 +97,8 @@ def knn_fit_loo(train_x, train_y, k_candidates) -> KnnClassifier:
     out of the training set.  That needs finite distances, so non-finite
     points (or distances that overflow) are an error.
     """
-    X = np.asarray(train_x, dtype=float)
-    y = np.asarray(train_y, dtype=int)
-    n = len(X)
-    if n == 0:
-        raise ValueError("empty training set")
+    clf = KnnClassifier(train_x, train_y, 1)  # checks the training set
+    X, y, n = clf.train_x, clf.train_y, len(clf.train_x)
     cands = sorted(set(int(k) for k in k_candidates))
     if not cands:
         raise ValueError("no k candidates")
@@ -112,8 +111,7 @@ def knn_fit_loo(train_x, train_y, k_candidates) -> KnnClassifier:
         order[block] = _nearest(dist, cands[-1])
     neighbor_labels = y[order]
     errors = {k: int(np.sum(_vote(neighbor_labels[:, :k]) != y)) for k in cands}
-    best = min(cands, key=lambda k: (errors[k], k))
-    clf = KnnClassifier(X, y, best)
+    clf.k = min(cands, key=lambda k: (errors[k], k))
     clf.loo_errors = errors
     return clf
 

@@ -45,6 +45,17 @@ def _query_block(x, d: int):
     return np.atleast_2d(x), x.ndim == 1
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """labels as ints, with no copy of int labels; the first that is not an integer (1.5,
+    NaN, inf, beyond int64) is an error."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range values cast to garbage
+        as_int = labels.astype(int, copy=False)
+    if (as_int != labels).any():
+        raise ValueError(f"label {labels[as_int != labels][0].item()!r} is not an integer")
+    return as_int
+
+
 def _row_blocks(n_rows: int, row_len: int):
     """Slices covering rows 0..n_rows-1 in order, each holding as many
     rows of row_len elements as _BLOCK_ELEMENTS allows (at least one)."""

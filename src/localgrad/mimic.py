@@ -80,7 +80,7 @@ class ParzenMimic:
 
     def __post_init__(self):
         self.ref_x = np.asarray(self.ref_x, dtype=float)
-        self.ref_labels = _integer_labels(self.ref_labels)
+        self.ref_labels = data._integer_labels(self.ref_labels)
         if self.ref_x.ndim != 2 or len(self.ref_x) == 0:
             raise ValueError("ref_x must be a nonempty m x d matrix")
         if len(self.ref_labels) != len(self.ref_x):
@@ -106,16 +106,6 @@ def _usable_width(sigma) -> bool:
         return bool(0 < sigma < np.inf and 0 < sigma * sigma < np.inf)
 
 
-def _integer_labels(labels) -> np.ndarray:
-    """labels as ints; the first that is not an integer (1.5, NaN, inf, beyond int64) is an error."""
-    labels = np.asarray(labels)
-    with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range values cast to garbage
-        as_int = labels.astype(int)
-    if (as_int != labels).any():
-        raise ValueError(f"label {labels[as_int != labels][0].item()!r} is not an integer")
-    return as_int
-
-
 def _queries(mimic: ParzenMimic, x, c=None):
     """The queries x as a q x d block, whether x was one point, and, given
     labels c with one per row, each row's position in mimic.classes (else None)."""
@@ -131,7 +121,7 @@ def _queries(mimic: ParzenMimic, x, c=None):
 def _class_index(mimic: ParzenMimic, c):
     """Position in mimic.classes of each label of c, in c's shape; a label
     no reference carries is an error."""
-    c = _integer_labels(c)
+    c = data._integer_labels(c)
     unknown = set(c.ravel().tolist()).difference(mimic.classes.tolist())
     if unknown:
         raise ValueError(f"label {min(unknown)} is carried by no reference of the mimic")
@@ -145,9 +135,9 @@ def _rescale(sq: np.ndarray, sigma, out: np.ndarray) -> np.ndarray:
     sigma is one width, or an array of widths broadcast on out's leading axes; each
     width's rows are then the bits of the call with that width alone."""
     np.multiply(sq, -0.5, out=out)
-    # one width is squared by C's pow, as float ** does; ** on an array would
-    # multiply, which rounds about one width in 1000 to another last bit
-    out /= np.float_power(sigma, 2) if isinstance(sigma, np.ndarray) else sigma**2
+    # squared by C's pow, as float ** does; ** on an array would multiply,
+    # which rounds about one width in 1000 to another last bit
+    out /= np.float_power(sigma, 2)
     top = out.max(axis=-1)
     far = top < _UNDERFLOW_LOG
     top[far] = 0.0  # a row of infinite distances would take -inf - (-inf)
@@ -270,20 +260,21 @@ def _proven_labels(ext, n, sigmas, m) -> np.ndarray:
     ext holds each row's smallest and largest squared distance to each class's n_c
     references, so one _rescale gives every width's weights hi_c and lo_c of each class's
     nearest and farthest reference; the row's nearest reference is among them, so these
-    are the bits of the row's full pass.  With delta = 4 m eps, which covers the rounding
-    of a sum of m - 1 nonnegative terms (Higham 2002, section 4.2) and ulp-level
-    non-monotonicity of exp, and tiny the smallest normal double, which covers subnormal
-    terms, a class sum lies within
-        lower_c = max(n_c lo_c, 1 if hi_c == 1) (1 - delta)  (a sum is at least its top weight, 1)
-        upper_c = n_c (hi_c (1 + delta) + tiny),
+    are the bits of the row's full pass.  Each class sum lies near
+        lower_c = max(n_c lo_c, 1 if hi_c == 1)  (a sum of nonnegative terms holding 1 is at least 1)
+        upper_c = n_c hi_c (1 + delta),
     both 0 for an empty class.  A class whose lower bound exceeds every other's upper bound
-    has the largest sum, which the argmax picks."""
+    has the largest sum, which the argmax picks: delta = 4 m eps covers, for both sums at
+    once, the rounding of m - 1 terms each (Higham 2002, section 4.2), of the products and
+    ulp-level non-monotonicity of exp.  Subnormal weights, which relative margins miss,
+    decide nothing: the class of the row's nearest reference sums to at least 1, so a
+    proven class's lower bound is at least 1."""
     delta = 4 * m * np.finfo(float).eps
     w = np.empty((len(sigmas), *ext.shape))
     _rescale(ext.reshape(len(ext), -1), sigmas[:, None, None], out=w.reshape(len(sigmas), len(ext), -1))
     hi, lo = w[:, :, 0], w[:, :, 1]
-    lower = np.maximum(n * lo, (hi == 1) & (n > 0)) * (1 - delta)
-    upper = n * (hi * (1 + delta) + np.finfo(float).tiny)
+    lower = np.maximum(n * lo, (hi == 1) & (n > 0))
+    upper = n * hi * (1 + delta)
     beaten = np.count_nonzero(lower.max(axis=2, keepdims=True) > upper, axis=2)  # never the top class itself
     return np.where(beaten == len(n) - 1, lower.argmax(axis=2), -1)
 
@@ -376,11 +367,10 @@ def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray, centre, cent
     Hessians (None if there are none), from one weight pass.  centred holds the references
     less centre, transposed (d x m), as _centred makes them; each class's P_c is one einsum
     of the weights of its slice with it, so the chunk holds no differences.  Rows whose
-    quotient the centring could blur are redone from their direct differences.  Far rows and
-    their weights are zero, so huge coordinates overflow nothing.  A row's result does not
-    depend on the others."""
+    quotient the centring could blur are redone from their direct differences.  Far rows are
+    neither redone nor flagged, and their quotient is 0.  A row's result does not depend on
+    the others."""
     w, far = _weights(mimic, X)
-    w[far] = 0.0
     sums = _class_sums(mimic.class_slices, w)
     rows, other = np.arange(len(X)), np.arange(len(mimic.classes)) != j[:, None]
     s_in, s_out = sums[rows, j], (sums * other).sum(axis=1)
@@ -466,8 +456,18 @@ def explain_mimic(mimic: ParzenMimic, z, g_label, hessian_threshold=None) -> Exp
     their gradient.
     """
     X, point, j = _queries(mimic, z, g_label)
-    if hessian_threshold is not None and not hessian_threshold > 0:  # NaN too
-        raise ValueError(f"hessian_threshold must be positive, got {hessian_threshold}")
+    if hessian_threshold is not None:
+        if not hessian_threshold > 0:  # NaN too
+            raise ValueError(f"hessian_threshold must be positive, got {hessian_threshold}")
+        # H divides by T sigma^4 with 1 <= T <= m: a subnormal sigma^4 loses digits (NaN
+        # once it is 0), and an infinite T sigma^4 drops H's first term
+        with np.errstate(over="ignore", under="ignore"):
+            s4 = np.float64(mimic.sigma) ** 4
+        if not np.finfo(float).tiny <= s4 <= np.finfo(float).max / len(mimic.ref_x):
+            raise ValueError(
+                f"the Hessian fallback divides by sigma**4 times up to {len(mimic.ref_x)}, "
+                f"which must be a normal double, got sigma {mimic.sigma}"
+            )
     gradient, far, fallback = np.empty_like(X), np.empty(len(X), dtype=bool), np.zeros(len(X), dtype=bool)
     centre, centred = _centred(mimic)
     for rows in data._row_blocks(len(X), len(mimic.ref_x)):

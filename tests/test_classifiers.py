@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,36 @@ def test_fit_loo_validation():
         knn_fit_loo(X, y, k_candidates=(10,))  # k must be <= n-1
     with pytest.raises(ValueError):
         KnnClassifier(X, y, k=0)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([0, 1, 0, 1, 0, 1, 1], "train_y has shape (7,) but train_x has 5 rows"),
+        ([0, 1, 0, 1], "train_y has shape (4,) but train_x has 5 rows"),
+        ([[0], [1], [0], [1], [0]], "train_y has shape (5, 1) but train_x has 5 rows"),
+        ([0, 0.5, 1, 1.5, 1], "label 0.5 is not an integer"),
+    ],
+)
+def test_knn_takes_one_integer_label_per_point(labels, message):
+    # unchecked, 7 labels for 5 points were accepted, 4 failed in predict ("index 4 is
+    # out of bounds"), [0, 0.5, 1, 1.5, 1] was truncated to [0, 0, 1, 1, 1], and
+    # knn_fit_loo met a wrong count in a broadcast that named neither argument
+    X = np.random.default_rng(0).normal(size=(5, 2))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        KnnClassifier(X, labels, 1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        knn_fit_loo(X, labels, (1, 2))
+
+
+@pytest.mark.parametrize("shape", [(5,), (0, 2), (5, 2, 1)])
+def test_knn_training_points_form_a_nonempty_matrix(shape):
+    # as the mimic's references do: unchecked, a (5,) set built and then failed in
+    # predict with "tuple index out of range", and knn_fit_loo failed inside cdist
+    message = f"train_x must be a nonempty n x d matrix, got shape {shape}"
+    for call in (lambda X, y: KnnClassifier(X, y, 1), lambda X, y: knn_fit_loo(X, y, (1,))):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(np.zeros(shape), np.zeros(shape[0], dtype=int))
 
 
 def test_table_oracle_three_rows(tmp_path):

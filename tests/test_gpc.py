@@ -123,6 +123,19 @@ def test_probability_bounds_on_grid(triangle_gpc):
     assert np.all(P >= 0.0) and np.all(P <= 1.0)
 
 
+@pytest.mark.parametrize("z, var_cav, floored", [(-1e4, 1e4, True), (-2e4, 5.0, False)], ids=["floor", "clamp"])
+def test_sites_far_on_the_wrong_side_keep_a_sharp_nonnegative_precision(z, var_cav, floored):
+    # a cavity 1e4 standard deviations or more on the wrong side of its label: N(z)/Phi(z)
+    # is about -z and the tilted variance cancels to rounding.  Unguarded, the first read
+    # -6141, which left the site flat (precision 0) where the floor makes it sharp; the
+    # second read above the cavity's variance, which gave a site precision of -0.17
+    tau_cav = np.array([1.0 / var_cav])
+    nu_cav = z * np.sqrt(1.0 + var_cav) * tau_cav
+    site_tau, site_nu = gpc._site_targets(tau_cav, nu_cav, np.array([1.0]))
+    assert site_tau[0] >= 0 and np.isfinite(site_nu).all()
+    assert (site_tau[0] > 1e13) == floored
+
+
 def test_probit_link_value_against_erfc_oracle():
     # unit latent mean with zero predictive variance -> standard normal CDF at 1
     X = np.array([[-1.0], [1.0]])
@@ -470,6 +483,24 @@ def test_model_from_dict_checks_the_training_set_as_ep_fit_does(key, value, mess
         ep_fit(blob["train_x"], blob["train_y"], KernelSpec("rbf"))
 
 
+@pytest.mark.parametrize(
+    "key, index, value, message",
+    [
+        ("site_variance", 2, -1e-9, "site_variance entries must be nonnegative"),
+        ("alpha", 1, float("nan"), "alpha yields non-finite latent means on the training set"),
+    ],
+    ids=["site_variance", "alpha"],
+)
+def test_model_from_dict_refuses_a_site_or_weight_no_fit_gives(key, index, value, message):
+    # the jitter of 1e-8 keeps K + diag(s) definite under a site variance of -1e-9, and
+    # the factor never reads alpha: unchecked, both loaded, and the NaN predicted NaN
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    blob = model_to_dict(ep_fit(X, np.array([-1, 1, -1, 1]), KernelSpec("rbf")))
+    blob[key][index] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_dict(blob)
+
+
 def test_ep_fit_refuses_a_gram_matrix_that_is_not_positive_definite(monkeypatch):
     # symmetric with eigenvalues 3 and -1: the jitter cannot make it definite
     monkeypatch.setattr(gpc, "kernel_gram", lambda spec, X: np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -477,29 +508,56 @@ def test_ep_fit_refuses_a_gram_matrix_that_is_not_positive_definite(monkeypatch)
         ep_fit(np.array([[0.0], [1.0]]), np.array([-1, 1]), KernelSpec("rbf"))
 
 
-@pytest.mark.parametrize("scale, fails", [(1.0 + 1e-6, True), (1.0 + 1e-12, False)])
-def test_model_from_dict_factorization_check(triangle_gpc, monkeypatch, scale, fails):
-    # a factor off by `scale` leaves a relative residual of about 2 (scale - 1); its
-    # norm is summed over one block of all n = 60 rows, then over blocks of 7 rows
-    _, model = triangle_gpc
-    n = len(model.train_x)
-    site_factor = gpc._site_factor
-    monkeypatch.setattr(gpc, "_site_factor", lambda K, s: site_factor(K, s) * scale)
-    messages = []
-    for block_rows in (n, 7):
-        monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * n)
-        if fails:
-            with pytest.raises(ValueError, match="factorization check failed") as info:
-                model_from_dict(model_to_dict(model))
-            messages.append(str(info.value))
-        else:
-            model_from_dict(model_to_dict(model))
-    assert messages[:1] == messages[1:]
+FACTOR_SPECS = [KernelSpec("rbf", width=0.8), KernelSpec("linear"), KernelSpec("rational-quadratic", rq_alpha=0.7)]
+
+
+def loaded_model(spec, X, site_variance):
+    """A model loaded from a file holding X, these site variances, alternating labels and zero weights."""
+    n = len(X)
+    return model_from_dict(
+        {
+            "kernel": kernel_to_dict(spec),
+            "train_x": X.tolist(),
+            "train_y": np.resize([-1, 1], n).tolist(),
+            "site_variance": site_variance.tolist(),
+            "alpha": np.zeros(n).tolist(),
+        }
+    )
+
+
+@pytest.mark.parametrize("sites", ["1e-10", "1e10", "mixed"])
+@pytest.mark.parametrize("spec", FACTOR_SPECS, ids=lambda spec: spec.kind)
+def test_loaded_factor_reproduces_the_matrix_it_factors(spec, sites):
+    # Cholesky is backward stable (Higham 2002, Theorem 10.3), so a loaded model's factor
+    # reproduces K + jitter I + diag(s) to a few eps of its norm, and loading checks no
+    # factor: at most 2.2e-16 relative here, over data scales 1e-3 to 1e3
+    rng = np.random.default_rng(66)
+    for scale in (1e-3, 1.0, 1e3):
+        X = rng.normal(size=(60, 3)) * scale
+        s = np.full(60, float(sites)) if sites != "mixed" else 10 ** rng.uniform(-10, 10, 60)
+        model = loaded_model(spec, X, s)
+        A = kernel_gram(spec, model.train_x) + np.diag(model.jitter + s)
+        L = model.chol_factor
+        assert np.linalg.norm(L @ L.T - A) <= 1e-13 * np.linalg.norm(A)
+
+
+@pytest.mark.parametrize("spec", FACTOR_SPECS, ids=lambda spec: spec.kind)
+def test_predictive_variance_keeps_the_jitters_floor(spec):
+    # with zero site variances and half the points coincident, a loaded model's variance
+    # at its own points stays above 1e-9/n of the prior variance: the jitter's floor of
+    # about 1e-8/n, which the solve's rounding never takes below 0, so nothing clamps it
+    rng = np.random.default_rng(67)
+    X = rng.normal(size=(200, 2)) * 3.0
+    X[:100] = X[0]
+    model = loaded_model(spec, X, np.zeros(200))
+    Q = np.vstack([X, X + 1e-7, rng.normal(size=(50, 2))])
+    var = _predictive(model, Q)[1]
+    assert (var >= 1e-9 / 200 * kernels.kernel_diag(spec, Q)[0]).all()
 
 
 def test_model_from_dict_forms_the_residual_in_row_blocks(traced):
-    # K, its factor and one 81-row block of the residual; the whole residual took
-    # 3.02 n^2 float64 at n = 400, and the blocks 2.22 n^2 when this bound was set
+    # K and its factor: the bound was set at 2.22 n^2 float64 for n = 400, when loading
+    # also formed a residual of the factor in 81-row blocks, and stays as an upper bound
     n = 400
     rng = np.random.default_rng(39)
     X = rng.normal(size=(n, 5))
@@ -517,7 +575,8 @@ def test_model_from_dict_forms_the_residual_in_row_blocks(traced):
 
 
 def test_model_from_dict_memory_stays_small(traced):
-    # K, its factor and the residual, whose one block holds all n = 150 rows
+    # K and its factor; the bound was set when loading also formed a residual of the
+    # factor, in one block of all n = 150 rows, and stays as an upper bound
     n = 150
     X = np.random.default_rng(36).normal(size=(n, 5))
     blob = model_to_dict(ep_fit(X, np.where(X[:, 0] > 0, 1, -1), KernelSpec("rbf", width=0.3)))

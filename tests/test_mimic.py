@@ -526,6 +526,16 @@ def test_width_counts_leave_a_rounding_tie_to_the_class_sums(monkeypatch):
     assert tally["settled"] > 0 and tally["left"] > 0
 
 
+def test_a_class_whose_farthest_weight_underflows_is_proven_by_its_top_weight():
+    # a row at squared distances 0.01 and 0.5 from its nearest and farthest class-0
+    # reference, 0.6 and 1 from class 1's: at sigma 0.01 every weight but the nearest, 1,
+    # underflows, so only that top weight bounds class 0's sum from below; at sigma 1 its
+    # farthest weight does too
+    ext = np.array([[[0.01, 0.6], [0.5, 1.0]]])  # (row, nearest / farthest, class)
+    n = np.array([3, 3])
+    assert mimicmod._proven_labels(ext, n, np.array([0.01, 1.0]), 7).tolist() == [[0], [0]]
+
+
 def random_loo_set(rng):
     """2-4 classes, one of them a single reference, in 1-3 rounded dimensions (so the
     nearest distances tie across classes), some references far from the rest, and
@@ -841,6 +851,19 @@ def test_hessian_direction_canonical_orientation():
     assert direction[nonzero[0]] > 0
 
 
+def test_top_directions_take_their_sign_from_the_first_component_above_rounding():
+    # I + v v' has the top eigenvector v.  A first component of -1e-5 sets the sign, so
+    # (-1e-5, 1) turns to (1e-5, -1); one of -1e-12, below the 1e-9 floor where a
+    # component that symmetry zeroes lies, is passed over for the second
+    def hess(first):
+        v = np.array([first, 1.0]) / np.hypot(first, 1.0)
+        return np.eye(2) + np.outer(v, v)
+
+    direction, informative = mimicmod._top_directions(np.stack([hess(-1e-5), hess(-1e-12)]))
+    assert informative.all()
+    assert np.sign(direction).tolist() == [[1, -1], [-1, 1]]
+
+
 def test_hessian_degenerate_spectrum_isotropic_ring():
     # 8 references of the other class on a circle + one reference of the
     # queried class at the center: rotational symmetry forces an
@@ -1111,6 +1134,72 @@ def test_rows_the_centring_would_blur_are_redone_in_any_chunk(monkeypatch, block
             assert_same_point_record(evs.row(i), point)
 
 
+@pytest.mark.parametrize("seed", [55, 56, 57])
+def test_rows_whose_products_exceed_the_numerator_64_fold_are_redone(monkeypatch, seed):
+    # two clusters 300 apart, sigma 0.5: about either, the centred products carry about
+    # 150 and exceed the numerator a few hundred-fold.  Redone, every row keeps 2e-14
+    # relative; kept (a bound of 4096), rows lost 1.6e-13 to 4.5e-13
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + [300.0, 0.0, 0.0]])
+    mm = ParzenMimic(X, rng.integers(0, 2, size=80), 0.5)
+    Z = np.vstack([X[:20], X[40:60]]) + rng.normal(scale=0.3, size=(40, 3))
+    labels = rng.integers(0, 2, size=40)
+    redone = redone_rows(monkeypatch)
+    evs = explain_mimic(mm, Z, labels)
+    assert redone
+    for z, c, got in zip(Z, labels, evs.gradient):
+        want = parzen_explanation_masked(mm.ref_x, mm.ref_labels, mm.sigma, z, c)
+        assert np.linalg.norm(got - want) <= 2e-14 * np.linalg.norm(want)
+
+
+def test_a_numerator_that_overflows_on_one_side_is_redone(monkeypatch):
+    # in dimension 0 four references sit at 0.85e308 and one at -0.85e308, so the centre is
+    # 0.  The three of class 1 at the queries sum their centred coordinate past the largest
+    # double, while the query class 0's weight of about 0.5 keeps S_out P_in finite: the
+    # numerator reads +inf, not NaN, and the rows are redone from z - x_i
+    a, half = 0.85e308, np.sqrt(2 * np.log(2))
+    X = np.array([[a, 0.0], [a, 0.1], [a, -0.1], [a, half], [-a, 0.0]])
+    mm = ParzenMimic(X, [1, 1, 1, 0, 1], 1.0)
+    Z, labels = np.array([[a, 0.0], [a, 0.3]]), [0, 0]
+    redone = redone_rows(monkeypatch)
+    evs = explain_mimic(mm, Z, labels)
+    assert sorted(redone) == [0, 1] and np.isfinite(evs.gradient).all()
+    with np.errstate(over="ignore"):  # the oracle squares the far differences
+        for z, c, got in zip(Z, labels, evs.gradient):
+            want = parzen_explanation_masked(mm.ref_x, mm.ref_labels, mm.sigma, z, c)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_far_rows_are_never_redone(monkeypatch):
+    # a far row weighs every reference by 1, so its centred products fail the ratio test,
+    # but its quotient is 0 whatever they are: redone from z - x_i, this one's differences
+    # from references at -1e308 would overflow
+    rng = np.random.default_rng(68)
+    X = np.column_stack([np.full(20, -1e308), rng.normal(size=20)])
+    mm = ParzenMimic(X, rng.integers(0, 2, size=20), 0.5)
+    Z = np.array([[1e308, 0.0], [-1e308, 0.2]])
+    redone = redone_rows(monkeypatch)
+    evs = explain_mimic(mm, Z, [0, 1])
+    assert evs.far_field.tolist() == [True, False] and 0 not in redone
+    assert np.array_equal(evs.gradient[0], np.zeros(2))
+
+
+def test_references_near_the_largest_double_keep_their_centred_rows(monkeypatch):
+    # every reference at 1.5e308 in dimension 0: min + max of the box would overflow, and an
+    # infinite centre sent every row to the direct differences.  Halved before adding, the
+    # centre is 1.5e308 and each row keeps the bits of the same set at 0
+    rng = np.random.default_rng(65)
+    X, Z = rng.normal(size=(30, 3)), rng.normal(size=(20, 3))
+    X[:, 0] = Z[:, 0] = 0.0
+    y, labels = np.resize([1, 2, 3], 30), rng.integers(1, 4, size=20)
+    want = explain_mimic(ParzenMimic(X, y, 0.8), Z, labels)
+    X[:, 0] = Z[:, 0] = 1.5e308
+    redone = redone_rows(monkeypatch)
+    evs = explain_mimic(ParzenMimic(X, y, 0.8), Z, labels)
+    assert redone == []
+    assert evs.gradient.tobytes() == want.gradient.tobytes()
+
+
 @pytest.mark.parametrize("m", [7, 800, 5000])
 def test_gradient_pass_weighs_a_block_of_rows_per_weight_call(monkeypatch, m):
     # the gradient chunk holds the weights alone, 2**15 // m rows; the probability
@@ -1220,6 +1309,27 @@ def test_hessian_threshold_must_be_positive(threshold):
     assert np.linalg.norm(explain_mimic(mm, z, 2).gradient) == pytest.approx(0.84, abs=0.01)
     with pytest.raises(ValueError, match="hessian_threshold must be positive, got"):
         explain_mimic(mm, z, 2, hessian_threshold=threshold)
+
+
+@pytest.mark.parametrize("scale", [1e-76, 1e-80, 1e-90, 1e-150, 1e76, 1e77, 1e100])
+def test_hessian_fallback_needs_a_normal_fourth_power_of_sigma(scale):
+    # references, queries and sigma scaled together leave every direction as it is, down
+    # to 1e-76 and up to 1e76.  Beyond, T sigma^4 (1 <= T <= 20) is subnormal or infinite:
+    # unchecked, the directions drifted at 1e-80 and read NaN at 1e-90, 1e77 turned them,
+    # and 1e100 raised an OverflowError that named nothing
+    rng = np.random.default_rng(64)
+    X, y, Z = rng.normal(size=(20, 2)), rng.integers(0, 2, size=20), rng.normal(size=(3, 2))
+    labels = mimic_predict(ParzenMimic(X, y, 1.0), Z)
+    want = explain_mimic(ParzenMimic(X, y, 1.0), Z, labels, hessian_threshold=1e300).gradient
+    mm = ParzenMimic(X * scale, y, scale)
+    if 1e-77 < scale < 1e77:
+        evs = explain_mimic(mm, Z * scale, labels, hessian_threshold=1e300)
+        assert (evs.source == "hessian-fallback").all()
+        np.testing.assert_allclose(evs.gradient, want, rtol=1e-12)
+    else:
+        message = f"divides by sigma**4 times up to 20, which must be a normal double, got sigma {scale}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            explain_mimic(mm, Z * scale, labels, hessian_threshold=1e300)
 
 
 def test_parzen_mimic_validation():
