@@ -23,16 +23,12 @@ class KnnClassifier:
     """
 
     def __init__(self, train_x, train_y, k: int):
-        self.train_x = np.asarray(train_x, dtype=float)
-        self.train_y = data._integer_labels(train_y)
+        self.train_x = data._points(train_x, "train_x")
         n = len(self.train_x)
-        if self.train_x.ndim != 2 or n == 0:
-            raise ValueError(f"train_x must be a nonempty n x d matrix, got shape {self.train_x.shape}")
-        if self.train_y.shape != (n,):
-            raise ValueError(f"train_y has shape {self.train_y.shape} but train_x has {n} rows")
-        if not 1 <= k <= n:
-            raise ValueError(f"k must be in [1, {n}], got {k}")
-        self.k = int(k)
+        self.train_y = data._integer_labels(train_y, n, "train_y", "train_x")
+        self.k = int(data._integers(k, "k"))
+        if not 1 <= self.k <= n:
+            raise ValueError(f"k must be in [1, {n}], got {self.k}")
         self.loo_errors = None  # filled by knn_fit_loo
 
     def predict(self, x):
@@ -99,7 +95,7 @@ def knn_fit_loo(train_x, train_y, k_candidates) -> KnnClassifier:
     """
     clf = KnnClassifier(train_x, train_y, 1)  # checks the training set
     X, y, n = clf.train_x, clf.train_y, len(clf.train_x)
-    cands = sorted(set(int(k) for k in k_candidates))
+    cands = sorted(set(data._integers(list(k_candidates), "k").tolist()))
     if not cands:
         raise ValueError("no k candidates")
     if cands[0] < 1 or cands[-1] > n - 1:

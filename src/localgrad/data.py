@@ -45,15 +45,45 @@ def _query_block(x, d: int):
     return np.atleast_2d(x), x.ndim == 1
 
 
-def _integer_labels(labels) -> np.ndarray:
-    """labels as ints, with no copy of int labels; the first that is not an integer (1.5,
-    NaN, inf, beyond int64) is an error."""
-    labels = np.asarray(labels)
+def _points(x, name: str) -> np.ndarray:
+    """x as a nonempty n x d matrix of finite floats: the one rule for a model's points
+    (references, training points, features); the first row that is not finite is named."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or len(x) == 0:
+        raise ValueError(f"{name} must be a nonempty n x d matrix, got shape {x.shape}")
+    # min and max carry a NaN or an inf through, as _query_block reads queries
+    if not (math.isfinite(x.min(initial=0.0)) and math.isfinite(x.max(initial=0.0))):
+        row = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise ValueError(f"{name} must be finite, but row {row} is {x[row].tolist()}")
+    return x
+
+
+def _integers(values, kind: str = "label") -> np.ndarray:
+    """values as ints, with no copy of ints; the first that is not an integer (1.5, NaN,
+    inf, beyond int64) is an error naming it as a `kind`."""
+    values = np.asarray(values)
     with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range values cast to garbage
-        as_int = labels.astype(int, copy=False)
-    if (as_int != labels).any():
-        raise ValueError(f"label {labels[as_int != labels][0].item()!r} is not an integer")
+        as_int = values.astype(int, copy=False)
+    if (as_int != values).any():
+        raise ValueError(f"{kind} {values[as_int != values][0].item()!r} is not an integer")
     return as_int
+
+
+def _integer_labels(labels, n: int, name: str, points_name: str) -> np.ndarray:
+    """labels (called name) as one integer label per row of the n points (called
+    points_name), by _integers' rule."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"{name} has shape {labels.shape} but {points_name} has {n} rows")
+    return _integers(labels)
+
+
+def _differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The r x m x d differences a_i - b_j of the rows of A and B, a copy of A's rows
+    operated on in place: a broadcast subtraction would also take ufunc buffers beside them."""
+    diff = np.repeat(A[:, None, :], len(B), axis=1)
+    diff -= B
+    return diff
 
 
 def _row_blocks(n_rows: int, row_len: int):
@@ -74,20 +104,18 @@ class Dataset:
     norm_stats: dict | None = field(default=None)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.features = _points(self.features, "features")
         n, d = self.features.shape
+        self.labels = _integer_labels(self.labels, n, "labels", "features")
         if self.feature_names is None:
             self.feature_names = [f"f{j + 1}" for j in range(d)]
         if self.row_ids is None:
             self.row_ids = np.arange(n)
         self.row_ids = np.asarray(self.row_ids, dtype=int)
-        if len(self.labels) != n or len(self.row_ids) != n:
-            raise ValueError("features, labels and row_ids must have equal length")
+        if self.row_ids.shape != (n,):
+            raise ValueError(f"row_ids has shape {self.row_ids.shape} but features has {n} rows")
         if len(self.feature_names) != d:
             raise ValueError(f"expected {d} feature names, got {len(self.feature_names)}")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features contain NaN or Inf")
 
     @property
     def n(self) -> int:

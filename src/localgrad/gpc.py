@@ -149,17 +149,11 @@ def _recompute_posterior(K, tau, nu):
 
 
 def _training_set(train_x, train_y):
-    """A GP training set, fitted or loaded: train_x an n x d matrix of finite floats,
-    and train_y of shape (n,) holding both -1 and +1 and nothing else, as floats."""
-    X, y = np.asarray(train_x, dtype=float), np.asarray(train_y, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"train_x must be an n x d matrix, got shape {X.shape}")
-    # min and max carry a NaN or an inf through, as the query rule reads them
-    if not (np.isfinite(X.min(initial=0.0)) and np.isfinite(X.max(initial=0.0))):
-        raise ValueError("train_x must be finite")
-    if y.shape != (len(X),):
-        raise ValueError(f"train_y has shape {y.shape} but train_x has {len(X)} rows")
-    if set(np.unique(y)) != {-1.0, 1.0}:
+    """A GP training set, fitted or loaded: points and labels by data's rules, and
+    train_y holding both -1 and +1 and nothing else."""
+    X = data._points(train_x, "train_x")
+    y = data._integer_labels(train_y, len(X), "train_y", "train_x")
+    if set(np.unique(y).tolist()) != {-1, 1}:
         raise ValueError("train_y must contain both -1 and +1 and nothing else")
     return X, y
 
@@ -170,7 +164,6 @@ def ep_fit(
     kernel: KernelSpec,
     tol: float = 1e-6,
     max_sweeps: int = 100,
-    damping: float = 0.0,
 ) -> GpcModel:
     """Fit the EP approximation.
 
@@ -181,17 +174,15 @@ def ep_fit(
     parameters, is tested against `tol` before stepping, so `tol` bounds
     the distance to the fixed point whatever the step.  Otherwise every
     such site moves by step * residual and the posterior is recomputed
-    once in the stable form of GPML section 3.6.  `damping` only sets the
-    first step, 1 - damping; the step then halves when the residual grew
-    since the last sweep, and else grows by 1.25x up to 1.  Running out of
-    sweeps is reported by the `converged` flag plus a warning, not an
-    error.  The model keeps the per-sweep residual, improper-cavity count
-    and step, and the number of site precisions floored at _TAU_FLOOR.
+    once in the stable form of GPML section 3.6.  The step starts at 1; it
+    halves when the residual grew since the last sweep, and else grows by
+    1.25x up to 1.  Running out of sweeps is reported by the `converged`
+    flag plus a warning, not an error.  The model keeps the per-sweep
+    residual, improper-cavity count and step, and the number of site
+    precisions floored at _TAU_FLOOR.
     """
     X, y = _training_set(train_x, train_y)
     n = len(X)
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping must be in [0, 1), got {damping}")
 
     K, jitter = _add_jitter(kernel_gram(kernel, X))
     try:
@@ -199,7 +190,7 @@ def ep_fit(
     except np.linalg.LinAlgError as exc:
         raise ValueError("Gram matrix is not positive definite after jitter") from exc
 
-    step = 1.0 - damping
+    step = 1.0
     nu = np.zeros(n)  # site natural parameters: nu = mu_site / var_site
     tau = np.zeros(n)  # tau = 1 / var_site
     post_var, mu = np.diag(K), np.zeros(n)
@@ -238,7 +229,7 @@ def ep_fit(
     return GpcModel(
         kernel=kernel,
         train_x=X,
-        train_y=y.astype(int),
+        train_y=y,
         site_variance=site_variance,
         alpha=alpha,
         chol_factor=L,
@@ -354,7 +345,7 @@ def model_from_dict(obj: dict) -> GpcModel:
     return GpcModel(
         kernel=kernel,
         train_x=X,
-        train_y=train_y.astype(int),
+        train_y=train_y,
         site_variance=site_variance,
         alpha=alpha,
         chol_factor=L,

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import data
+
 KINDS = ("rbf", "linear", "rational-quadratic")
 
 
@@ -111,10 +113,7 @@ def _kernel_core(spec: KernelSpec, A: np.ndarray, B: np.ndarray, grad: bool = Fa
             dK /= spec.rq_length**2
     if not grad:
         return K, None
-    # the differences go into a copy of the query rows: a broadcast
-    # subtraction would also take ufunc buffers beside J
-    J = np.repeat(A[:, None, :], len(B), axis=1)
-    J -= B
+    J = data._differences(A, B)
     dK *= 2.0
     J *= dK[:, :, None]
     return K, J

@@ -37,6 +37,9 @@ gives one identity, in which the quotient rule's I / sigma^2 terms cancel:
 
     H(z) = [(S_in * M_out - S_out * M_in) / (T * sigma^4) + (zeta V' + V zeta') / sigma^2] / T.
 
+The explainer forms sigma^2 H, a positive multiple of H with the same top eigenvector,
+which divides by T sigma^2 only: no sigma^4 appears.
+
 Both are invariant under rescaling all weights by a common
 factor, so they are evaluated with weights scaled by the largest one;
 that keeps T^2 away from underflow without changing any result.
@@ -58,6 +61,8 @@ from scipy.spatial.distance import cdist
 from . import data
 from .data import ExplanationVector
 
+# what _usable_width asks of a width, as its errors state it
+_WIDTH_RULE = "with sigma**2 and m**2 * sigma**2 normal doubles"
 # log of the smallest positive double: below this, exp() underflows to 0
 _UNDERFLOW_LOG = float(np.log(np.finfo(float).smallest_subnormal))
 # bit pattern of +inf: nonnegative doubles up to it sort as their uint64 patterns do
@@ -79,18 +84,11 @@ class ParzenMimic:
     sigma: float
 
     def __post_init__(self):
-        self.ref_x = np.asarray(self.ref_x, dtype=float)
-        self.ref_labels = data._integer_labels(self.ref_labels)
-        if self.ref_x.ndim != 2 or len(self.ref_x) == 0:
-            raise ValueError("ref_x must be a nonempty m x d matrix")
-        if len(self.ref_labels) != len(self.ref_x):
-            raise ValueError("ref_x and ref_labels must have equal length")
-        if not _usable_width(self.sigma):
-            raise ValueError(f"sigma and its square must be positive and finite, got {self.sigma}")
-        # min and max carry a NaN or an inf through, as data._query_block reads queries
-        if not (np.isfinite(self.ref_x.min(initial=0.0)) and np.isfinite(self.ref_x.max(initial=0.0))):
-            row = int(np.argmin(np.isfinite(self.ref_x).all(axis=1)))
-            raise ValueError(f"references must be finite, but reference {row} is {self.ref_x[row].tolist()}")
+        self.ref_x = data._points(self.ref_x, "ref_x")
+        m = len(self.ref_x)
+        self.ref_labels = data._integer_labels(self.ref_labels, m, "ref_labels", "ref_x")
+        if not _usable_width(self.sigma, m):
+            raise ValueError(f"sigma must be positive, {_WIDTH_RULE} for {m} references, got {self.sigma}")
         # grouped by class, stably: the rows of class classes[j] are class_slices[j]
         order = np.argsort(self.ref_labels, kind="stable")
         self.ref_x, self.ref_labels = self.ref_x[order], self.ref_labels[order]
@@ -99,11 +97,13 @@ class ParzenMimic:
         self.class_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _usable_width(sigma) -> bool:
-    """Whether sigma and its square, which the weights divide by, are positive and finite
-    (NaN is neither): 1e200 squares to inf and 1e-170 to 0."""
+def _usable_width(sigma, m: int) -> bool:
+    """Whether sigma is positive (NaN is not) and everything the mimic of m references
+    divides by is a normal double: sigma^2 (the weights) and sigma^2 T^2 with 1 <= T <= m
+    (the gradients; sigma^2 H divides by T sigma^2)."""
     with np.errstate(over="ignore", under="ignore"):
-        return bool(0 < sigma < np.inf and 0 < sigma * sigma < np.inf)
+        s2 = np.float_power(sigma, 2)
+        return bool(sigma > 0 and np.finfo(float).tiny <= s2 and m * m * s2 < np.inf)
 
 
 def _queries(mimic: ParzenMimic, x, c=None):
@@ -121,7 +121,7 @@ def _queries(mimic: ParzenMimic, x, c=None):
 def _class_index(mimic: ParzenMimic, c):
     """Position in mimic.classes of each label of c, in c's shape; a label
     no reference carries is an error."""
-    c = data._integer_labels(c)
+    c = data._integers(c)
     unknown = set(c.ravel().tolist()).difference(mimic.classes.tolist())
     if unknown:
         raise ValueError(f"label {min(unknown)} is carried by no reference of the mimic")
@@ -195,13 +195,13 @@ def select_width(ref_x, ref_labels, candidate_sigmas) -> float:
     from the supplied g label (_width_counts); ties go to the smaller sigma.  Most
     scores at very small and very large widths are settled by bounds on the class sums
     that prove what that one rule decides, before a row's weights are formed."""
-    sigmas = sorted(map(float, candidate_sigmas))
-    bad = [s for s in sigmas if not _usable_width(s)]
+    mimic = ParzenMimic(ref_x, ref_labels, 1.0)  # the references; _width_counts takes the widths
+    sigmas, m = sorted(map(float, candidate_sigmas)), len(mimic.ref_x)
+    bad = [s for s in sigmas if not _usable_width(s, m)]
     if bad or not sigmas:
-        raise ValueError(f"sigma candidates and their squares must be positive and finite, got {bad or 'none'}")
-    mimic = ParzenMimic(ref_x, ref_labels, sigmas[0])  # the decision rule reads only the labels
-    if len(mimic.ref_x) < 2:
-        raise ValueError(f"leave-one-out width selection needs at least two references, got {len(mimic.ref_x)}")
+        raise ValueError(f"sigma candidates must be positive, {_WIDTH_RULE} for {m} references, got {bad or 'none'}")
+    if m < 2:
+        raise ValueError(f"leave-one-out width selection needs at least two references, got {m}")
     return sigmas[int(np.argmin(_width_counts(mimic, sigmas)))]  # first minimum: the smaller sigma
 
 
@@ -330,20 +330,16 @@ def default_sigma_grid(points, span=(1e-2, 1e2)) -> np.ndarray:
 
     The median is np.median's, bit for bit, with no buffer of all pairs: sqrt is
     monotone, so it is the mean of the roots of the two middle squared distances, which
-    _middle_squared_distances selects in row blocks.  Points that are not finite, and
-    a median of 0 (more than half of the point pairs coincide) or of inf (the squared
-    distances overflow), scale no grid and are errors.
+    _middle_squared_distances selects in row blocks.  The points meet data._points' rule,
+    and a median of 0 (more than half of the point pairs coincide) or of inf (the squared
+    distances overflow) scales no grid and is an error.
     """
-    points = np.asarray(points, dtype=float)
+    points = data._points(points, "points")
     if len(points) < 2:
         raise ValueError(
             f"the sigma grid is scaled by a median pairwise distance, which needs at "
             f"least two points, got {len(points)}"
         )
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"the sigma grid needs finite points, but point {row} is {points[row].tolist()}")
     med = float(np.mean(np.sqrt(_middle_squared_distances(points))))
     if not 0 < med < np.inf:
         cause = "more than half of the point pairs coincide" if med == 0 else "the squared distances overflow"
@@ -363,23 +359,22 @@ def _centred(mimic: ParzenMimic):
 
 def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray, centre, centred, hessian_threshold):
     """The explanation quotient at each row of X for the class mimic.classes[j], the far-field
-    mask, and given a threshold, the near rows whose quotient's norm is below it and their
-    Hessians (None if there are none), from one weight pass.  centred holds the references
+    mask, and given a threshold, the near rows whose quotient's norm is below it and sigma^2
+    times their Hessians (None if there are none), from one weight pass.  centred holds the references
     less centre, transposed (d x m), as _centred makes them; each class's P_c is one einsum
     of the weights of its slice with it, so the chunk holds no differences.  Rows whose
     quotient the centring could blur are redone from their direct differences.  Far rows are
     neither redone nor flagged, and their quotient is 0.  A row's result does not depend on
     the others."""
     w, far = _weights(mimic, X)
-    sums = _class_sums(mimic.class_slices, w)
-    rows, other = np.arange(len(X)), np.arange(len(mimic.classes)) != j[:, None]
-    s_in, s_out = sums[rows, j], (sums * other).sum(axis=1)
+    s_in, s_out = _in_out(_class_sums(mimic.class_slices, w), j)
     # each product carries about S_in S_out |z - centre| and rounds at eps times that, while
     # they cancel to |num|: a row whose ratio exceeds _CANCEL_RATIO, or whose numerator
     # overflowed, is redone from z - x_i (and then has the bits of that direct form)
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.stack([np.einsum("ri,di->rd", w[:, s], centred[:, s]) for s in mimic.class_slices], axis=1)
-        num = s_in[:, None] * (p * other[:, :, None]).sum(axis=1) - s_out[:, None] * p[rows, j]
+        p_in, p_out = _in_out(p, j)
+        num = s_in[:, None] * p_out - s_out[:, None] * p_in
         size = np.abs(num).max(axis=1)
         kept = (s_in * s_out * np.abs(X - centre).max(axis=1) <= _CANCEL_RATIO * size) & (size < np.inf)
     redo = np.flatnonzero(~far & ~kept)
@@ -397,40 +392,38 @@ def _explain_rows(mimic: ParzenMimic, X: np.ndarray, j: np.ndarray, centre, cent
     return zeta, far, f, hess
 
 
-def _differences(mimic: ParzenMimic, Z: np.ndarray) -> np.ndarray:
-    """The r x m x d differences z - x_i, a copy of the rows operated on in place: a
-    broadcast subtraction would also take ufunc buffers beside them."""
-    diff = np.repeat(Z[:, None, :], len(mimic.ref_x), axis=1)
-    diff -= mimic.ref_x
-    return diff
+def _in_out(stack: np.ndarray, j: np.ndarray):
+    """Of a stack with one entry per row (axis 0) and class (axis 1), each row's entry for
+    its class j and the sum of its entries for the other classes."""
+    other = np.arange(stack.shape[1]) != j[:, None]
+    other = other.reshape(other.shape + (1,) * (stack.ndim - 2))  # broadcast over each entry
+    return stack[np.arange(len(j)), j], (stack * other).sum(axis=1)
 
 
 def _direct_numerators(mimic: ParzenMimic, rows, X, w, j, s_in, s_out) -> np.ndarray:
     """S_out V_in - S_in V_out at the given rows of a chunk of rows X, from their direct
     differences; each class's V_c is one einsum over its slice."""
-    diff, w = _differences(mimic, X[rows]), w[rows]
+    diff, w = data._differences(X[rows], mimic.ref_x), w[rows]
     v = np.stack([np.einsum("ri,rid->rd", w[:, s], diff[:, s]) for s in mimic.class_slices], axis=1)
-    other = np.arange(len(mimic.classes)) != j[rows, None]
-    v_in, v_out = v[np.arange(len(rows)), j[rows]], (v * other[:, :, None]).sum(axis=1)
+    v_in, v_out = _in_out(v, j[rows])
     return s_out[rows, None] * v_in - s_in[rows, None] * v_out
 
 
 def _hessians(mimic: ParzenMimic, rows, X, w, j, s_in, s_out, zeta) -> np.ndarray:
-    """The module docstring's H at the given rows of a chunk of rows X, weights w, labels j,
-    class sums s_in / s_out and gradients zeta, from their direct differences d_i = z - x_i.
-    M_c is one batched matmul of the weighted w_i d_i with the d_i per class slice, and V
-    the sum of the weighted differences."""
-    diff = _differences(mimic, X[rows])
+    """sigma^2 times the module docstring's H at the given rows of a chunk of rows X, weights
+    w, labels j, class sums s_in / s_out and gradients zeta, from their direct differences
+    d_i = z - x_i.  M_c is one batched matmul of the weighted w_i d_i with the d_i per class
+    slice, and V the sum of the weighted differences."""
+    diff = data._differences(X[rows], mimic.ref_x)
     # a copy multiplied in place: a product broadcast along the last axis
     # would also take ufunc buffers beside the differences
     wd = np.repeat(w[rows, :, None], mimic.ref_x.shape[1], axis=2)
     wd *= diff
     mc = np.stack([np.matmul(wd[:, s].transpose(0, 2, 1), diff[:, s]) for s in mimic.class_slices], 1)
-    other = np.arange(len(mimic.classes)) != j[rows, None]
-    m_in, m_out = mc[np.arange(len(rows)), j[rows]], (mc * other[:, :, None, None]).sum(axis=1)
-    s_in, s_out, s2 = s_in[rows, None, None], s_out[rows, None, None], mimic.sigma**2
+    m_in, m_out = _in_out(mc, j[rows])
+    s_in, s_out = s_in[rows, None, None], s_out[rows, None, None]
     zv, t = zeta[rows, :, None] * wd.sum(axis=1)[:, None, :], s_in + s_out
-    return ((s_in * m_out - s_out * m_in) / (t * s2**2) + (zv + zv.transpose(0, 2, 1)) / s2) / t
+    return ((s_in * m_out - s_out * m_in) / (t * mimic.sigma**2) + zv + zv.transpose(0, 2, 1)) / t
 
 
 def _top_directions(hess: np.ndarray):
@@ -456,18 +449,8 @@ def explain_mimic(mimic: ParzenMimic, z, g_label, hessian_threshold=None) -> Exp
     their gradient.
     """
     X, point, j = _queries(mimic, z, g_label)
-    if hessian_threshold is not None:
-        if not hessian_threshold > 0:  # NaN too
-            raise ValueError(f"hessian_threshold must be positive, got {hessian_threshold}")
-        # H divides by T sigma^4 with 1 <= T <= m: a subnormal sigma^4 loses digits (NaN
-        # once it is 0), and an infinite T sigma^4 drops H's first term
-        with np.errstate(over="ignore", under="ignore"):
-            s4 = np.float64(mimic.sigma) ** 4
-        if not np.finfo(float).tiny <= s4 <= np.finfo(float).max / len(mimic.ref_x):
-            raise ValueError(
-                f"the Hessian fallback divides by sigma**4 times up to {len(mimic.ref_x)}, "
-                f"which must be a normal double, got sigma {mimic.sigma}"
-            )
+    if hessian_threshold is not None and not hessian_threshold > 0:  # NaN too
+        raise ValueError(f"hessian_threshold must be positive, got {hessian_threshold}")
     gradient, far, fallback = np.empty_like(X), np.empty(len(X), dtype=bool), np.zeros(len(X), dtype=bool)
     centre, centred = _centred(mimic)
     for rows in data._row_blocks(len(X), len(mimic.ref_x)):

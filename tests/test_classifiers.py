@@ -280,6 +280,17 @@ def test_knn_takes_one_integer_label_per_point(labels, message):
         knn_fit_loo(X, labels, (1, 2))
 
 
+def test_k_that_is_not_an_integer_is_an_error():
+    # read by int(), 2.5 made k 2, and the candidates (1.7, 3.2) scored k = 1 and 3
+    X, y = two_clusters(n=10)
+    with pytest.raises(ValueError, match=re.escape("k 2.5 is not an integer")):
+        KnnClassifier(X, y, 2.5)
+    with pytest.raises(ValueError, match=re.escape("k 1.7 is not an integer")):
+        knn_fit_loo(X, y, (1.7, 3.2))
+    assert KnnClassifier(X, y, 2.0).k == 2  # integral floats stay integers
+    assert knn_fit_loo(X, y, (3.0, 1)).loo_errors.keys() == {1, 3}
+
+
 @pytest.mark.parametrize("shape", [(5,), (0, 2), (5, 2, 1)])
 def test_knn_training_points_form_a_nonempty_matrix(shape):
     # as the mimic's references do: unchecked, a (5,) set built and then failed in

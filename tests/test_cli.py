@@ -262,7 +262,8 @@ def test_explain_rejects_a_width_that_is_not_finite(triangle_csv, tmp_path, caps
     out = tmp_path / "x.csv"
     assert main(["explain", "--data", triangle_csv, "--sigma", sigma, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
-    message = f"sigma and its square must be positive and finite, got {float(sigma)}"
+    rule = "sigma must be positive, with sigma**2 and m**2 * sigma**2 normal doubles"
+    message = f"{rule} for 80 references, got {float(sigma)}"
     assert err["type"] == "ValueError" and message in err["error"]
     assert not out.exists()
 
@@ -387,7 +388,7 @@ def test_explain_sigma_grid_rejects_bad_candidates(triangle_csv, tmp_path, capsy
     out = tmp_path / "x.csv"
     assert main(["explain", "--data", triangle_csv, "--sigma-grid=-1,nan,0.5", "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["type"] == "ValueError" and "positive and finite" in err["error"]
+    assert err["type"] == "ValueError" and "sigma candidates must be positive" in err["error"]
     assert "-1.0" in err["error"] and "nan" in err["error"] and not out.exists()
 
 

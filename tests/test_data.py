@@ -484,3 +484,60 @@ def test_zero_d_query_is_refused_by_every_predictor():
             for x in ([bad], [[0.5], [bad]]):
                 with pytest.raises(ValueError, match="queries must be finite"):
                     call(np.array(x))
+
+
+def _model_blob(X, y):
+    """A model file of a fit on four good points, carrying the training set X, y."""
+    from localgrad.gpc import ep_fit, model_to_dict
+    from localgrad.kernels import KernelSpec
+
+    good = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+    good = model_to_dict(ep_fit(good, [-1, 1, -1, 1], KernelSpec()))
+    return {**good, "train_x": np.asarray(X).tolist(), "train_y": np.asarray(y).tolist()}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["ParzenMimic", "select_width", "default_sigma_grid", "KnnClassifier", "knn_fit_loo", "ep_fit", "model_from_dict",
+     "Dataset"],
+)
+def test_points_and_labels_meet_one_rule_in_every_model(entry):
+    # the points' and the labels' rules live in data, and each entry point names its own
+    # arguments in them.  Checked apart, default_sigma_grid met 1-D points with numpy's
+    # AxisError, and Dataset truncated a 0.5 label to 0
+    from localgrad.classifiers import KnnClassifier, knn_fit_loo
+    from localgrad.gpc import ep_fit, model_from_dict
+    from localgrad.kernels import KernelSpec
+    from localgrad.mimic import ParzenMimic, default_sigma_grid, select_width
+
+    calls = {
+        "ParzenMimic": (lambda X, y: ParzenMimic(X, y, 1.0), "ref_x", "ref_labels"),
+        "select_width": (lambda X, y: select_width(X, y, [0.5, 1.0]), "ref_x", "ref_labels"),
+        "default_sigma_grid": (lambda X, y: default_sigma_grid(X), "points", None),
+        "KnnClassifier": (lambda X, y: KnnClassifier(X, y, 1), "train_x", "train_y"),
+        "knn_fit_loo": (lambda X, y: knn_fit_loo(X, y, (1, 2)), "train_x", "train_y"),
+        "ep_fit": (lambda X, y: ep_fit(X, y, KernelSpec()), "train_x", "train_y"),
+        "model_from_dict": (lambda X, y: model_from_dict(_model_blob(X, y)), "train_x", "train_y"),
+        "Dataset": (lambda X, y: Dataset(X, y), "features", "labels"),
+    }
+    call, points, labels = calls[entry]
+    X, y = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]]), np.array([-1, 1, -1, 1])
+    nan_row, inf_row = X.copy(), X.copy()
+    nan_row[2, 1], inf_row[1, 0] = np.nan, np.inf
+    empty = "(0,)" if entry == "model_from_dict" else "(0, 2)"  # a model file's empty list has no width
+    cases = [
+        (X[:, 0], y, f"{points} must be a nonempty n x d matrix, got shape (4,)"),
+        (X[:0], y[:0], f"{points} must be a nonempty n x d matrix, got shape {empty}"),
+        (nan_row, y, f"{points} must be finite, but row 2 is [2.0, nan]"),
+        (inf_row, y, f"{points} must be finite, but row 1 is [inf, 0.0]"),
+    ]
+    if labels:
+        cases += [
+            (X, [-1, 1, -1, 1, 1], f"{labels} has shape (5,) but {points} has 4 rows"),
+            (X, [-1, 0.5, -1, 1], "label 0.5 is not an integer"),
+            (X, y[:, None], f"{labels} has shape (4, 1) but {points} has 4 rows"),
+        ]
+    for bad_x, bad_y, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad_x, bad_y)
+    call(X, y)  # the good set passes every rule

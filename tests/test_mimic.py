@@ -33,10 +33,16 @@ from oracles import (
 )
 
 
+# what the mimic asks of a width, as its errors state it
+RULE = "with sigma**2 and m**2 * sigma**2 normal doubles"
+
+
 def chunk_hessian(mm, z, c):
     """The Hessian of p(y != c | x) at a near point z, as the explainer's row chunk forms it
-    (its references centred and transposed, as explain_mimic hands them to each chunk)."""
-    return mimicmod._explain_rows(mm, z[None], mm.classes.searchsorted([c]), *mimicmod._centred(mm), np.inf)[3][0]
+    (its references centred and transposed, as explain_mimic hands them to each chunk), which
+    is sigma^2 times it."""
+    j = mm.classes.searchsorted([c])
+    return mimicmod._explain_rows(mm, z[None], j, *mimicmod._centred(mm), np.inf)[3][0] / mm.sigma**2
 
 
 def random_mimic(rng, m=None, d=None, n_classes=2, sigma=None):
@@ -323,15 +329,15 @@ def test_references_and_width_that_are_not_finite_are_errors():
     for row, bad in ((0, np.nan), (2, np.inf), (3, -np.inf)):
         refs = X.copy()
         refs[row, 1] = bad
-        message = f"references must be finite, but reference {row} is {refs[row].tolist()}"
+        message = f"ref_x must be finite, but row {row} is {refs[row].tolist()}"
         for make in (lambda: ParzenMimic(refs, y, 1.0), lambda: select_width(refs, y, [0.5, 1.0])):
             with pytest.raises(ValueError, match=re.escape(message)):
                 make()
     for sigma in (np.inf, np.nan, 0.0, -1.0, 1e200, 1e-170, np.float64(1e200)):
-        message = f"sigma and its square must be positive and finite, got {sigma}"
+        message = f"sigma must be positive, {RULE} for 4 references, got {sigma}"
         with pytest.raises(ValueError, match=re.escape(message)):
             ParzenMimic(X, y, sigma)
-    with pytest.raises(ValueError, match=re.escape("squares must be positive and finite, got [1e-170, 1e+200]")):
+    with pytest.raises(ValueError, match=re.escape("normal doubles for 4 references, got [1e-170, 1e+200]")):
         select_width(X, y, [1e-170, 1.0, 1e200])
 
 
@@ -357,7 +363,8 @@ def test_select_width_single_candidate():
 def test_select_width_rejects_nonpositive():
     X = np.array([[0.0], [1.0]])
     y = np.array([1, 2])
-    with pytest.raises(ValueError, match=re.escape("must be positive and finite, got [-1.0, 0.0]")):
+    message = f"sigma candidates must be positive, {RULE} for 2 references, got [-1.0, 0.0]"
+    with pytest.raises(ValueError, match=re.escape(message)):
         select_width(X, y, [-1.0, 0.0])
     for bad in (-1.0, 0.0, np.nan, np.inf):  # one bad candidate among good ones is an error too
         with pytest.raises(ValueError, match=re.escape(f"got [{bad}]")):
@@ -608,7 +615,9 @@ def test_default_sigma_grid_shape_and_span():
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_default_sigma_grid_needs_two_points(n):
-    with pytest.raises(ValueError, match="at least two points"):
+    # an empty set meets the points' rule first
+    message = "at least two points" if n else re.escape("points must be a nonempty n x d matrix, got shape (0, 2)")
+    with pytest.raises(ValueError, match=message):
         default_sigma_grid(np.zeros((n, 2)))
 
 
@@ -664,7 +673,7 @@ def test_default_sigma_grid_rejects_points_that_are_not_finite():
     X = np.random.default_rng(52).normal(size=(6, 2))
     for bad in (np.inf, -np.inf, np.nan):
         X[4, 1] = bad
-        with pytest.raises(ValueError, match=r"finite points, but point 4 is"):
+        with pytest.raises(ValueError, match=r"points must be finite, but row 4 is"):
             default_sigma_grid(X)
 
 
@@ -1242,7 +1251,7 @@ def test_hessian_is_formed_only_for_the_flagged_rows(monkeypatch):
         formed.clear()
         monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", elements)
         evs = explain_mimic(mm, Z, labels, hessian_threshold=threshold)
-        assert np.array_equal(np.concatenate(formed), want)  # the flagged rows' Hessians, in order
+        assert np.array_equal(np.concatenate(formed) / mm.sigma**2, want)  # the flagged rows' Hessians, in order
         assert np.flatnonzero(evs.source == "hessian-fallback").tolist() == flagged
 
 
@@ -1311,25 +1320,30 @@ def test_hessian_threshold_must_be_positive(threshold):
         explain_mimic(mm, z, 2, hessian_threshold=threshold)
 
 
-@pytest.mark.parametrize("scale", [1e-76, 1e-80, 1e-90, 1e-150, 1e76, 1e77, 1e100])
-def test_hessian_fallback_needs_a_normal_fourth_power_of_sigma(scale):
-    # references, queries and sigma scaled together leave every direction as it is, down
-    # to 1e-76 and up to 1e76.  Beyond, T sigma^4 (1 <= T <= 20) is subnormal or infinite:
-    # unchecked, the directions drifted at 1e-80 and read NaN at 1e-90, 1e77 turned them,
-    # and 1e100 raised an OverflowError that named nothing
+@pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e-90, 1e-80, 1e-76, 1e76, 1e77, 1e100, 6e152, 1e154])
+def test_explanations_are_invariant_under_scaling_data_and_sigma(scale):
+    # references, queries and sigma scaled together divide every gradient by the scale and
+    # leave every Hessian direction as it is, wherever sigma**2 and m**2 sigma**2 are normal
+    # doubles: at m = 20, for sigma from about 1.5e-154 to 6.7e152.  The sigma**4 that H once
+    # divided by was refused beyond about 1e-77 and 1e77; unrefused, the directions drifted at
+    # 1e-80 and read NaN at 1e-90.  Beyond the range sigma is refused: unrefused, the
+    # gradients were off by 2.7e-4 relative at 1e-160 and all 0 at 1e154
     rng = np.random.default_rng(64)
     X, y, Z = rng.normal(size=(20, 2)), rng.integers(0, 2, size=20), rng.normal(size=(3, 2))
-    labels = mimic_predict(ParzenMimic(X, y, 1.0), Z)
-    want = explain_mimic(ParzenMimic(X, y, 1.0), Z, labels, hessian_threshold=1e300).gradient
-    mm = ParzenMimic(X * scale, y, scale)
-    if 1e-77 < scale < 1e77:
-        evs = explain_mimic(mm, Z * scale, labels, hessian_threshold=1e300)
-        assert (evs.source == "hessian-fallback").all()
-        np.testing.assert_allclose(evs.gradient, want, rtol=1e-12)
-    else:
-        message = f"divides by sigma**4 times up to 20, which must be a normal double, got sigma {scale}"
+    mm = ParzenMimic(X, y, 1.0)
+    labels = mimic_predict(mm, Z)
+    gradients = explain_mimic(mm, Z, labels).gradient
+    directions = explain_mimic(mm, Z, labels, hessian_threshold=1e300).gradient
+    if scale in (1e-160, 1e154):
+        message = f"sigma must be positive, {RULE} for 20 references, got {scale}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            explain_mimic(mm, Z * scale, labels, hessian_threshold=1e300)
+            ParzenMimic(X * scale, y, scale)
+        return
+    mm = ParzenMimic(X * scale, y, scale)
+    np.testing.assert_allclose(explain_mimic(mm, Z * scale, labels).gradient * scale, gradients, rtol=1e-12)
+    evs = explain_mimic(mm, Z * scale, labels, hessian_threshold=1e300)
+    assert (evs.source == "hessian-fallback").all()
+    np.testing.assert_allclose(evs.gradient, directions, rtol=1e-12)
 
 
 def test_parzen_mimic_validation():
