@@ -265,8 +265,12 @@ def cmd_vector_field(args) -> int:
 
 def cmd_morph(args) -> int:
     """Walk each query along its explanation vector until its label flips.
-    All live paths advance in lockstep, one block evaluation per step; the
-    rows are then written path by path."""
+    All live paths advance in lockstep, one block evaluation per step, and
+    step 0 reads the explanations' probabilities.  On the mimic route a row
+    keeps its class c unless another class sum is at least S_c, so p(y != c)
+    is at least 1/2 up to the rounding of the k-term total and the quotient,
+    which (k + 2) eps covers: only those rows are relabelled.  The rows are
+    then written in blocks of whole paths."""
     _require(args, "out", "data" if args.queries is None else "queries")
     queries = datamod.load_csv(args.queries or args.data)
     steps = _count(args, "steps", 50, least=0)
@@ -283,30 +287,41 @@ def cmd_morph(args) -> int:
     norms = np.array([np.linalg.norm(g) for g in G])[:, None]  # axis=1 would round otherwise
     directions = np.divide(G, norms, out=np.zeros_like(G), where=norms > 0)
     probs = np.empty((steps + 1, len(start)))  # p of path i at step t
+    probs[0] = evs.predicted_probability
     last, last_label = np.full(len(start), steps), label0.copy()  # the first flip, if any
     live = np.arange(len(start))
     for t in range(steps + 1):
         X = start[live] + (t * step_size) * directions[live]
         if route == "gpc":
-            probs[t, live] = gpc.predict_proba(obj, X)
+            if t:
+                probs[t, live] = gpc.predict_proba(obj, X)
             label = np.where(probs[t, live] >= 0.5, 1, -1)
         else:
-            label = mimicmod.mimic_predict(obj, X)
-            probs[t, live] = mimicmod.parzen_posterior_not(obj, X, label0[live])
+            if t:
+                probs[t, live] = mimicmod.parzen_posterior_not(obj, X, label0[live])
+            label = label0[live].copy()
+            maybe = np.flatnonzero(probs[t, live] >= 0.5 - (len(obj.classes) + 2) * np.finfo(float).eps)
+            if len(maybe):  # the rows that may have left their class
+                label[maybe] = mimicmod.mimic_predict(obj, X[maybe])
         flip = label != label0[live]
         last[live[flip]], last_label[live[flip]] = t, label[flip]
         live = live[~flip]
         if not len(live):
             break
 
-    def paths():  # one block per path
-        for i, rid in enumerate(queries.row_ids):
-            t = np.arange(last[i] + 1)
-            labels = np.where(t < last[i], label0[i], last_label[i])  # only the last step can have flipped
-            X = start[i] + (t * step_size)[:, None] * directions[i]
-            yield np.full(len(t), rid), t, X, probs[t, i], labels, labels != label0[i]
-
     header = ["id", "step"] + list(queries.feature_names) + ["p", "label", "flipped"]
+
+    def paths():  # blocks of whole paths, each path from step 0 to its last step
+        for b in datamod._row_blocks(len(start), (last.max() + 1) * len(header)):
+            n = last[b] + 1  # rows of each path
+            i = np.repeat(np.arange(b.start, b.stop), n)
+            t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            labels = np.where(t < last[i], label0[i], last_label[i])  # only the last step can have flipped
+            X = directions[i]
+            X *= (t * step_size)[:, None]
+            X += start[i]
+            yield queries.row_ids[i], t, X, probs[t, i], labels, labels != label0[i]
+
     datamod._write_table(args.out, header, paths())
     return 0
 

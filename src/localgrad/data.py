@@ -29,7 +29,8 @@ from scipy.spatial.distance import cdist
 _BLOCK_ELEMENTS = 2**15
 # _write_table writes at most this many cells per call: about 100 KiB of memory
 _WRITE_CELLS = 2**10
-_INT64 = np.iinfo(np.int64)  # the range of ids and labels
+# the range of ids and labels, as ints: load_csv compares every row's with them
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # cell formats by numpy dtype kind; a column of any other kind is quoted text
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
@@ -109,9 +110,7 @@ class Dataset:
         self.labels = _integer_labels(self.labels, n, "labels", "features")
         if self.feature_names is None:
             self.feature_names = [f"f{j + 1}" for j in range(d)]
-        if self.row_ids is None:
-            self.row_ids = np.arange(n)
-        self.row_ids = np.asarray(self.row_ids, dtype=int)
+        self.row_ids = np.arange(n) if self.row_ids is None else _integers(self.row_ids, "id")
         if self.row_ids.shape != (n,):
             raise ValueError(f"row_ids has shape {self.row_ids.shape} but features has {n} rows")
         if len(self.feature_names) != d:
@@ -233,7 +232,7 @@ def load_csv(path, classes=None) -> Dataset:
             if rid is None:
                 raise ValueError(f"{path}: non-integer id {row[0]!r} at row {i}")
             for j, value in ((label_pos, lab), (0, rid)):
-                if not _INT64.min <= value <= _INT64.max:
+                if not _INT64_MIN <= value <= _INT64_MAX:
                     raise ValueError(f"{path}: {row[j]!r} at row {i}, column {header[j]!r} is outside the int64 range")
             if classes is not None and lab not in classes:
                 raise ValueError(f"{path}: unknown label {lab} at row {i}")

@@ -52,6 +52,7 @@ class priors, predictions the majority class, explanation vectors zero, all flag
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -481,7 +482,18 @@ def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:
     if not window_halfwidth > 0:
         raise ValueError("window halfwidth must be positive")
     cubes = cKDTree(Q).query_ball_point(Q, window_halfwidth, p=np.inf, return_sorted=True)
-    return np.array([G[rows].mean(axis=0) for rows in cubes]).reshape(G.shape)  # rows in index order, as a mask takes them
+    if G.shape[1] == 1:  # the mean of one column sums it pairwise, not row by row
+        return np.array([G[rows].mean(axis=0) for rows in cubes]).reshape(G.shape)
+    # mean(axis=0) adds a cube's rows to 0 in index order, as a mask takes them: here the
+    # r-th members of all cubes at once, longest cubes first, so those with an r-th are a prefix
+    n = np.fromiter(map(len, cubes), dtype=np.intp, count=len(cubes))
+    order = np.argsort(-n, kind="stable")
+    n, members = n[order], np.fromiter(itertools.chain.from_iterable(cubes[order]), dtype=np.intp)
+    first, acc = np.cumsum(n) - n, np.zeros_like(G)
+    for r, k in enumerate(np.searchsorted(-n, -np.arange(n.max(initial=0)))):  # k cubes have an r-th
+        acc[:k] += G[members[first[:k] + r]]
+    acc[order] = acc / n[:, None]
+    return acc
 
 
 # ---------------------------------------------------------------------------

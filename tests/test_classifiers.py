@@ -9,6 +9,7 @@ from localgrad.classifiers import (
     KnnClassifier,
     TableOracle,
     _nearest,
+    _sq_distances,
     knn_fit_loo,
     table_oracle_load,
 )
@@ -199,6 +200,20 @@ def test_predict_rejects_non_finite_distances(bad):
     X[3, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         KnnClassifier(X, y, k=3).predict(np.zeros(2))
+
+
+def test_squared_distances_that_overflow_meet_the_distance_guard():
+    # coordinates of 1e200 pass the points' rule, but their squared distances are inf
+    message = "k-NN needs finite points and finite squared distances"
+    X, y = two_clusters(n=10)
+    far = X.copy()
+    far[3, 0] = 1e200
+    with pytest.raises(ValueError, match=message):
+        knn_fit_loo(far, y, (1, 3))
+    with pytest.raises(ValueError, match=message):
+        KnnClassifier(X, y, k=3).predict(far)
+    with pytest.raises(ValueError, match=message):  # NaN fails the guard too
+        _sq_distances(np.array([[np.nan, 0.0]]), X)
 
 
 def test_fit_loo_tie_prefers_smaller_k():

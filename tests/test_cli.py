@@ -551,6 +551,110 @@ def test_morph_mimic_rows_match_recomputation(triangle_csv, tmp_path):
     assert len({row[0] for row in rows}) == 80 and flips > 0
 
 
+@pytest.fixture(scope="module")
+def three_class_morph(tmp_path_factory):
+    """Three clusters labelled 0, 1, 2, a k-NN oracle on them, and morph queries: the
+    references plus a point where the oracle and its mimic disagree.  Returns the
+    argv, the mimic, each query's oracle label by id and that point."""
+    root = tmp_path_factory.mktemp("three-class")
+    refs = Dataset(datamod.gen_three_clusters(90, seed=3).features, np.repeat([0, 1, 2], 30), ["x1", "x2"])
+    knn = KnnClassifier(refs.features, refs.labels, 3)
+    mm = ParzenMimic(refs.features, knn.predict(refs.features), 0.5)
+    grid = np.stack(np.meshgrid(np.linspace(-3, 3, 121), np.linspace(-1.5, 1.5, 61)), -1).reshape(-1, 2)
+    odd = grid[np.flatnonzero(knn.predict(grid) != mimic_predict(mm, grid))[:1]]
+    queries = Dataset(np.vstack([refs.features, odd]), np.zeros(91, int), ["x1", "x2"])
+    save_csv(refs, root / "refs.csv")
+    save_csv(queries, root / "queries.csv")
+    argv = ["morph", "--data", str(root / "refs.csv"), "--queries", str(root / "queries.csv"),
+            "--oracle", "knn:3", "--sigma", "0.5", "--step-size", "0.15"]
+    return argv, mm, dict(enumerate(knn.predict(queries.features).tolist())), odd[0]
+
+
+def test_morph_three_classes_rows_match_recomputation(three_class_morph, tmp_path):
+    # rows the mimic step does not relabel keep their class: every row is recomputed
+    argv, mm, g, odd = three_class_morph
+    out = tmp_path / "morph.csv"
+    assert main(argv + ["--steps", "25", "--out", str(out)]) == 0
+    paths = {}
+    for row in read_rows(out)[1]:
+        x = np.array([float(row[2]), float(row[3])])
+        label = mimic_predict(mm, x)
+        assert float(row[4]) == parzen_posterior_not(mm, x, g[int(row[0])])  # bit for bit
+        assert (int(row[5]), int(row[6])) == (label, int(label != g[int(row[0])]))
+        paths.setdefault(int(row[0]), []).append((int(row[1]), int(row[5]), int(row[6])))
+    assert sorted(paths) == list(range(91))
+    moves = set()
+    for rid, path in paths.items():
+        assert [t for t, _, _ in path] == list(range(len(path)))
+        assert not any(f for _, _, f in path[:-1])  # each path ends at its first flip
+        if path[-1][2]:
+            moves.add((g[rid], path[-1][1], len(path) == 1))
+    assert {(1, 0, False), (1, 2, False)} <= moves  # the middle class leaves to either side
+    assert (g[90], mimic_predict(mm, odd), True) in moves  # flips at step 0
+
+
+def test_morph_relabels_a_tie_at_step_zero(tmp_path):
+    # equal class sums go to the lower class id, and their p(y != c) is exactly 1/2
+    refs = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]]), [1, 0, 0], ["x1", "x2"])
+    queries = Dataset(np.zeros((1, 2)), [0], ["x1", "x2"])
+    save_csv(refs, tmp_path / "refs.csv")
+    save_csv(queries, tmp_path / "queries.csv")
+    out = tmp_path / "morph.csv"
+    argv = ["morph", "--data", str(tmp_path / "refs.csv"), "--queries", str(tmp_path / "queries.csv"),
+            "--oracle", "knn:1", "--sigma", "0.5", "--step-size", "0.1", "--out", str(out)]
+    assert main(argv) == 0
+    assert read_rows(out)[1] == [["0", "0", "0", "0", "0.5", "0", "1"]]  # k-NN says 1, the tie 0
+
+
+@pytest.mark.parametrize("steps", ["25", "0"])
+@pytest.mark.parametrize("route", ["mimic", "gpc"])
+def test_morph_writes_the_same_bytes_in_blocks_of_paths(three_class_morph, triangle_csv, fitted_model,
+                                                        tmp_path, monkeypatch, route, steps):
+    if route == "mimic":
+        argv = three_class_morph[0]
+    else:
+        argv = ["morph", "--data", triangle_csv, "--model", fitted_model, "--step-size", "0.1"]
+    write, blocks = datamod._write_table, []
+
+    def counting(path, header, parts):
+        parts = list(parts)
+        blocks.append(len(parts))
+        write(path, header, parts)
+
+    monkeypatch.setattr(datamod, "_write_table", counting)
+    assert main(argv + ["--steps", steps, "--out", str(tmp_path / "default.csv")]) == 0
+    monkeypatch.setattr(datamod, "_BLOCK_ELEMENTS", 20)  # every row pass and table block too
+    assert main(argv + ["--steps", steps, "--out", str(tmp_path / "small.csv")]) == 0
+    assert blocks[0] == 1 and blocks[1] >= 40
+    assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+    rows, n = read_rows(tmp_path / "default.csv")[1], 91 if route == "mimic" else 80
+    if steps == "0":  # one row per query, at its start
+        assert [(row[0], row[1]) for row in rows] == [(str(i), "0") for i in range(n)]
+    else:
+        assert len(rows) > 2 * n
+
+
+def test_morph_relabels_only_the_rows_that_may_have_flipped(three_class_morph, tmp_path, monkeypatch):
+    # a row keeps its class c unless p(y != c) >= 1/2 up to (k + 2) eps: only
+    # those rows reach mimic_predict, each once, at its step's point
+    argv, mm, _, _ = three_class_morph
+    seen = []
+    predict = mimic_predict
+
+    def recording(mimic, x):
+        seen.extend(map(tuple, np.asarray(x).tolist()))
+        return predict(mimic, x)
+
+    monkeypatch.setattr("localgrad.mimic.mimic_predict", recording)
+    out = tmp_path / "morph.csv"
+    assert main(argv + ["--steps", "25", "--out", str(out)]) == 0
+    rows = read_rows(out)[1]
+    half = 0.5 - (len(mm.classes) + 2) * np.finfo(float).eps
+    maybe = [(float(r[2]), float(r[3])) for r in rows if float(r[4]) >= half]
+    assert sorted(seen) == sorted(maybe)
+    assert sum(int(r[6]) for r in rows) <= len(maybe) < len(rows) / 4
+
+
 @pytest.mark.parametrize("copies", [1, 3])
 def test_morph_queries_with_no_spread_need_a_step_size(triangle_csv, fitted_model, tmp_path, capsys, copies):
     # one query, or identical ones, scale the default step to 0: the command exited 0

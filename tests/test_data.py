@@ -453,6 +453,14 @@ def test_subset_preserves_row_ids():
     assert np.array_equal(sub.features, ds.features[[5, 60, 149]])
 
 
+@pytest.mark.parametrize("ids, bad", [([0.5, 1.7], "0.5"), ([3, np.nan], "nan"), ([2.0, 1e21], "1e+21")])
+def test_row_ids_that_are_not_integers_are_errors(ids, bad):
+    # the ids were cast with truncation: [0.5, 1.7] became [0, 1]
+    with pytest.raises(ValueError, match=re.escape(f"id {bad} is not an integer")):
+        Dataset(np.zeros((2, 1)), [0, 1], row_ids=ids)
+    assert Dataset(np.zeros((2, 1)), [0, 1], row_ids=[4.0, -2.0]).row_ids.tolist() == [4, -2]
+
+
 def test_zero_d_query_is_refused_by_every_predictor():
     # on a 1-D model a 0-d query is neither a point nor a q x 1 block: no predictor guesses which.
     # A block of another width is refused too, and so is a query that is not finite (a NaN

@@ -952,6 +952,13 @@ def test_smoothing_equals_the_mask_oracle_bit_for_bit(case):
     assert np.array_equal(smooth_gradients(Q, G, r), smooth_gradients_bruteforce(Q, G, r))
 
 
+def test_smoothing_one_column_with_long_cubes_equals_the_mask_oracle_bit_for_bit():
+    # a column's mean sums its cubes of more than 8 rows pairwise, not in index order
+    Q = np.random.default_rng(16).normal(size=(200, 1))
+    G = np.random.default_rng(17).normal(size=Q.shape)
+    assert np.array_equal(smooth_gradients(Q, G, 0.3), smooth_gradients_bruteforce(Q, G, 0.3))
+
+
 def test_smoothing_rejects_gradients_of_another_shape():
     # unchecked, 6 x 1 gradients of 6 x 2 queries were smoothed into a 6 x 1 field
     queries = np.random.default_rng(15).normal(size=(6, 2))
