@@ -74,6 +74,15 @@ def _count(args, name, default, least):
     return value
 
 
+def _limits(args, name):
+    """A range flag's 'lo,hi' as two numbers; anything else is an error naming the flag."""
+    try:
+        lo, hi = _parse_floats(getattr(args, name))
+    except ValueError:  # a token that is no number, or not two of them
+        raise ValueError(f"--{name} takes two numbers 'lo,hi', got {getattr(args, name)!r}") from None
+    return lo, hi
+
+
 def _to_pm1(labels, label_map):
     """Labels mapped onto {-1,+1} by the training set's label_map; a label
     the training set does not carry is an error."""
@@ -98,8 +107,7 @@ def _resolve_oracle(spec, dataset):
     if text.startswith("knn"):
         _, _, arg = text.partition(":")
         if arg in ("", "loo"):
-            ks = [k for k in range(1, 11) if k <= dataset.n - 1]
-            return classifiers.knn_fit_loo(dataset.features, dataset.labels, ks)
+            return classifiers.knn_fit_loo(dataset.features, dataset.labels, range(1, min(11, dataset.n)))
         k = datamod._integral(arg)
         if k is None:
             raise ValueError(f"--oracle knn:K takes an integer K, got {text!r}")
@@ -239,20 +247,15 @@ def cmd_explain(args) -> int:
 
 def cmd_vector_field(args) -> int:
     _require(args, "model", "out")
+    limits = [_limits(args, name) if getattr(args, name) else None for name in ("xlim", "ylim")]
     model = gpc.load_gpc(args.model)
     if model.train_x.shape[1] != 2:
         raise ValueError("vector-field needs a 2-D model")
     n = _count(args, "grid", 30, least=1)
-    lo = model.train_x.min(axis=0)
-    hi = model.train_x.max(axis=0)
+    lo, hi = model.train_x.min(axis=0), model.train_x.max(axis=0)
     pad = 0.1 * (hi - lo)
-    (x_lo, y_lo), (x_hi, y_hi) = lo - pad, hi + pad
-    if args.xlim:  # each given axis overrides its own axis of the padded box
-        x_lo, x_hi = _parse_floats(args.xlim)
-    if args.ylim:
-        y_lo, y_hi = _parse_floats(args.ylim)
-    xs = np.linspace(x_lo, x_hi, n)
-    ys = np.linspace(y_lo, y_hi, n)
+    # each axis spans the padded data box, unless its flag gives a range
+    xs, ys = (np.linspace(*(given or box), n) for given, box in zip(limits, zip(lo - pad, hi + pad)))
 
     def grid_rows():  # one explain_gpc call and one block per grid row
         for yv in ys:
@@ -266,11 +269,9 @@ def cmd_vector_field(args) -> int:
 def cmd_morph(args) -> int:
     """Walk each query along its explanation vector until its label flips.
     All live paths advance in lockstep, one block evaluation per step, and
-    step 0 reads the explanations' probabilities.  On the mimic route a row
-    keeps its class c unless another class sum is at least S_c, so p(y != c)
-    is at least 1/2 up to the rounding of the k-term total and the quotient,
-    which (k + 2) eps covers: only those rows are relabelled.  The rows are
-    then written in blocks of whole paths."""
+    step 0 reads the explanations' probabilities; on the mimic route each
+    step's labels come from mimic._relabel.  The rows are then written in
+    blocks of whole paths."""
     _require(args, "out", "data" if args.queries is None else "queries")
     queries = datamod.load_csv(args.queries or args.data)
     steps = _count(args, "steps", 50, least=0)
@@ -299,10 +300,7 @@ def cmd_morph(args) -> int:
         else:
             if t:
                 probs[t, live] = mimicmod.parzen_posterior_not(obj, X, label0[live])
-            label = label0[live].copy()
-            maybe = np.flatnonzero(probs[t, live] >= 0.5 - (len(obj.classes) + 2) * np.finfo(float).eps)
-            if len(maybe):  # the rows that may have left their class
-                label[maybe] = mimicmod.mimic_predict(obj, X[maybe])
+            label = mimicmod._relabel(obj, X, label0[live], probs[t, live])
         flip = label != label0[live]
         last[live[flip]], last_label[live[flip]] = t, label[flip]
         live = live[~flip]
@@ -313,9 +311,8 @@ def cmd_morph(args) -> int:
 
     def paths():  # blocks of whole paths, each path from step 0 to its last step
         for b in datamod._row_blocks(len(start), (last.max() + 1) * len(header)):
-            n = last[b] + 1  # rows of each path
-            i = np.repeat(np.arange(b.start, b.stop), n)
-            t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            i, t = np.nonzero(np.arange(last.max() + 1) <= last[b, None])  # path i's steps 0..last[i]
+            i += b.start
             labels = np.where(t < last[i], label0[i], last_label[i])  # only the last step can have flipped
             X = directions[i]
             X *= (t * step_size)[:, None]
@@ -329,7 +326,7 @@ def cmd_morph(args) -> int:
 def cmd_rank(args) -> int:
     _require(args, "out", "data" if args.queries is None else "queries")
     queries = datamod.load_csv(args.queries or args.data)
-    bins = _count(args, "bins", 30, least=1)
+    bins = _count(args, "bins", 30, least=2)
     stem = str(args.out).removesuffix(".csv")
     hist_paths = {}  # histogram file -> its feature, in feature order
     for name in queries.feature_names:
@@ -354,7 +351,7 @@ def cmd_compare(args) -> int:
         if getattr(args, flag) not in queries.feature_names:
             raise ValueError(f"--{flag} {getattr(args, flag)!r} is not a column of the dataset")
     mask = queries.features[:, queries.feature_names.index(args.group)] != 0
-    bins = _count(args, "bins", 30, least=1)
+    bins = _count(args, "bins", 30, least=2)
     evs, _route = _explanations(args, queries)
     j = queries.feature_names.index(args.feature)
     eps = float(args.epsilon if args.epsilon is not None else 1.0)

@@ -63,6 +63,10 @@ def _integers(values, kind: str = "label") -> np.ndarray:
     """values as ints, with no copy of ints; the first that is not an integer (1.5, NaN,
     inf, beyond int64) is an error naming it as a `kind`."""
     values = np.asarray(values)
+    if values.dtype == object:  # as a Python int beyond int64 makes it: numpy's cast would overflow
+        beyond = [v for v in values.flat if not _INT64_MIN <= v <= _INT64_MAX]  # NaN too
+        if beyond:
+            raise ValueError(f"{kind} {beyond[0]!r} is not an integer")
     with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range values cast to garbage
         as_int = values.astype(int, copy=False)
     if (as_int != values).any():
@@ -498,9 +502,7 @@ def inject_outliers(data: Dataset, count: int, seed: int):
         eligible = np.arange(data.n)
     picked = np.sort(rng.choice(eligible, size=count, replace=False))
     flipped = data.labels.copy()
-    swap = {classes[0]: classes[1], classes[1]: classes[0]}
-    for i in picked:
-        flipped[i] = swap[data.labels[i]]
+    flipped[picked] = np.where(data.labels[picked] == classes[0], classes[1], classes[0])
     return replace(data, labels=flipped), picked
 
 

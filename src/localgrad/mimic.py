@@ -52,10 +52,10 @@ class priors, predictions the majority class, explanation vectors zero, all flag
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -108,25 +108,19 @@ def _usable_width(sigma, m: int) -> bool:
 
 
 def _queries(mimic: ParzenMimic, x, c=None):
-    """The queries x as a q x d block, whether x was one point, and, given
-    labels c with one per row, each row's position in mimic.classes (else None)."""
+    """The queries x as a q x d block, whether x was one point, and, given labels c with one
+    per row, each row's position in mimic.classes (else None); an unknown label is an error."""
     X, point = data._query_block(x, mimic.ref_x.shape[1])
     if c is None:
         return X, point, None
     c = np.asarray(c)
     if c.size != len(X):
         raise ValueError(f"expected one label per query, got {c.size} labels for {len(X)} queries")
-    return X, point, _class_index(mimic, c).reshape(len(X))
-
-
-def _class_index(mimic: ParzenMimic, c):
-    """Position in mimic.classes of each label of c, in c's shape; a label
-    no reference carries is an error."""
-    c = data._integers(c)
-    unknown = set(c.ravel().tolist()).difference(mimic.classes.tolist())
-    if unknown:
-        raise ValueError(f"label {min(unknown)} is carried by no reference of the mimic")
-    return mimic.classes.searchsorted(c)
+    c = data._integers(c).reshape(len(X))
+    unknown = np.setdiff1d(c, mimic.classes)  # sorted: [0] is the smallest
+    if len(unknown):
+        raise ValueError(f"label {unknown[0]} is carried by no reference of the mimic")
+    return X, point, mimic.classes.searchsorted(c)
 
 
 def _rescale(sq: np.ndarray, sigma, out: np.ndarray) -> np.ndarray:
@@ -165,6 +159,18 @@ def _sums(mimic: ParzenMimic, X: np.ndarray) -> np.ndarray:
     for block in data._row_blocks(len(X), len(mimic.ref_x)):
         sums[block] = _class_sums(mimic.class_slices, _weights(mimic, X[block])[0])
     return sums
+
+
+def _relabel(mimic: ParzenMimic, X: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The mimic's labels of the rows of X, labelled c before, from their p(y != c) as
+    parzen_posterior_not gives it.  A row keeps c unless another class sum is at least S_c, so
+    p is at least 1/2 up to the rounding of the k-term total and of the quotient, which (k + 2) eps
+    covers (ties go to the lower class id; far rows' sums are class counts): only rows with
+    p >= 1/2 - (k + 2) eps go to one mimic_predict call, if there are any."""
+    label, maybe = c.copy(), np.flatnonzero(p >= 0.5 - (len(mimic.classes) + 2) * np.finfo(float).eps)
+    if len(maybe):
+        label[maybe] = mimic_predict(mimic, X[maybe])
+    return label
 
 
 def parzen_posterior_not(mimic: ParzenMimic, x, c):
@@ -484,16 +490,10 @@ def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:
     cubes = cKDTree(Q).query_ball_point(Q, window_halfwidth, p=np.inf, return_sorted=True)
     if G.shape[1] == 1:  # the mean of one column sums it pairwise, not row by row
         return np.array([G[rows].mean(axis=0) for rows in cubes]).reshape(G.shape)
-    # mean(axis=0) adds a cube's rows to 0 in index order, as a mask takes them: here the
-    # r-th members of all cubes at once, longest cubes first, so those with an r-th are a prefix
+    # CSR adds each row's members to 0 in column order, as mean(axis=0) adds a cube's rows
     n = np.fromiter(map(len, cubes), dtype=np.intp, count=len(cubes))
-    order = np.argsort(-n, kind="stable")
-    n, members = n[order], np.fromiter(itertools.chain.from_iterable(cubes[order]), dtype=np.intp)
-    first, acc = np.cumsum(n) - n, np.zeros_like(G)
-    for r, k in enumerate(np.searchsorted(-n, -np.arange(n.max(initial=0)))):  # k cubes have an r-th
-        acc[:k] += G[members[first[:k] + r]]
-    acc[order] = acc / n[:, None]
-    return acc
+    member = sparse.csr_array((np.ones(n.sum()), np.concatenate(cubes), np.r_[0, np.cumsum(n)]), shape=(len(Q),) * 2)
+    return member @ G / n[:, None]
 
 
 # ---------------------------------------------------------------------------

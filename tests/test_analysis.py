@@ -218,6 +218,21 @@ def test_kld_positive_for_different_histograms():
     assert sym_kld(a, b, 1.0) > 0.1
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ks_two_sample([], [1.0, 2.0]), "both samples must be nonempty"),
+        (lambda: sym_kld([1, 2, 3], [1, 2], 1.0), "histograms must share their binning"),
+        (lambda: sym_kld([1, 2], [2, 1], 0.0), "epsilon must be positive"),
+        (lambda: roc_auc([1, 1, 1], [0.2, 0.5, 0.9]), "need both classes for AUC"),
+    ],
+    ids=["ks-empty", "kld-binning", "kld-epsilon", "auc-one-class"],
+)
+def test_statistics_refuse_inputs_they_cannot_compare(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ------------------------------------------------------------------- groups
 
 

@@ -12,7 +12,14 @@ from localgrad.classifiers import KnnClassifier
 from localgrad.cli import main
 from localgrad.data import Dataset, gen_nonlinear, gen_triangle, load_csv, save_csv
 from localgrad.gpc import explain_gpc, load_gpc, predict_proba
-from localgrad.mimic import ParzenMimic, mimic_predict, parzen_posterior_not, select_width
+from localgrad.mimic import (
+    ParzenMimic,
+    explain_mimic,
+    mimic_predict,
+    parzen_posterior_not,
+    save_explanations,
+    select_width,
+)
 from oracles import load_explanations
 
 
@@ -183,6 +190,25 @@ def test_fit_gpc_rejects_a_test_label_the_training_set_lacks(triangle_csv, tmp_p
     assert err["type"] == "ValueError" and "label 2" in err["error"]
 
 
+def test_fit_gpc_needs_exactly_two_classes(tmp_path, capsys):
+    path = tmp_path / "three.csv"
+    save_csv(Dataset(np.random.default_rng(2).normal(size=(9, 2)), np.tile([0, 1, 2], 3)), path)
+    out = tmp_path / "m.json"
+    assert main(["fit-gpc", "--data", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and err["error"] == "need exactly two classes, got [0, 1, 2]"
+    assert not out.exists()
+
+
+def test_fit_gpc_refuses_a_grid_for_the_linear_kernel(triangle_csv, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    argv = ["fit-gpc", "--data", triangle_csv, "--kernel", '{"kind": "linear"}', "--kernel-grid", "1,2"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and err["error"] == "the linear kernel has no parameter to grid-search"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ explain
 
 
@@ -237,6 +263,29 @@ def test_oracle_knn_k_rejects_a_non_integer(triangle_csv, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "ValueError" and "--oracle" in err["error"] and "1.5" in err["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("oracle", ["knn:loo", "knn"])
+def test_oracle_knn_loo_explains_the_mimic_of_the_leave_one_out_choice(triangle_csv, tmp_path, oracle):
+    # k from 1..10 by leave-one-out on the data, then the mimic of that k-NN's labels
+    data = load_csv(triangle_csv)
+    g = classifiers.knn_fit_loo(data.features, data.labels, range(1, 11)).predict(data.features)
+    mm = ParzenMimic(data.features, g, 0.4)
+    save_explanations(tmp_path / "ref.csv", explain_mimic(mm, data.features, g), data.feature_names)
+    out = tmp_path / "out.csv"
+    assert main(["explain", "--data", triangle_csv, "--oracle", oracle, "--sigma", "0.4", "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_oracle_table_of_the_data_labels_explains_as_the_label_column(triangle_csv, tmp_path):
+    # a prediction table is keyed by id, so its rows may come in any order
+    data = load_csv(triangle_csv)
+    table = tmp_path / "table.csv"
+    datamod._write_table(table, ["id", "label"], [(data.row_ids[::-1], data.labels[::-1])])
+    base = ["explain", "--data", triangle_csv, "--sigma", "0.4"]
+    assert main(base + ["--oracle", str(table), "--out", str(tmp_path / "table-out.csv")]) == 0
+    assert main(base + ["--out", str(tmp_path / "own.csv")]) == 0
+    assert (tmp_path / "table-out.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()
 
 
 def test_explain_sigma_grid_list_selects_like_fixed_sigma(triangle_csv, tmp_path):
@@ -322,6 +371,23 @@ def test_count_flags_out_of_range_are_errors(triangle_csv, fitted_model, tmp_pat
     assert main(argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "ValueError" and flag.split("=")[0] in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "compare"])
+def test_bins_below_two_fail_naming_the_flag_before_anything_is_computed(triangle_csv, tmp_path, capsys,
+                                                                         monkeypatch, command):
+    # --bins 1 passed the flag check, then failed in HistogramSpec ("need at least 2
+    # bins") once the explanations had been computed
+    def explain_mimic(*args, **kwargs):
+        raise AssertionError("an explanation was computed")
+
+    monkeypatch.setattr("localgrad.mimic.explain_mimic", explain_mimic)
+    out = tmp_path / "out.csv"
+    extra = ["--feature", "x1", "--group", "x2"] if command == "compare" else []
+    assert main([command, "--data", triangle_csv, "--sigma", "0.3", "--bins", "1", *extra, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and err["error"] == "--bins must be at least 2, got 1"
     assert not out.exists()
 
 
@@ -472,6 +538,34 @@ def test_vector_field_one_axis_limit(fitted_model, tmp_path, flag, axis):
     other = sorted({float(row[1 - axis]) for row in rows})
     assert given == [-5.0, 0.0, 5.0]
     assert other == sorted({float(row[1 - axis]) for row in default_rows})
+
+
+@pytest.mark.parametrize("flag", ["--xlim=1", "--ylim=1,2,3", "--xlim=a,b"])
+def test_vector_field_ranges_need_two_numbers(fitted_model, tmp_path, capsys, monkeypatch, flag):
+    # one or three numbers failed with Python's "not enough / too many values to unpack"
+    def explain_gpc(*args, **kwargs):
+        raise AssertionError("an explanation was computed")
+
+    monkeypatch.setattr("localgrad.gpc.explain_gpc", explain_gpc)
+    out = tmp_path / "field.csv"
+    assert main(["vector-field", "--model", fitted_model, flag, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    name, value = flag.split("=")
+    assert err["type"] == "ValueError" and err["error"] == f"{name} takes two numbers 'lo,hi', got {value!r}"
+    assert not out.exists()
+
+
+def test_vector_field_needs_a_two_dimensional_model(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(20, 3))
+    save_csv(Dataset(X, np.where(X[:, 0] > 0, 1, -1)), tmp_path / "d3.csv")
+    model = tmp_path / "m3.json"
+    assert main(["fit-gpc", "--data", str(tmp_path / "d3.csv"), "--out", str(model)]) == 0
+    out = tmp_path / "field.csv"
+    assert main(["vector-field", "--model", str(model), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and err["error"] == "vector-field needs a 2-D model"
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- morph
@@ -655,6 +749,21 @@ def test_morph_relabels_only_the_rows_that_may_have_flipped(three_class_morph, t
     assert sum(int(r[6]) for r in rows) <= len(maybe) < len(rows) / 4
 
 
+def test_morph_directions_divide_by_each_vector_norm(tmp_path):
+    # np.linalg.norm(G, axis=1) sums the squares in another order than the norm of one
+    # vector, and moves some directions, so the points written, by an ulp
+    X = np.random.default_rng(21).normal(size=(200, 6))
+    save_csv(Dataset(X, (X[:, 0] + X[:, 1] > 0).astype(int)), tmp_path / "d6.csv")
+    base = ["--data", str(tmp_path / "d6.csv"), "--oracle", "knn:3", "--sigma", "1.5"]
+    assert main(["explain", *base, "--out", str(tmp_path / "e.csv")]) == 0
+    assert main(["morph", *base, "--steps", "2", "--step-size", "0.1", "--out", str(tmp_path / "m.csv")]) == 0
+    G = np.loadtxt(tmp_path / "e.csv", delimiter=",", skiprows=1, usecols=range(6, 12))
+    directions = np.array([g / np.linalg.norm(g) for g in G])
+    rows = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1, usecols=range(8))
+    i, t = rows[:, 0].astype(int), rows[:, 1]
+    assert np.array_equal(rows[:, 2:], X[i] + (t * 0.1)[:, None] * directions[i])
+
+
 @pytest.mark.parametrize("copies", [1, 3])
 def test_morph_queries_with_no_spread_need_a_step_size(triangle_csv, fitted_model, tmp_path, capsys, copies):
     # one query, or identical ones, scale the default step to 0: the command exited 0
@@ -793,6 +902,17 @@ def test_compare_explains_the_query_rows(tmp_path):
     result = json.loads(out.read_text())
     assert result["group_size"] == 5
     assert sum(result["hist_in"]) + sum(result["hist_out"]) == 30
+
+
+@pytest.mark.parametrize("flag", ["--feature", "--group"])
+def test_compare_columns_must_be_columns_of_the_dataset(triangle_csv, tmp_path, capsys, flag):
+    out = tmp_path / "cmp.json"
+    names = {"--feature": "x1", "--group": "x2", flag: "grp"}
+    argv = ["compare", "--data", triangle_csv, "--sigma", "0.3", *(a for kv in names.items() for a in kv)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and err["error"] == f"{flag} 'grp' is not a column of the dataset"
+    assert not out.exists()
 
 
 def test_compare_applies_smooth_window(tmp_path):

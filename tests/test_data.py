@@ -461,6 +461,72 @@ def test_row_ids_that_are_not_integers_are_errors(ids, bad):
     assert Dataset(np.zeros((2, 1)), [0, 1], row_ids=[4.0, -2.0]).row_ids.tolist() == [4, -2]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Dataset(np.zeros((2, 1)), [0, 2**70]), f"label {2**70} is not an integer"),
+        (lambda: Dataset(np.zeros((2, 1)), [0, 1], row_ids=[2.0, 2**70]), f"id {2**70} is not an integer"),
+        (lambda: datamod._integers([1, 2**64]), f"label {2**64} is not an integer"),
+    ],
+    ids=["labels", "row-ids", "integers"],
+)
+def test_python_ints_beyond_int64_are_named_as_not_integers(call, message):
+    # a Python int beyond int64 makes an object array, whose cast to int raised
+    # numpy's OverflowError ("Python int too large to convert to C long")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"row_ids": [1, 2, 3]}, "row_ids has shape (3,) but features has 2 rows"),
+        ({"feature_names": ["a", "b", "c"]}, "expected 1 feature names, got 3"),
+    ],
+)
+def test_dataset_rejects_ids_or_names_that_do_not_fit(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Dataset(np.zeros((2, 1)), [0, 1], **kwargs)
+
+
+def test_explanation_vector_rejects_a_gradient_of_another_dimension():
+    with pytest.raises(ValueError, match="gradient dimension must equal query dimension"):
+        datamod.ExplanationVector(np.zeros(2), np.zeros(3), 0.5, 1, "parzen-mimic")
+
+
+def test_normalization_rejects_datasets_with_other_feature_names():
+    train = Dataset(np.arange(4.0).reshape(2, 2), [0, 1], ["a", "b"])
+    with pytest.raises(ValueError, match="feature names differ between datasets"):
+        normalize_fit_apply(train, [Dataset(np.zeros((1, 2)), [0], ["a", "c"])])
+
+
+def test_three_clusters_need_six_points():
+    with pytest.raises(ValueError, match="need at least 6 points for three clusters"):
+        gen_three_clusters(5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "ds, count, message",
+    [
+        (Dataset(np.arange(3.0)[:, None], [0, 1, 2]), 1, "outlier injection needs exactly two classes"),
+        (Dataset(np.arange(4.0)[:, None], [0, 0, 1, 1]), 5, "count exceeds dataset size"),
+    ],
+    ids=["three-classes", "count"],
+)
+def test_inject_outliers_checks_classes_and_count(ds, count, message):
+    with pytest.raises(ValueError, match=message):
+        inject_outliers(ds, count, seed=0)
+
+
+def test_inject_outliers_widens_its_pool_to_every_point_when_asked_for_more():
+    # about half the points sit at or past the median depth; asked for every point,
+    # the pool silently becomes the whole set, and both classes flip to the other
+    ds = Dataset(np.arange(8.0)[:, None], [0, 0, 0, 0, 1, 1, 1, 1])
+    corrupted, idx = inject_outliers(ds, ds.n, seed=3)
+    assert idx.tolist() == list(range(8))
+    assert corrupted.labels.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
+
+
 def test_zero_d_query_is_refused_by_every_predictor():
     # on a 1-D model a 0-d query is neither a point nor a q x 1 block: no predictor guesses which.
     # A block of another width is refused too, and so is a query that is not finite (a NaN

@@ -967,6 +967,12 @@ def test_smoothing_rejects_gradients_of_another_shape():
             smooth_gradients(queries, grads, 0.5)
 
 
+@pytest.mark.parametrize("window", [0.0, -0.5, np.nan])
+def test_smoothing_window_must_be_positive(window):
+    with pytest.raises(ValueError, match="window halfwidth must be positive"):
+        smooth_gradients(np.zeros((3, 2)), np.ones((3, 2)), window)
+
+
 def test_smoothing_damps_single_outlier():
     queries = np.column_stack([np.linspace(0, 1, 11), np.zeros(11)])
     grads = np.tile([1.0, 0.0], (11, 1))
