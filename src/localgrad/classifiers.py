@@ -33,13 +33,13 @@ class KnnClassifier:
 
     def predict(self, x):
         """Label of a point x (an int), or of each row of a q x d block x
-        (an array), one row block at a time: a block's distances, their
-        stable neighbor order and one vote per row."""
+        (an array): each row block's distances give its rows' stable
+        neighbor order, and one vote labels every row."""
         X, point = data._query_block(x, self.train_x.shape[1])
-        labels = np.empty(len(X), dtype=self.train_y.dtype)
+        order = np.empty((len(X), self.k), dtype=np.intp)
         for block in data._row_blocks(len(X), len(self.train_x)):
-            dist = _sq_distances(X[block], self.train_x)
-            labels[block] = _vote(self.train_y[_nearest(dist, self.k)])
+            order[block] = _nearest(_sq_distances(X[block], self.train_x), self.k)
+        labels = _vote(self.train_y[order])
         return int(labels[0]) if point else labels
 
 
@@ -58,13 +58,14 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
 
     A partial selection finds each row's k-th smallest distance.  Where
     exactly k columns lie at or below it, only those k are stable-sorted
-    (np.nonzero gives them in column order); rows where more columns tie
-    at the k-th distance get the full sort.  Needs 1 <= k <= m and no NaN.
+    (flat indices modulo m give them in column order); rows where more
+    columns tie at the k-th distance get the full sort.  Needs 1 <= k <= m
+    and no NaN.
     """
     within = dist <= np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
     exact = np.count_nonzero(within, axis=1) == k
     order = np.empty((len(dist), k), dtype=np.intp)
-    cols = np.nonzero(within[exact])[1].reshape(-1, k)
+    cols = (np.flatnonzero(within[exact]) % dist.shape[1]).reshape(-1, k)
     near = dist[np.flatnonzero(exact)[:, None], cols]  # the k columns only, with no copy of whole rows
     order[exact] = np.take_along_axis(cols, np.argsort(near, axis=1, kind="stable"), axis=1)
     order[~exact] = np.argsort(dist[~exact], axis=1, kind="stable")[:, :k]
@@ -79,7 +80,7 @@ def _vote(neighbor_labels: np.ndarray) -> np.ndarray:
     rows = np.arange(len(idx))[:, None]
     counts = np.zeros((len(idx), len(classes)), dtype=int)
     np.add.at(counts, (rows, idx), 1)
-    tied = counts == counts.max(axis=1, keepdims=True)
+    tied = counts == counts.max(axis=1, keepdims=True, initial=0)  # a block of no rows has no classes
     return neighbor_labels[rows[:, 0], np.argmax(tied[rows, idx], axis=1)]
 
 

@@ -25,8 +25,12 @@ from . import analysis, classifiers, data as datamod, gpc, mimic as mimicmod
 from .kernels import kernel_from_dict, kernel_to_dict
 
 
-def _parse_floats(text: str) -> list:
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+def _parse_floats(text: str, flag: str) -> list:
+    """The numbers of a comma-separated list; a token that is no number is an error naming the flag."""
+    try:
+        return [float(tok) for tok in str(text).split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--{flag} takes comma-separated numbers, got {text!r}") from None
 
 
 class _RaisingParser(argparse.ArgumentParser):
@@ -77,7 +81,7 @@ def _count(args, name, default, least):
 def _limits(args, name):
     """A range flag's 'lo,hi' as two numbers; anything else is an error naming the flag."""
     try:
-        lo, hi = _parse_floats(getattr(args, name))
+        lo, hi = _parse_floats(getattr(args, name), name)
     except ValueError:  # a token that is no number, or not two of them
         raise ValueError(f"--{name} takes two numbers 'lo,hi', got {getattr(args, name)!r}") from None
     return lo, hi
@@ -125,7 +129,7 @@ def _fit_mimic(args, points, g_labels, *span):
         if args.sigma_grid in (None, "auto"):
             grid = mimicmod.default_sigma_grid(points, *span)
         else:
-            grid = _parse_floats(args.sigma_grid)
+            grid = _parse_floats(args.sigma_grid, "sigma-grid")
             if not grid:
                 raise ValueError(f"--sigma-grid lists no candidates, got {args.sigma_grid!r}")
         # by keyword: perfbench's tracer counts the candidates from it
@@ -185,7 +189,7 @@ def cmd_fit_gpc(args) -> int:
 
     searched = None
     if args.kernel_grid is not None:
-        grid = _parse_floats(args.kernel_grid)
+        grid = _parse_floats(args.kernel_grid, "kernel-grid")
         if not grid:
             raise ValueError(f"--kernel-grid lists no candidates, got {args.kernel_grid!r}")
         if base.kind == "linear":

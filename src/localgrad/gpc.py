@@ -28,8 +28,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg import cholesky
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.special import erfc, log_ndtr
 
 from . import data
@@ -225,7 +225,7 @@ def ep_fit(
     site_variance = 1.0 / np.maximum(tau, _TAU_FLOOR)
     site_mean_scaled = nu * site_variance  # mu_site = nu / tau
     L = _site_factor(K, site_variance)
-    alpha = cho_solve((L, True), site_mean_scaled)
+    alpha = dpotrs(L, site_mean_scaled, lower=1, overwrite_b=1)[0]  # both finite: cho_solve without its scan
     return GpcModel(
         kernel=kernel,
         train_x=X,
@@ -251,7 +251,7 @@ def _predictive_rows(model: GpcModel, X, grad: bool):
         k_star, J = kernel_grad_matrix(model.kernel, X, model.train_x)
     else:
         k_star = kernel_vector(model.kernel, X, model.train_x)
-    solved = cho_solve((model.chol_factor, True), k_star.T).T
+    solved = dpotrs(model.chol_factor, k_star.T, lower=1)[0].T
     k_self, grad_self = kernel_diag(model.kernel, X)
     mean = np.einsum("qn,n->q", k_star, model.alpha)
     var = k_self - np.einsum("qn,qn->q", k_star, solved)
@@ -265,16 +265,25 @@ def _predictive(model: GpcModel, X, grad: bool = False):
     with `grad` their q x d gradients: (mean, var[, grad_mean, grad_var]).
 
     Rows go in chunks of at most data._BLOCK_ELEMENTS / (n d) rows.  Each
-    chunk takes one K*, one cho_solve with a right-hand side per row (GPML
+    chunk takes one K*, one solve with a right-hand side per row (GPML
     Alg. 3.2 on a matrix of test inputs) and einsum contractions, which
-    sum each row in one order whatever its chunk.  No variance needs a
-    clamp: the jitter keeps each above about 1e-8/n of its prior variance
-    (n observations with that noise), while the solve rounds off a few eps
-    of it; fits of up to n = 1000 with zero site variances kept 1e-11.
+    sum each row in one order whatever its chunk.  The solve calls LAPACK's
+    potrs as cho_solve does, but without its scan of the factor and of K*
+    for non-finite entries: a query whose moments are not finite (a kernel
+    value that overflows, say) is an error naming its row.  No variance
+    needs a clamp: the jitter keeps each above about 1e-8/n of its prior
+    variance (n observations with that noise), while the solve rounds off
+    a few eps of it; fits of up to n = 1000 with zero site variances kept
+    1e-11.
     """
     out = (np.empty(len(X)), np.empty(len(X))) + ((np.empty_like(X), np.empty_like(X)) if grad else ())
     for rows in data._row_blocks(len(X), model.train_x.size):
-        for whole, part in zip(out, _predictive_rows(model, X[rows], grad)):
+        parts = _predictive_rows(model, X[rows], grad)
+        finite = np.isfinite(np.column_stack(parts)).all(axis=1)
+        if not finite.all():
+            row = rows.start + int(np.argmin(finite))
+            raise ValueError(f"the GP's latent moments are not finite at query row {row}, {X[row].tolist()}")
+        for whole, part in zip(out, parts):
             whole[rows] = part
     return out
 

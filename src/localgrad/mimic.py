@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from . import data
@@ -117,9 +116,9 @@ def _queries(mimic: ParzenMimic, x, c=None):
     if c.size != len(X):
         raise ValueError(f"expected one label per query, got {c.size} labels for {len(X)} queries")
     c = data._integers(c).reshape(len(X))
-    unknown = np.setdiff1d(c, mimic.classes)  # sorted: [0] is the smallest
+    unknown = c[~np.isin(c, mimic.classes)]
     if len(unknown):
-        raise ValueError(f"label {unknown[0]} is carried by no reference of the mimic")
+        raise ValueError(f"label {unknown.min()} is carried by no reference of the mimic")
     return X, point, mimic.classes.searchsorted(c)
 
 
@@ -479,21 +478,29 @@ def smooth_gradients(queries, gradients, window_halfwidth: float) -> np.ndarray:
 
     Each output is the mean of all gradients whose query lies within the
     axis-aligned cube of the given halfwidth centered at that query (the
-    point itself always included): a closed max-norm ball, from one k-d tree query.
+    point itself always included): a closed max-norm ball.  The queries
+    must be finite.  Each row block's Chebyshev distances to every query
+    (data._row_blocks(q, q)) give its cubes' members in column order.
     """
-    Q = np.atleast_2d(np.asarray(queries, dtype=float))
+    Q = data._points(np.atleast_2d(queries), "queries")
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
     if G.shape != Q.shape:
         raise ValueError(f"gradients must have the queries' shape {Q.shape}, got {G.shape}")
     if not window_halfwidth > 0:
         raise ValueError("window halfwidth must be positive")
-    cubes = cKDTree(Q).query_ball_point(Q, window_halfwidth, p=np.inf, return_sorted=True)
+    q = len(Q)
+    n, cols = np.empty(q, dtype=np.intp), []
+    for b in data._row_blocks(q, q):
+        cube = cdist(Q[b], Q, "chebyshev") <= window_halfwidth
+        n[b] = np.count_nonzero(cube, axis=1)
+        cols.append(np.flatnonzero(cube) % q)
+    cols = np.concatenate(cols)
     if G.shape[1] == 1:  # the mean of one column sums it pairwise, not row by row
-        return np.array([G[rows].mean(axis=0) for rows in cubes]).reshape(G.shape)
+        return np.array([G[rows].mean(axis=0) for rows in np.split(cols, np.cumsum(n[:-1]))]).reshape(G.shape)
     # CSR adds each row's members to 0 in column order, as mean(axis=0) adds a cube's rows
-    n = np.fromiter(map(len, cubes), dtype=np.intp, count=len(cubes))
-    member = sparse.csr_array((np.ones(n.sum()), np.concatenate(cubes), np.r_[0, np.cumsum(n)]), shape=(len(Q),) * 2)
-    return member @ G / n[:, None]
+    out = sparse.csr_array((np.ones(len(cols)), cols, np.r_[0, np.cumsum(n)]), shape=(q, q)) @ G
+    out /= n[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,19 @@ def knn_loo_errors_bruteforce(train_x, train_y, k):
     return errors
 
 
+def knn_predict_bruteforce(train_x, train_y, k, queries):
+    """k-NN labels of the queries from a stable argsort of each query's squared
+    distances and the documented vote: most votes wins, and a vote tie goes to
+    the tied class met first among the nearest."""
+    y = np.asarray(train_y, dtype=int).tolist()
+    labels = []
+    for q in np.asarray(queries, dtype=float):
+        votes = [y[j] for j in np.argsort(np.sum((train_x - q) ** 2, axis=1), kind="stable")[:k]]
+        top = max(votes.count(c) for c in votes)
+        labels.append(next(c for c in votes if votes.count(c) == top))
+    return labels
+
+
 def select_width_bruteforce(ref_x, ref_labels, sigmas):
     """Width selection by refitting a leave-one-out mimic per reference:
     the chosen width, and the disagreement count of each width in

@@ -14,7 +14,7 @@ from localgrad.classifiers import (
     table_oracle_load,
 )
 from localgrad.data import Dataset, _row_blocks
-from oracles import knn_loo_errors_bruteforce
+from oracles import knn_loo_errors_bruteforce, knn_predict_bruteforce
 
 
 def two_clusters(n=16, seed=0):
@@ -106,12 +106,21 @@ def test_loo_errors_block_size_changes_nothing(monkeypatch, block_rows):
 
 @pytest.mark.parametrize("block_rows", [1, 7])
 def test_predict_block_size_changes_nothing(monkeypatch, block_rows):
+    # blocks of one row, and of 7 rows, which does not divide the 50 queries;
+    # one vote labels them all, whatever the blocks
     X, y = exact_ties_set()
     queries = np.random.default_rng(22).integers(-1, 5, size=(50, 2)).astype(float)
     clf = KnnClassifier(X, y, k=4)
-    expected = [clf.predict(q) for q in queries]
+    expected = knn_predict_bruteforce(X, y, 4, queries)
+    dist = cdist(queries, X, "sqeuclidean")
+    assert (np.count_nonzero(dist <= np.sort(dist, axis=1)[:, 3:4], axis=1) > 4).any()  # ties at the 4th distance
+    votes = y[stable_first(dist, 4)]
+    assert any(sorted(np.unique(row, return_counts=True)[1].tolist())[-2:] == [2, 2] for row in votes)  # vote ties
+    assert clf.predict(queries).tolist() == expected
     monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(X))
     assert clf.predict(queries).tolist() == expected
+    assert [clf.predict(q) for q in queries] == expected
+    assert clf.predict(queries[:0]).tolist() == []
 
 
 def tied_distances(rows=50, m=12, seed=23):

@@ -470,6 +470,17 @@ def test_sigma_grid_listing_no_candidate_fails_naming_the_flag(triangle_csv, tmp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["explain", "iris"])
+def test_sigma_grid_token_that_is_no_number_fails_naming_the_flag(triangle_csv, tmp_path, capsys, command):
+    # was Python's "could not convert string to float: 'a'", naming no flag
+    out = tmp_path / "x.csv"
+    data = ["--data", triangle_csv] if command == "explain" else ["--seed", "1"]
+    assert main([command, *data, "--sigma-grid", "a,0.5", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and err["error"] == "--sigma-grid takes comma-separated numbers, got 'a,0.5'"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["explain", "morph", "rank", "compare"])
 def test_rows_to_explain_are_required(fitted_model, tmp_path, capsys, command):
     # without --queries the --data rows are explained, so one of the two must be given
@@ -1132,6 +1143,7 @@ def test_fit_gpc_rejects_non_finite_kernel_parameter(triangle_csv, tmp_path, cap
         (["--kernel-grid", ""], "--kernel-grid"),
         (["--kernel", "5"], "--kernel must be a JSON object"),  # was a TypeError
         (["--kernel", '"rbf"'], "--kernel must be a JSON object"),  # listed the letters as keys
+        (["--kernel-grid", "x"], "--kernel-grid takes comma-separated numbers"),  # was float()'s message
     ],
 )
 def test_fit_gpc_kernel_flags_fail_naming_what_is_wrong(triangle_csv, tmp_path, capsys, flags, named):

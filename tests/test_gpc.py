@@ -644,6 +644,21 @@ def test_block_gradients_match_dense_inverse_oracle(three_kind_models, kind):
         np.testing.assert_allclose(grad_var[i], want[3], rtol=1e-6, atol=1e-7)
 
 
+@pytest.mark.parametrize("big", [1e160, 1.7e308])
+@pytest.mark.parametrize("call", [predict_proba, explain_gpc])
+def test_non_finite_latent_moments_are_an_error_naming_the_query_row(three_kind_models, big, call):
+    # the linear kernel's x.x overflows: at 1e160 this gave p = NaN and a NaN gradient,
+    # at 1.7e308 cho_solve's unnamed "array must not contain infs or NaNs"
+    model = next(m for m in three_kind_models if m.kernel.kind == "linear")
+    queries = np.random.default_rng(36).normal(size=(4, 3))
+    queries[2] = big
+    message = f"latent moments are not finite at query row 2, {queries[2].tolist()}"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(message)):
+        call(model, queries)  # the kernel's own overflow at 1.7e308 warns first
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(message.replace("row 2", "row 0"))):
+        call(model, queries[2])
+
+
 def test_explain_block_memory_stays_small(traced):
     # one unchunked 2000 x 300 x 5 gradient tensor alone would take 24 MB
     rng = np.random.default_rng(34)

@@ -952,6 +952,25 @@ def test_smoothing_equals_the_mask_oracle_bit_for_bit(case):
     assert np.array_equal(smooth_gradients(Q, G, r), smooth_gradients_bruteforce(Q, G, r))
 
 
+@pytest.mark.parametrize("block_rows", [1, 7])
+@pytest.mark.parametrize("case", range(6))
+def test_smoothing_block_size_changes_nothing(monkeypatch, case, block_rows):
+    # blocks of one row, and of 7 rows, which divides none of the cases' query counts
+    Q, r = _smoothing_cases()[case]
+    G = np.random.default_rng(case).normal(size=Q.shape)
+    monkeypatch.setattr("localgrad.data._BLOCK_ELEMENTS", block_rows * len(Q))
+    assert np.array_equal(smooth_gradients(Q, G, r), smooth_gradients_bruteforce(Q, G, r))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_smoothing_rejects_non_finite_queries(bad):
+    # a NaN row's Chebyshev distances fail every comparison, even to itself
+    queries = np.zeros((3, 2))
+    queries[1, 0] = bad
+    with pytest.raises(ValueError, match=re.escape(f"queries must be finite, but row 1 is {queries[1].tolist()}")):
+        smooth_gradients(queries, np.ones((3, 2)), 0.5)
+
+
 def test_smoothing_one_column_with_long_cubes_equals_the_mask_oracle_bit_for_bit():
     # a column's mean sums its cubes of more than 8 rows pairwise, not in index order
     Q = np.random.default_rng(16).normal(size=(200, 1))
