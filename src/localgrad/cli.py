@@ -8,7 +8,9 @@ and all randomness flows through one seeded generator per run).
 
 A JSON config file may mirror any flag (keys are the flag names with
 dashes replaced by underscores, values are parsed as the flag parses
-them); explicitly passed flags win.
+them); a flag on the command line wins, since its tokens are parsed after
+the file's.  Every flag value is then checked once, by _resolve, before
+the command reads any input.
 """
 
 from __future__ import annotations
@@ -25,43 +27,89 @@ from . import analysis, classifiers, data as datamod, gpc, mimic as mimicmod
 from .kernels import kernel_from_dict, kernel_to_dict
 
 
-def _parse_floats(text: str, flag: str) -> list:
-    """The numbers of a comma-separated list; a token that is no number is an error naming the flag."""
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"--{flag} takes comma-separated numbers, got {text!r}") from None
-
-
 class _RaisingParser(argparse.ArgumentParser):
-    """Parser for config values: a value its flag rejects raises instead
-    of exiting, so it takes the error contract of every other failure."""
+    """Parser of a command line with a config file's tokens: a value its
+    flag rejects raises instead of exiting, so it takes the error contract
+    of every other failure."""
 
     def error(self, message):
         raise ValueError(f"config: {message}")
 
 
-def _load_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, if any.  Each value goes
-    through the subcommand's own parser as ``--flag=value``, so it gets the
-    flag's type; ``true`` stands for the bare flag.  A key that names no
-    flag of the subcommand is an error; ``null`` leaves its flag unset."""
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        argv = [args.command]
-        for key, value in cfg.items():
-            attr = key.replace("-", "_")
-            if attr == "command" or not hasattr(args, attr):
-                raise ValueError(f"config key {key!r} is not a flag of {args.command}")
-            if getattr(args, attr) is None and value is not None:
-                flag = "--" + attr.replace("_", "-")
-                argv.append(flag if value is True else f"{flag}={value}")
-        parsed = _parser(_RaisingParser).parse_args(argv)
-        for attr, value in vars(parsed).items():
-            if getattr(args, attr) is None:
-                setattr(args, attr, value)
-    return args
+def _load_config(args: argparse.Namespace) -> list:
+    """The JSON config file's flags as ``--flag=value`` tokens, for main to
+    parse before the command line's.  ``true`` stands for the bare flag and
+    ``null`` for no token; an object is passed as its JSON text and an array
+    as its items joined by commas.  A key that names no flag of the
+    subcommand is an error."""
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    tokens = []
+    for key, value in cfg.items():
+        attr = key.replace("-", "_")
+        if attr == "command" or not hasattr(args, attr):
+            raise ValueError(f"config key {key!r} is not a flag of {args.command}")
+        flag = "--" + attr.replace("_", "-")
+        if isinstance(value, dict):
+            value = json.dumps(value)
+        elif isinstance(value, list):
+            value = ",".join(map(str, value))
+        if value is not None:
+            tokens.append(flag if value is True else f"{flag}={value}")
+    return tokens
+
+
+def _resolve(args: argparse.Namespace) -> None:
+    """Check every flag value of the command, and convert the lists, ranges
+    and the kernel's JSON in place, before the command reads any input; so
+    vars(args) is the run's resolved flag set.  A bad value is an error
+    naming its flag.  Checks that need the data stay in the commands."""
+    flags = vars(args)
+    if flags.get("model"):
+        for name in ("oracle", "sigma", "sigma_grid", "hessian_fallback"):
+            if flags.get(name) is not None:
+                raise ValueError(f"pass either --model (analytic) or --{name.replace('_', '-')} (mimic), not both")
+    for name, least in (("grid", 1), ("bins", 2), ("steps", 0), ("seed", 0)):
+        if name in flags and flags[name] < least:
+            raise ValueError(f"--{name} must be at least {least}, got {flags[name]}")
+    for name in ("step_size", "hessian_fallback", "smooth_window", "epsilon"):
+        if flags.get(name) is not None and not flags[name] > 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be positive, got {flags[name]}")
+    for name in ("xlim", "ylim", "sigma_grid", "kernel_grid"):  # comma-separated numbers
+        text, flag = flags.get(name), "--" + name.replace("_", "-")
+        if text is None or (name, text) == ("sigma_grid", "auto"):
+            continue
+        try:
+            flags[name] = [float(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            flags[name] = None
+        if name in ("xlim", "ylim") and len(flags[name] or ()) != 2:
+            raise ValueError(f"{flag} takes two numbers 'lo,hi', got {text!r}")
+        if flags[name] is None:
+            raise ValueError(f"{flag} takes comma-separated numbers, got {text!r}")
+        if not flags[name]:
+            raise ValueError(f"{flag} lists no candidates, got {text!r}")
+    if flags.get("k_grid") is not None:
+        ks = [datamod._integral(k) for k in flags["k_grid"].split(",") if k.strip()]
+        if None in ks or not ks:
+            raise ValueError(f"--k-grid takes integers, got {flags['k_grid']!r}")
+        flags["k_grid"] = ks
+    if "kernel" in flags:
+        text = flags["kernel"]
+        try:
+            flags["kernel"] = json.loads(text)
+        except ValueError:
+            flags["kernel"] = None
+        if not isinstance(flags["kernel"], dict):
+            raise ValueError(f'--kernel must be a JSON object such as {{"kind": "rbf", "w": 2.0}}, got {text!r}')
+    oracle = flags.get("oracle")
+    if oracle and oracle.split(":")[0] == "knn":  # knn, knn:loo or knn:K
+        k = oracle.partition(":")[2] or "loo"
+        if k != "loo":
+            k = datamod._integral(k)
+            if k is None:
+                raise ValueError(f"--oracle knn:K takes an integer K, got {oracle!r}")
+        flags["oracle"] = f"knn:{k}"
 
 
 def _require(args, *names):
@@ -70,21 +118,11 @@ def _require(args, *names):
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _count(args, name, default, least):
-    """An integer flag's value, or its default when unset; below `least` is an error."""
-    value = default if getattr(args, name) is None else getattr(args, name)
-    if value < least:
-        raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
-    return value
-
-
-def _limits(args, name):
-    """A range flag's 'lo,hi' as two numbers; anything else is an error naming the flag."""
-    try:
-        lo, hi = _parse_floats(getattr(args, name), name)
-    except ValueError:  # a token that is no number, or not two of them
-        raise ValueError(f"--{name} takes two numbers 'lo,hi', got {getattr(args, name)!r}") from None
-    return lo, hi
+def _queries(args, *required):
+    """The rows a command explains: --queries, or else the --data rows, read
+    once the command's `required` flags and that file's flag are given."""
+    _require(args, *required, "data" if args.queries is None else "queries")
+    return datamod.load_csv(args.queries or args.data)
 
 
 def _to_pm1(labels, label_map):
@@ -97,41 +135,30 @@ def _to_pm1(labels, label_map):
 
 
 def _resolve_oracle(spec, dataset):
-    """Build a label source from an --oracle value.
+    """Build a label source from a resolved --oracle value.
 
     ``knn:K`` fits k-NN with that k on the dataset's labels; ``knn:loo``
-    (or ``knn``) picks k by leave-one-out from 1..10; anything else is a
-    prediction-table CSV keyed to the dataset's rows.  Without an oracle
-    the dataset's own label column plays the role of g; like a table, it
-    labels only points that are rows of the dataset.
+    picks k by leave-one-out from 1..10; anything else is a prediction-table
+    CSV keyed to the dataset's rows.  Without an oracle the dataset's own
+    label column plays the role of g; like a table, it labels only points
+    that are rows of the dataset.
     """
     if spec is None:
         return classifiers.TableOracle(dataset, dict(zip(dataset.row_ids, dataset.labels)))
-    text = str(spec)
-    if text.startswith("knn"):
-        _, _, arg = text.partition(":")
-        if arg in ("", "loo"):
-            return classifiers.knn_fit_loo(dataset.features, dataset.labels, range(1, min(11, dataset.n)))
-        k = datamod._integral(arg)
-        if k is None:
-            raise ValueError(f"--oracle knn:K takes an integer K, got {text!r}")
-        return classifiers.KnnClassifier(dataset.features, dataset.labels, k)
-    return classifiers.table_oracle_load(text, dataset)
+    if spec == "knn:loo":
+        return classifiers.knn_fit_loo(dataset.features, dataset.labels, range(1, min(11, dataset.n)))
+    if spec.startswith("knn:"):
+        return classifiers.KnnClassifier(dataset.features, dataset.labels, int(spec[4:]))
+    return classifiers.table_oracle_load(spec, dataset)
 
 
 def _fit_mimic(args, points, g_labels, *span):
     """The Parzen mimic of the labels g gives the points.  Its width is
     --sigma, or else the leave-one-out choice from the --sigma-grid list
     or from the auto grid, default_sigma_grid(points, *span)."""
-    if getattr(args, "sigma", None) is not None:
-        sigma = float(args.sigma)
-    else:
-        if args.sigma_grid in (None, "auto"):
-            grid = mimicmod.default_sigma_grid(points, *span)
-        else:
-            grid = _parse_floats(args.sigma_grid, "sigma-grid")
-            if not grid:
-                raise ValueError(f"--sigma-grid lists no candidates, got {args.sigma_grid!r}")
+    sigma = getattr(args, "sigma", None)
+    if sigma is None:
+        grid = mimicmod.default_sigma_grid(points, *span) if args.sigma_grid in (None, "auto") else args.sigma_grid
         # by keyword: perfbench's tracer counts the candidates from it
         sigma = mimicmod.select_width(points, g_labels, candidate_sigmas=grid)
     return mimicmod.ParzenMimic(points, g_labels, sigma)
@@ -143,29 +170,21 @@ def _explanations(args, queries):
     given.  The mimic's references are the --data rows; without --queries
     they are the queries, read and labelled once.  Returns one block record
     of the queries' explanations and the route: ("gpc", model) or ("mimic", mimic)."""
-    if getattr(args, "model", None):
-        for name in ("oracle", "sigma", "sigma_grid", "hessian_fallback"):
-            if getattr(args, name, None) is not None:
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"pass either --model (analytic) or {flag} (mimic), not both")
+    if args.model:
         model = gpc.load_gpc(args.model)
         evs = gpc.explain_gpc(model, queries.features)
         route = ("gpc", model)
     else:
         _require(args, "data")
-        threshold = args.hessian_fallback
-        if threshold is not None and not threshold > 0:
-            raise ValueError(f"--hessian-fallback must be positive, got {threshold}")
         refs = queries if args.queries is None else datamod.load_csv(args.data)
         oracle = _resolve_oracle(args.oracle, refs)
         g_refs = oracle.predict(refs.features)
         mm = _fit_mimic(args, refs.features, g_refs)
         g = g_refs if queries is refs else oracle.predict(queries.features)
-        evs = mimicmod.explain_mimic(mm, queries.features, g, hessian_threshold=threshold)
+        evs = mimicmod.explain_mimic(mm, queries.features, g, hessian_threshold=args.hessian_fallback)
         route = ("mimic", mm)
-    window = getattr(args, "smooth_window", None)
-    if window is not None:
-        evs.gradient = mimicmod.smooth_gradients(queries.features, evs.gradient, float(window))
+    if args.smooth_window is not None:
+        evs.gradient = mimicmod.smooth_gradients(queries.features, evs.gradient, args.smooth_window)
     return evs, route
 
 
@@ -176,27 +195,20 @@ def _explanations(args, queries):
 
 def cmd_fit_gpc(args) -> int:
     _require(args, "data", "out")
+    base, grid = kernel_from_dict(args.kernel), args.kernel_grid
+    if grid is not None and base.kind == "linear":
+        raise ValueError("the linear kernel has no parameter to grid-search")
     train = datamod.load_csv(args.data)
     classes = train.classes().tolist()
     if len(classes) != 2:
         raise ValueError(f"need exactly two classes, got {classes}")
     label_map = {classes[0]: -1, classes[1]: 1}  # lower id -> -1
-    kernel_dict = json.loads(args.kernel) if args.kernel else {"kind": "rbf"}
-    if not isinstance(kernel_dict, dict):
-        raise ValueError(f'--kernel must be a JSON object such as {{"kind": "rbf", "w": 2.0}}, got {args.kernel!r}')
-    base = kernel_from_dict(kernel_dict)
-    seed = int(args.seed or 0)
 
     searched = None
-    if args.kernel_grid is not None:
-        grid = _parse_floats(args.kernel_grid, "kernel-grid")
-        if not grid:
-            raise ValueError(f"--kernel-grid lists no candidates, got {args.kernel_grid!r}")
-        if base.kind == "linear":
-            raise ValueError("the linear kernel has no parameter to grid-search")
+    if grid is not None:
         param = "width" if base.kind == "rbf" else "rq_length"
         n_val = max(1, train.n // 4)
-        sub_train, val = datamod.split_stratified(train, train.n - n_val, seed)
+        sub_train, val = datamod.split_stratified(train, train.n - n_val, args.seed)
         y_sub, y_val = _to_pm1(sub_train.labels, label_map), _to_pm1(val.labels, label_map)
 
         def accuracy(value):
@@ -220,7 +232,7 @@ def cmd_fit_gpc(args) -> int:
 
     train_error, train_auc = error_and_auc(train)
     metrics = {
-        "seed": seed,
+        "seed": args.seed,
         "kernel": kernel_to_dict(base),
         "label_map": {str(k): v for k, v in label_map.items()},
         "converged": model.converged,
@@ -242,8 +254,7 @@ def cmd_fit_gpc(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    _require(args, "out", "data" if args.queries is None else "queries")
-    queries = datamod.load_csv(args.queries or args.data)
+    queries = _queries(args, "out")
     evs, _route = _explanations(args, queries)
     mimicmod.save_explanations(args.out, evs, queries.feature_names)
     return 0
@@ -251,15 +262,13 @@ def cmd_explain(args) -> int:
 
 def cmd_vector_field(args) -> int:
     _require(args, "model", "out")
-    limits = [_limits(args, name) if getattr(args, name) else None for name in ("xlim", "ylim")]
     model = gpc.load_gpc(args.model)
     if model.train_x.shape[1] != 2:
         raise ValueError("vector-field needs a 2-D model")
-    n = _count(args, "grid", 30, least=1)
-    lo, hi = model.train_x.min(axis=0), model.train_x.max(axis=0)
+    n, lo, hi = args.grid, model.train_x.min(axis=0), model.train_x.max(axis=0)
     pad = 0.1 * (hi - lo)
     # each axis spans the padded data box, unless its flag gives a range
-    xs, ys = (np.linspace(*(given or box), n) for given, box in zip(limits, zip(lo - pad, hi + pad)))
+    xs, ys = (np.linspace(*(given or box), n) for given, box in zip((args.xlim, args.ylim), zip(lo - pad, hi + pad)))
 
     def grid_rows():  # one explain_gpc call and one block per grid row
         for yv in ys:
@@ -276,11 +285,7 @@ def cmd_morph(args) -> int:
     step 0 reads the explanations' probabilities; on the mimic route each
     step's labels come from mimic._relabel.  The rows are then written in
     blocks of whole paths."""
-    _require(args, "out", "data" if args.queries is None else "queries")
-    queries = datamod.load_csv(args.queries or args.data)
-    steps = _count(args, "steps", 50, least=0)
-    if args.step_size is not None and not args.step_size > 0:
-        raise ValueError(f"--step-size must be positive, got {args.step_size}")
+    queries = _queries(args, "out")
     step_size = args.step_size or 0.1 * float(np.mean(queries.features.std(axis=0)))
     if not step_size > 0:  # one query, or identical ones, would never move
         raise ValueError("the queries have no spread to scale the step by; pass --step-size")
@@ -291,11 +296,11 @@ def cmd_morph(args) -> int:
         G[label0 == 1] *= -1.0  # walk away from the predicted class
     norms = np.array([np.linalg.norm(g) for g in G])[:, None]  # axis=1 would round otherwise
     directions = np.divide(G, norms, out=np.zeros_like(G), where=norms > 0)
-    probs = np.empty((steps + 1, len(start)))  # p of path i at step t
+    probs = np.empty((args.steps + 1, len(start)))  # p of path i at step t
     probs[0] = evs.predicted_probability
-    last, last_label = np.full(len(start), steps), label0.copy()  # the first flip, if any
+    last, last_label = np.full(len(start), args.steps), label0.copy()  # the first flip, if any
     live = np.arange(len(start))
-    for t in range(steps + 1):
+    for t in range(args.steps + 1):
         X = start[live] + (t * step_size) * directions[live]
         if route == "gpc":
             if t:
@@ -328,9 +333,7 @@ def cmd_morph(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _require(args, "out", "data" if args.queries is None else "queries")
-    queries = datamod.load_csv(args.queries or args.data)
-    bins = _count(args, "bins", 30, least=2)
+    queries = _queries(args, "out")
     stem = str(args.out).removesuffix(".csv")
     hist_paths = {}  # histogram file -> its feature, in feature order
     for name in queries.feature_names:
@@ -342,24 +345,21 @@ def cmd_rank(args) -> int:
     ranking = analysis.rank_features(evs, queries.feature_names)
     analysis.save_ranking_csv(ranking, args.out)
     for j, path in enumerate(hist_paths):
-        spec = analysis.default_histogram_spec(evs.gradient[:, j], bin_count=bins)
+        spec = analysis.default_histogram_spec(evs.gradient[:, j], bin_count=args.bins)
         counts, clipped = analysis.histogram(evs.gradient[:, j], spec)
         analysis.save_histogram_csv(spec, counts, path, clipped)
     return 0
 
 
 def cmd_compare(args) -> int:
-    _require(args, "out", "feature", "group", "data" if args.queries is None else "queries")
-    queries = datamod.load_csv(args.queries or args.data)
+    queries = _queries(args, "out", "feature", "group")
     for flag in ("group", "feature"):
         if getattr(args, flag) not in queries.feature_names:
             raise ValueError(f"--{flag} {getattr(args, flag)!r} is not a column of the dataset")
     mask = queries.features[:, queries.feature_names.index(args.group)] != 0
-    bins = _count(args, "bins", 30, least=2)
     evs, _route = _explanations(args, queries)
     j = queries.feature_names.index(args.feature)
-    eps = float(args.epsilon if args.epsilon is not None else 1.0)
-    spec = analysis.default_histogram_spec(evs.gradient[:, j], bin_count=bins, epsilon=eps)
+    spec = analysis.default_histogram_spec(evs.gradient[:, j], bin_count=args.bins, epsilon=args.epsilon)
     cmp_result = analysis.compare_groups(evs, j, mask, spec)
     out = analysis.comparison_to_dict(cmp_result)
     out["feature"] = args.feature
@@ -373,17 +373,11 @@ def cmd_iris(args) -> int:
     """Full pipeline on the bundled Iris data: split, normalize, k-NN with
     LOO selection, mimic width selection, explanations for the test set."""
     _require(args, "out")
-    seed = int(args.seed or 0)
     full = datamod.load_iris()
-    train, test = datamod.split_stratified(datamod.iris_binary(full), 100, seed)
+    train, test = datamod.split_stratified(datamod.iris_binary(full), 100, args.seed)
     train, [test] = datamod.normalize_fit_apply(train, [test])
 
-    k_grid = range(1, 11)
-    if args.k_grid:
-        k_grid = [datamod._integral(k) for k in args.k_grid.split(",") if k.strip()]
-    if None in k_grid:
-        raise ValueError(f"--k-grid takes integers, got {args.k_grid!r}")
-    clf = classifiers.knn_fit_loo(train.features, train.labels, k_grid)
+    clf = classifiers.knn_fit_loo(train.features, train.labels, args.k_grid or range(1, 11))
     g_train = clf.predict(train.features)
     g_test = clf.predict(test.features)
     train_error = float(np.mean(g_train != train.labels))
@@ -407,7 +401,7 @@ def cmd_iris(args) -> int:
     datamod.save_json(train.norm_stats, f"{stem}-norm-stats.json")
 
     metrics = {
-        "seed": seed,
+        "seed": args.seed,
         "k": clf.k,
         "k_loo_errors": {str(k): v for k, v in clf.loo_errors.items()},
         "train_error": train_error,
@@ -455,10 +449,10 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     p = subs.add_parser("fit-gpc", help="train a GP classifier, optionally grid-searching the kernel")
     _add_common(p)
-    p.add_argument("--seed", type=int, help="seed of the grid search's validation split (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the grid search's split (default %(default)s)")
     p.add_argument("--data", help="training dataset CSV (binary labels)")
     p.add_argument("--test", help="held-out dataset CSV for test metrics")
-    p.add_argument("--kernel", help='kernel JSON, e.g. {"kind":"rbf","w":2.0}')
+    p.add_argument("--kernel", default='{"kind": "rbf"}', help="kernel JSON object (default %(default)s)")
     p.add_argument("--kernel-grid", help="comma-separated kernel parameter candidates")
     p.add_argument("--metrics", help="metrics JSON path (default derived from --out)")
 
@@ -469,32 +463,32 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = subs.add_parser("vector-field", help="probability and gradient on a 2-D grid")
     _add_common(p)
     p.add_argument("--model", help="fitted GPC model JSON")
-    p.add_argument("--grid", type=int, help="grid nodes per axis (default 30)")
+    p.add_argument("--grid", type=int, default=30, help="grid nodes per axis (default %(default)s)")
     p.add_argument("--xlim", help="x1 range as 'lo,hi' (default: data box +10%%)")
     p.add_argument("--ylim", help="x2 range as 'lo,hi' (default: data box +10%%)")
 
     p = subs.add_parser("morph", help="walk queries along their explanation vectors")
     _add_common(p)
     _add_mimic_opts(p)
-    p.add_argument("--steps", type=int, help="maximum number of steps (default 50)")
+    p.add_argument("--steps", type=int, default=50, help="maximum number of steps (default %(default)s)")
     p.add_argument("--step-size", type=float, help="step length (default 0.1 x data scale)")
 
     p = subs.add_parser("rank", help="feature ranking by mean gradient + histograms")
     _add_common(p)
     _add_mimic_opts(p)
-    p.add_argument("--bins", type=int, help="histogram bins (default 30)")
+    p.add_argument("--bins", type=int, default=30, help="histogram bins (default %(default)s)")
 
     p = subs.add_parser("compare", help="two-group comparison of one feature's gradients")
     _add_common(p)
     _add_mimic_opts(p)
     p.add_argument("--feature", help="feature whose gradient components are compared")
     p.add_argument("--group", help="dataset column whose nonzero entries mark the group")
-    p.add_argument("--bins", type=int, help="histogram bins (default 30)")
-    p.add_argument("--epsilon", type=float, help="bin smoothing for the KLD (default 1)")
+    p.add_argument("--bins", type=int, default=30, help="histogram bins (default %(default)s)")
+    p.add_argument("--epsilon", type=float, default=1.0, help="bin smoothing for the KLD (default %(default)s)")
 
     p = subs.add_parser("iris", help="bundled Iris pipeline (split, k-NN, mimic, explanations)")
     _add_common(p)
-    p.add_argument("--seed", type=int, help="seed of the train/test split (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the train/test split (default %(default)s)")
     p.add_argument("--k-grid", help="comma-separated k candidates (default 1..10)")
     p.add_argument("--sigma-grid", help="comma-separated widths or 'auto'")
 
@@ -512,7 +506,10 @@ def _parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _load_config(args)
+        if args.config:  # the file's tokens first, so the command line's win
+            argv = sys.argv[1:] if argv is None else argv
+            args = _parser(_RaisingParser).parse_args([argv[0], *_load_config(args), *argv[1:]])
+        _resolve(args)
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except Exception as exc:  # error contract: nonzero exit + JSON on stderr
         print(

@@ -35,28 +35,30 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
 
+def _finite(x: np.ndarray, name: str) -> np.ndarray:
+    """The n x d matrix x, if its entries are finite; else an error naming its first bad row."""
+    # min and max carry a NaN or an inf through, with no n x d temporary
+    if not (math.isfinite(x.min(initial=0.0)) and math.isfinite(x.max(initial=0.0))):
+        row = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise ValueError(f"{name} must be finite, but row {row} is {x[row].tolist()}")
+    return x
+
+
 def _query_block(x, d: int):
     """The queries x as a q x d block of finite floats, and whether x was one point (shape (d,))."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != d:
         raise ValueError(f"queries must be a point of dimension {d} or a q x {d} block, got shape {x.shape}")
-    # min and max carry a NaN or an inf through, with no q x d temporary
-    if not (math.isfinite(x.min(initial=0.0)) and math.isfinite(x.max(initial=0.0))):
-        raise ValueError("queries must be finite")
-    return np.atleast_2d(x), x.ndim == 1
+    return _finite(np.atleast_2d(x), "queries"), x.ndim == 1
 
 
 def _points(x, name: str) -> np.ndarray:
     """x as a nonempty n x d matrix of finite floats: the one rule for a model's points
-    (references, training points, features); the first row that is not finite is named."""
+    (references, training points, features); _finite, which queries share, names a bad row."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError(f"{name} must be a nonempty n x d matrix, got shape {x.shape}")
-    # min and max carry a NaN or an inf through, as _query_block reads queries
-    if not (math.isfinite(x.min(initial=0.0)) and math.isfinite(x.max(initial=0.0))):
-        row = int(np.argmin(np.isfinite(x).all(axis=1)))
-        raise ValueError(f"{name} must be finite, but row {row} is {x[row].tolist()}")
-    return x
+    return _finite(x, name)
 
 
 def _integers(values, kind: str = "label") -> np.ndarray:

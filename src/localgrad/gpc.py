@@ -278,7 +278,8 @@ def _predictive(model: GpcModel, X, grad: bool = False):
     """
     out = (np.empty(len(X)), np.empty(len(X))) + ((np.empty_like(X), np.empty_like(X)) if grad else ())
     for rows in data._row_blocks(len(X), model.train_x.size):
-        parts = _predictive_rows(model, X[rows], grad)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is named below
+            parts = _predictive_rows(model, X[rows], grad)
         finite = np.isfinite(np.column_stack(parts)).all(axis=1)
         if not finite.all():
             row = rows.start + int(np.argmin(finite))

@@ -1155,6 +1155,97 @@ def test_fit_gpc_kernel_flags_fail_naming_what_is_wrong(triangle_csv, tmp_path, 
     assert not out.exists()
 
 
+# --------------------------------------------------------------- flag rules
+
+
+_FLAG_BASES = {  # each command's other flags; the files are never read
+    "fit-gpc": ["--data", "d.csv"],
+    "explain": ["--data", "d.csv"],
+    "vector-field": ["--model", "m.json"],
+    "morph": ["--data", "d.csv"],
+    "rank": ["--model", "m.json"],
+    "compare": ["--data", "d.csv", "--feature", "x1", "--group", "x2"],
+    "iris": [],
+}
+
+
+@pytest.mark.parametrize("in_config", [False, True])
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        # --smooth-window and --epsilon failed only after the explanations were computed,
+        # in smooth_gradients and HistogramSpec, with messages naming no flag
+        ("explain", "smooth_window", "0", "--smooth-window must be positive, got 0.0"),
+        ("explain", "smooth_window", "nan", "--smooth-window must be positive, got nan"),
+        ("compare", "epsilon", "0", "--epsilon must be positive, got 0.0"),
+        ("compare", "epsilon", "-1", "--epsilon must be positive, got -1.0"),
+        # numpy's "expected non-negative integer", once the data had been read
+        ("fit-gpc", "seed", "-1", "--seed must be at least 0, got -1"),
+        ("iris", "seed", "-1", "--seed must be at least 0, got -1"),
+        # a bare JSONDecodeError, "Expecting property name enclosed in double quotes"
+        ("fit-gpc", "kernel", "{bad", '--kernel must be a JSON object such as {"kind": "rbf", "w": 2.0}, got \'{bad\''),
+        # these named their flag, but only once the data or the model had been read
+        ("fit-gpc", "kernel_grid", "x", "--kernel-grid takes comma-separated numbers, got 'x'"),
+        ("explain", "oracle", "knn:1.5", "--oracle knn:K takes an integer K, got 'knn:1.5'"),
+        ("explain", "sigma_grid", ",", "--sigma-grid lists no candidates, got ','"),
+        ("explain", "hessian_fallback", "-5", "--hessian-fallback must be positive, got -5.0"),
+        ("iris", "k_grid", "3,x", "--k-grid takes integers, got '3,x'"),
+        ("iris", "k_grid", ",", "--k-grid takes integers, got ','"),  # "no k candidates", from knn_fit_loo
+        ("morph", "steps", "-1", "--steps must be at least 0, got -1"),
+        ("morph", "step_size", "0", "--step-size must be positive, got 0.0"),
+        ("rank", "bins", "1", "--bins must be at least 2, got 1"),
+        ("rank", "sigma", "0.3", "pass either --model (analytic) or --sigma (mimic), not both"),
+        ("vector-field", "grid", "0", "--grid must be at least 1, got 0"),
+    ],
+)
+def test_a_bad_flag_value_fails_naming_its_flag_before_any_input_is_read(
+    tmp_path, capsys, monkeypatch, command, key, value, message, in_config
+):
+    def read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("data.load_csv", "gpc.load_gpc", "gpc.explain_gpc", "mimic.explain_mimic"):
+        monkeypatch.setattr(f"localgrad.{name}", read)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    flag = ["--config", str(cfg)] if in_config else [f"--{key.replace('_', '-')}={value}"]
+    assert main([command, *_FLAG_BASES[command], *flag, "--out", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"command": command, "error": message, "type": "ValueError"}
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "command, defaults",
+    [
+        ("fit-gpc", {"seed": 0, "kernel": {"kind": "rbf"}}),
+        ("vector-field", {"grid": 30}),
+        ("morph", {"steps": 50}),
+        ("rank", {"bins": 30}),
+        ("compare", {"bins": 30, "epsilon": 1.0}),
+        ("iris", {"seed": 0}),
+    ],
+)
+def test_a_flag_not_given_reaches_the_command_as_its_parser_default(monkeypatch, command, defaults):
+    # the defaults were None, and each command body held its own fallback
+    seen = {}
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda args: seen.update(vars(args)) or 0)
+    assert main([command]) == 0
+    assert {name: seen[name] for name in defaults} == defaults
+
+
+def test_oracle_table_whose_name_starts_with_knn_is_read_as_a_table(triangle_csv, tmp_path, monkeypatch):
+    # any --oracle starting with "knn" was read as knn:loo, so this table was ignored
+    data = load_csv(triangle_csv)
+    monkeypatch.chdir(tmp_path)
+    flipped = tmp_path / "flipped.csv"
+    datamod._write_table("knn-labels.csv", ["id", "label"], [(data.row_ids, 1 - data.labels)])
+    save_csv(Dataset(data.features, 1 - data.labels, data.feature_names, data.row_ids), flipped)
+    assert main(["explain", "--data", triangle_csv, "--oracle", "knn-labels.csv", "--sigma", "0.4",
+                 "--out", str(tmp_path / "table.csv")]) == 0
+    assert main(["explain", "--data", str(flipped), "--sigma", "0.4", "--out", str(tmp_path / "own.csv")]) == 0
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()
+
+
 # ------------------------------------------------------------------- config
 
 
@@ -1233,6 +1324,38 @@ def test_config_value_gets_the_flag_type(triangle_csv, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["command"] == "morph"
     assert err["type"] == "ValueError" and "--steps" in err["error"] and "2.5" in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value, text",
+    [
+        # the object reached --kernel as Python's repr {'kind': ...}, a JSONDecodeError
+        ("fit-gpc", "kernel", {"kind": "rbf", "w": 2.0}, '{"kind": "rbf", "w": 2.0}'),
+        # the arrays failed with "takes comma-separated numbers, got '[0.5, 1.0]'"
+        ("fit-gpc", "kernel_grid", [0.5, 1.0], "0.5,1.0"),
+        ("explain", "sigma_grid", [0.2, 0.4], "0.2,0.4"),
+    ],
+)
+def test_config_objects_and_arrays_read_as_their_flag_text(triangle_csv, tmp_path, command, key, value, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    base = [command, "--data", triangle_csv, "--out"]
+    flag_out, cfg_out = tmp_path / "flag.json", tmp_path / "cfg-run.json"
+    assert main([*base, str(flag_out), f"--{key.replace('_', '-')}", text]) == 0
+    assert main([*base, str(cfg_out), "--config", str(cfg)]) == 0
+    assert cfg_out.read_bytes() == flag_out.read_bytes()
+
+
+def test_a_bad_config_value_fails_where_the_command_line_sets_its_flag(fitted_model, tmp_path, capsys):
+    # the command line's value wins, but the file's is parsed too: it was skipped unread
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": "x"}))
+    out = tmp_path / "field.csv"
+    assert main(["vector-field", "--config", str(cfg), "--model", fitted_model, "--grid", "4", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"command": "vector-field", "error": "config: argument --grid: invalid int value: 'x'",
+                   "type": "ValueError"}
     assert not out.exists()
 
 

@@ -560,6 +560,22 @@ def test_zero_d_query_is_refused_by_every_predictor():
                     call(np.array(x))
 
 
+def test_a_query_that_is_not_finite_is_named_by_its_row():
+    # queries said only "queries must be finite", while the model's own points named the row
+    from localgrad.classifiers import KnnClassifier
+    from localgrad.gpc import ep_fit, predict_proba
+    from localgrad.kernels import KernelSpec
+    from localgrad.mimic import ParzenMimic, mimic_predict
+
+    X, y = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([-1, 1, 1])
+    queries = np.array([[0.0, 0.0], [0.5, 0.5], [np.nan, 1.0], [np.inf, 0.0]])
+    model, mm = ep_fit(X, y, KernelSpec("rbf", width=1.0)), ParzenMimic(X, y, 1.0)
+    calls = [lambda x: predict_proba(model, x), lambda x: mimic_predict(mm, x), KnnClassifier(X, y, k=1).predict]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape("queries must be finite, but row 2 is [nan, 1.0]")):
+            call(queries)
+
+
 def _model_blob(X, y):
     """A model file of a fit on four good points, carrying the training set X, y."""
     from localgrad.gpc import ep_fit, model_to_dict

@@ -653,10 +653,22 @@ def test_non_finite_latent_moments_are_an_error_naming_the_query_row(three_kind_
     queries = np.random.default_rng(36).normal(size=(4, 3))
     queries[2] = big
     message = f"latent moments are not finite at query row 2, {queries[2].tolist()}"
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(message)):
-        call(model, queries)  # the kernel's own overflow at 1.7e308 warns first
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(message.replace("row 2", "row 0"))):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(model, queries)
+    with pytest.raises(ValueError, match=re.escape(message.replace("row 2", "row 0"))):
         call(model, queries[2])
+
+
+@pytest.mark.parametrize("big", [1e160, 1.7e308])
+@pytest.mark.parametrize("call", [predict_proba, explain_gpc])
+def test_a_far_query_of_a_linear_kernel_is_named_before_any_warning(big, call):
+    # x.x - x.x gave "invalid value encountered in subtract" at 1e160, and kernel_diag's
+    # unused 2x "overflow encountered in multiply" at 1.7e308: under warnings-as-errors
+    # either was raised before _predictive could name the row
+    X, y = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]), np.array([-1, 1, -1, 1])
+    model = ep_fit(X, y, KernelSpec("linear"))
+    with pytest.raises(ValueError, match=re.escape(f"not finite at query row 0, {[big, big]}")):
+        call(model, np.array([big, big]))
 
 
 def test_explain_block_memory_stays_small(traced):
